@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import DataError
@@ -32,8 +33,12 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise DataError(f"config field {f.name} must be finite, got {v}")
             if isinstance(v, (int, float)) and not isinstance(v, bool) and v < 0:
                 raise DataError(f"config field {f.name} must be non-negative")
+        if self.batch_size == 0:
+            raise DataError("config field batch_size must be positive")
         if self.l >= self.d:
             raise DataError("latent size l must be smaller than hidden size d")
 
@@ -121,20 +126,19 @@ def load_config_file(path) -> dict:
     return out
 
 
-def apply_overrides(cls, raw: dict, prefix: str = ""):
+def apply_overrides(cls, raw: dict):
     """Build a dataclass from string key/values, ignoring unrelated keys."""
     kwargs = {}
     by_name = {f.name: f for f in fields(cls)}
     for key, value in raw.items():
-        name = key[len(prefix):] if prefix and key.startswith(prefix) else key
-        f = by_name.get(name)
+        f = by_name.get(key)
         if f is None:
             continue
         typ = f.type if not isinstance(f.type, str) else {
             "int": int, "float": float, "bool": bool, "str": str, "tuple": tuple
         }.get(f.type, str)
         try:
-            kwargs[name] = parse_value(str(value), typ)
+            kwargs[key] = parse_value(str(value), typ)
         except (TypeError, ValueError) as exc:
             raise DataError(f"bad value {value!r} for config key {key}: {exc}") from exc
     return cls(**kwargs)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .graph import HeteroGraph, NodeType
+from .graph import HeteroGraph, NodeType, iter_file_records
 
 KIND_ID = "id"
 KIND_TERMS = "terms"
@@ -140,18 +140,17 @@ def save_boundaries(bounds_by_name: dict, path):
             fh.write(f"{name}\t{vals}\n".rstrip() + "\n")
 
 
+def parse_boundary_line(line: str, location: str) -> QuantileBoundaries:
+    name, *values = line.split()
+    try:
+        bounds = np.array([float(v) for v in values], dtype=np.float64)
+    except ValueError as exc:
+        raise DataError(f"{location}: {exc}") from exc
+    return QuantileBoundaries(name, bounds, degenerate=bounds.size == 0)
+
+
 def load_boundaries(path) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            name = parts[0]
-            bounds = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            out[name] = QuantileBoundaries(name, bounds, degenerate=bounds.size == 0)
-    return out
+    return {q.feature_name: q for q in iter_file_records(path, parse_boundary_line)}
 
 
 def fit_graph_quantiles(graph: HeteroGraph, manifest: FeatureManifest) -> dict:

@@ -1,9 +1,9 @@
 """Typed weighted heterogeneous graph: ingestion and neighbor queries.
 
 The graph is built once from edge/node files and then frozen. Every
-relation is indexed from both endpoints, adjacency lists are sorted by
-descending weight (ties: ascending node id), and all query methods are
-read-only, so concurrent lookups are safe.
+relation is indexed from both endpoints as a CSR table whose rows are
+sorted by descending weight (ties: ascending node id), and all query
+methods are read-only, so concurrent lookups are safe.
 """
 
 from __future__ import annotations
@@ -100,52 +100,78 @@ class Metapath:
 
 
 class HeteroGraph:
-    """Frozen typed graph with per-(node, relation) weight-sorted adjacency."""
+    """Frozen typed graph with one CSR table per (relation, side).
 
-    def __init__(self, nodes, adjacency, warnings=None):
+    Rows of a table are the side's node ids in ascending order (`ids_of`);
+    each row lists that node's neighbors by descending weight, ties by
+    ascending id, so top-m is a prefix of the row.
+    """
+
+    def __init__(self, nodes):
         # nodes: {NodeType: {node_id: NodeRecord}}
         self.nodes = nodes
-        self._adj = adjacency  # {(Relation, NodeType): {node_id: (ids, weights)}}
-        self.warnings = warnings or []
         self.ids_of = {
             t: np.array(sorted(recs.keys()), dtype=np.int64) for t, recs in nodes.items()
         }
-        self.index_of = {
-            t: {int(i): pos for pos, i in enumerate(ids)} for t, ids in self.ids_of.items()
-        }
+        # {(Relation, NodeType): (indptr, neighbor ids, weights)}, filled by ingest
+        self._csr = {}
 
     def num_nodes(self, node_type: NodeType) -> int:
         return len(self.nodes[node_type])
 
-    def has_node(self, ref: NodeRef) -> bool:
-        return ref.node_id in self.nodes[ref.node_type]
+    def rows(self, node_type: NodeType, ids) -> np.ndarray:
+        """Rows of `ids` in ids_of[node_type]; DataError for an id not in the graph."""
+        ids = np.asarray(ids, dtype=np.int64)
+        known = self.ids_of[node_type]
+        rows = np.searchsorted(known, ids)
+        found = rows < len(known)
+        found[found] = known[rows[found]] == ids[found]
+        if not found.all():
+            raise DataError(f"unknown {node_type.value} id {int(ids[~found][0])}")
+        return rows
 
-    def record(self, ref: NodeRef) -> NodeRecord:
-        return self.nodes[ref.node_type][ref.node_id]
+    def expand(self, node_type: NodeType, ids, relation: Relation, m=None):
+        """Top-m neighbors of every node in `ids` under relation, row after row.
+
+        Returns (neighbor ids, index into `ids` of each neighbor's parent,
+        neighbor count per entry of `ids`).
+        """
+        rows = self.rows(node_type, ids)
+        table = self._csr.get((relation, node_type))
+        if table is None:
+            return np.empty(0, np.int64), np.empty(0, np.int64), np.zeros(len(rows), np.int64)
+        indptr, nbrs, _ = table
+        start = indptr[rows]
+        counts = indptr[rows + 1] - start
+        if m is not None:
+            counts = np.minimum(counts, m)
+        parents = np.repeat(np.arange(len(rows)), counts)
+        offsets = np.arange(len(parents)) - np.repeat(np.cumsum(counts) - counts, counts)
+        return nbrs[start[parents] + offsets], parents, counts
 
     def neighbors(self, ref: NodeRef, relation: Relation, m=None):
         """Top-m neighbors of ref under relation, by descending edge weight.
 
-        m=None means the full neighborhood. Returns (ids, weights) arrays.
+        m=None means the full neighborhood. Returns read-only (ids, weights)
+        arrays; a node the relation does not touch has none.
         """
-        table = self._adj.get((relation, ref.node_type))
-        entry = None if table is None else table.get(ref.node_id)
-        if entry is None:
-            empty = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-            return empty
-        ids, weights = entry
-        if m is None or m >= len(ids):
-            return ids, weights
-        return ids[:m], weights[:m]
+        table = self._csr.get((relation, ref.node_type))
+        known = self.ids_of[ref.node_type]
+        row = int(np.searchsorted(known, ref.node_id))
+        if table is None or row == len(known) or known[row] != ref.node_id:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        indptr, nbrs, weights = table
+        lo, hi = indptr[row], indptr[row + 1]
+        if m is not None:
+            hi = min(hi, lo + m)
+        return nbrs[lo:hi], weights[lo:hi]
 
     def degree(self, ref: NodeRef, relation: Relation) -> int:
         return len(self.neighbors(ref, relation)[0])
 
     def edge_count(self, relation: Relation) -> int:
         """Distinct edges of one relation (counted from the source side)."""
-        side = RELATION_SCHEMA[relation][0]
-        table = self._adj.get((relation, side), {})
-        return sum(len(ids) for ids, _ in table.values())
+        return len(self._csr[(relation, RELATION_SCHEMA[relation][0])][1])
 
     def metapath_neighbors(self, v: NodeRef, path: Metapath, m=None):
         """Tree expansion along `path` with top-m truncation per parent.
@@ -183,10 +209,23 @@ class HeteroGraph:
         return [NodeRef(other, int(i)) for i in ids]
 
     def adjacency_items(self):
-        """Iterate ((relation, node_type), node_id, ids, weights) for all lists."""
-        for key, table in self._adj.items():
-            for node_id, (ids, ws) in table.items():
-                yield key, node_id, ids, ws
+        """Iterate ((relation, node_type), node_id, ids, weights) for all non-empty rows."""
+        for key, (indptr, nbrs, weights) in self._csr.items():
+            ids = self.ids_of[key[1]]
+            for row in np.flatnonzero(np.diff(indptr)):
+                lo, hi = indptr[row], indptr[row + 1]
+                yield key, int(ids[row]), nbrs[lo:hi], weights[lo:hi]
+
+
+def _csr_table(n_rows, rows, nbr_ids, weights):
+    """Sort merged edges into one read-only CSR table over n_rows rows."""
+    order = np.lexsort((nbr_ids, -weights, rows))
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    table = (indptr, nbr_ids[order], weights[order])
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def ingest(edge_records, node_records) -> HeteroGraph:
@@ -199,8 +238,7 @@ def ingest(edge_records, node_records) -> HeteroGraph:
             )
         nodes[rec.node_type][rec.node_id] = rec
 
-    # accumulate merged weights per (relation, side) with dict-of-dict
-    acc = {}
+    columns = {rel: ([], [], []) for rel in Relation}  # src ids, dst ids, weights
     for e in edge_records:
         schema = RELATION_SCHEMA[e.relation]
         if (e.src_type, e.dst_type) != schema:
@@ -219,25 +257,28 @@ def ingest(edge_records, node_records) -> HeteroGraph:
             raise DataError(
                 f"{e.location}: dangling endpoint {e.dst_type.value}:{e.dst_id}"
             )
-        fwd = acc.setdefault((e.relation, e.src_type), {})
-        fwd.setdefault(e.src_id, {})
-        fwd[e.src_id][e.dst_id] = fwd[e.src_id].get(e.dst_id, 0.0) + e.weight
-        rev = acc.setdefault((e.relation, e.dst_type), {})
-        rev.setdefault(e.dst_id, {})
-        rev[e.dst_id][e.src_id] = rev[e.dst_id].get(e.src_id, 0.0) + e.weight
+        src, dst, weights = columns[e.relation]
+        src.append(e.src_id)
+        dst.append(e.dst_id)
+        weights.append(e.weight)
 
-    adjacency = {}
-    for key, table in acc.items():
-        out = {}
-        for node_id, nbrs in table.items():
-            pairs = sorted(nbrs.items(), key=lambda kv: (-kv[1], kv[0]))
-            ids = np.array([p[0] for p in pairs], dtype=np.int64)
-            ws = np.array([p[1] for p in pairs], dtype=np.float64)
-            ids.flags.writeable = False
-            ws.flags.writeable = False
-            out[node_id] = (ids, ws)
-        adjacency[key] = out
-    return HeteroGraph(nodes, adjacency)
+    graph = HeteroGraph(nodes)
+    for rel, (src, dst, weights) in columns.items():
+        src_t, dst_t = RELATION_SCHEMA[rel]
+        src_rows, dst_rows = graph.rows(src_t, src), graph.rows(dst_t, dst)
+        # one key per (src, dst) pair; duplicate weights sum in file order
+        n_dst = graph.num_nodes(dst_t)
+        keys, inverse = np.unique(src_rows * n_dst + dst_rows, return_inverse=True)
+        merged = np.zeros(len(keys))
+        np.add.at(merged, inverse, np.asarray(weights, dtype=np.float64))
+        src_rows, dst_rows = keys // n_dst, keys % n_dst
+        graph._csr[(rel, src_t)] = _csr_table(
+            graph.num_nodes(src_t), src_rows, graph.ids_of[dst_t][dst_rows], merged
+        )
+        graph._csr[(rel, dst_t)] = _csr_table(
+            graph.num_nodes(dst_t), dst_rows, graph.ids_of[src_t][src_rows], merged
+        )
+    return graph
 
 
 _NODE_TYPE_BY_TOKEN = {t.value: t for t in NodeType}

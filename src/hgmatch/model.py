@@ -125,6 +125,7 @@ class CacheStats:
 class PathPlan:
     path: Metapath
     level_ids: list          # np arrays of node ids, depth 0..K
+    level_rows: list         # depth j: rows of level_ids[j] in the graph's ids_of
     child_flat: list         # depth j: rows into level j+1
     child_segs: list         # depth j: row in level j per child
     child_counts: list       # depth j: children per row (float)
@@ -134,6 +135,7 @@ class PathPlan:
 class TowerPlan:
     tower: str
     all_ids: np.ndarray      # roots incl. influential extras, sorted
+    all_rows: np.ndarray     # rows of all_ids in the graph's ids_of
     req_ids: np.ndarray
     req_rows: np.ndarray     # rows of req_ids within all_ids
     path_plans: list
@@ -149,35 +151,25 @@ class ForwardPlan:
 
 
 def _build_path_plan(graph, roots, path, m, stats: CacheStats) -> PathPlan:
+    """Each level holds its distinct nodes in first-seen order."""
     chain = path.type_chain()
-    level_ids = [np.asarray(roots, dtype=np.int64)]
+    level_ids = [roots]
     child_flat, child_segs, child_counts = [], [], []
     stats.misses += len(roots)
     for depth, rel in enumerate(path.steps):
-        ptype = chain[depth]
-        next_rows = {}
-        next_ids = []
-        flat, segs, counts = [], [], []
-        for row, pid in enumerate(level_ids[depth]):
-            ids, _ = graph.neighbors(NodeRef(ptype, int(pid)), rel, m)
-            counts.append(float(len(ids)))
-            for cid in ids:
-                cid = int(cid)
-                crow = next_rows.get(cid)
-                if crow is None:
-                    crow = len(next_ids)
-                    next_rows[cid] = crow
-                    next_ids.append(cid)
-                    stats.misses += 1
-                else:
-                    stats.hits += 1
-                flat.append(crow)
-                segs.append(row)
-        level_ids.append(np.array(next_ids, dtype=np.int64))
-        child_flat.append(np.array(flat, dtype=np.int64))
-        child_segs.append(np.array(segs, dtype=np.int64))
-        child_counts.append(np.array(counts, dtype=np.float64))
-    return PathPlan(path, level_ids, child_flat, child_segs, child_counts)
+        nbrs, segs, counts = graph.expand(chain[depth], level_ids[depth], rel, m)
+        uniq, first, inverse = np.unique(nbrs, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        stats.misses += len(uniq)
+        stats.hits += len(nbrs) - len(uniq)
+        level_ids.append(uniq[order])
+        child_flat.append(rank[inverse])
+        child_segs.append(segs)
+        child_counts.append(counts.astype(np.float64))
+    level_rows = [graph.rows(t, ids) for t, ids in zip(chain, level_ids)]
+    return PathPlan(path, level_ids, level_rows, child_flat, child_segs, child_counts)
 
 
 def build_plan(
@@ -187,54 +179,38 @@ def build_plan(
     cfg: TrainConfig,
     variant: VariantSpec,
 ) -> ForwardPlan:
+    """Plan a forward pass for the given roots; DataError for an id not in the graph."""
     stats = CacheStats()
-    ad_req = np.array(sorted(set(int(i) for i in ad_ids)), dtype=np.int64)
-    kw_req = np.array(sorted(set(int(i) for i in kw_ids)), dtype=np.int64)
-
-    infl = {AD_TOWER: {}, KW_TOWER: {}}
-    if variant.siamese:
-        for aid in ad_req:
-            refs = graph.influential_neighbors(NodeRef(NodeType.AD, int(aid)), cfg.kappa)
-            infl[AD_TOWER][int(aid)] = [r.node_id for r in refs]
-        for qid in kw_req:
-            refs = graph.influential_neighbors(NodeRef(NodeType.KEYWORD, int(qid)), cfg.kappa)
-            infl[KW_TOWER][int(qid)] = [r.node_id for r in refs]
-
-    extra_ads = {i for lst in infl[KW_TOWER].values() for i in lst}
-    extra_kws = {i for lst in infl[AD_TOWER].values() for i in lst}
-    ad_all = np.array(sorted(set(ad_req.tolist()) | extra_ads), dtype=np.int64)
-    kw_all = np.array(sorted(set(kw_req.tolist()) | extra_kws), dtype=np.int64)
+    other = {AD_TOWER: KW_TOWER, KW_TOWER: AD_TOWER}
+    req_ids = {
+        AD_TOWER: np.unique(np.asarray(ad_ids, dtype=np.int64)),
+        KW_TOWER: np.unique(np.asarray(kw_ids, dtype=np.int64)),
+    }
+    # influential neighbors: (ids, row in req_ids, count per req row); none without Siamese
+    kappa = cfg.kappa if variant.siamese else 0
+    infl = {
+        t: graph.expand(TOWER_TYPE[t], req, Relation.AD_BID_KW, kappa)
+        for t, req in req_ids.items()
+    }
+    all_ids = {t: np.union1d(req_ids[t], infl[other[t]][0]) for t in req_ids}
 
     towers = {}
-    all_ids = {AD_TOWER: ad_all, KW_TOWER: kw_all}
-    req_ids = {AD_TOWER: ad_req, KW_TOWER: kw_req}
-    other = {AD_TOWER: KW_TOWER, KW_TOWER: AD_TOWER}
-    for tower in (AD_TOWER, KW_TOWER):
-        ids = all_ids[tower]
-        row_of = {int(i): r for r, i in enumerate(ids)}
-        req = req_ids[tower]
-        req_rows = np.array([row_of[int(i)] for i in req], dtype=np.int64)
+    for tower, ids in all_ids.items():
         plans = []
         if variant.conv and len(ids):
             for tp in active_paths(tower, variant.groups):
                 plans.append(_build_path_plan(graph, ids, tp.path, cfg.m, stats))
-        other_rows = {int(i): r for r, i in enumerate(all_ids[other[tower]])}
-        flat, segs, counts = [], [], []
-        for row, rid in enumerate(req):
-            nbrs = infl[tower].get(int(rid), [])
-            counts.append(float(len(nbrs)))
-            for nid in nbrs:
-                flat.append(other_rows[int(nid)])
-                segs.append(row)
+        nbrs, segs, counts = infl[tower]
         towers[tower] = TowerPlan(
             tower=tower,
             all_ids=ids,
-            req_ids=req,
-            req_rows=req_rows,
+            all_rows=graph.rows(TOWER_TYPE[tower], ids),
+            req_ids=req_ids[tower],
+            req_rows=np.searchsorted(ids, req_ids[tower]),
             path_plans=plans,
-            infl_flat=np.array(flat, dtype=np.int64),
-            infl_segs=np.array(segs, dtype=np.int64),
-            infl_counts=np.array(counts, dtype=np.float64),
+            infl_flat=np.searchsorted(all_ids[other[tower]], nbrs),
+            infl_segs=segs,
+            infl_counts=counts.astype(np.float64),
         )
     return ForwardPlan(towers, stats)
 
@@ -270,16 +246,14 @@ class ForwardResult:
     def __init__(self, towers: dict, cache: CacheStats):
         self.towers = towers
         self.cache = cache
-        self._row_of = {
-            t: {int(i): r for r, i in enumerate(f.plan.req_ids)}
-            for t, f in towers.items()
-        }
 
     def node(self, ref: NodeRef) -> TowerEmbedding:
         tower = AD_TOWER if ref.node_type == NodeType.AD else KW_TOWER
         fwd = self.towers[tower]
-        all_row = int(np.searchsorted(fwd.plan.all_ids, ref.node_id))
-        row = self._row_of[tower][ref.node_id]
+        row = int(np.searchsorted(fwd.plan.req_ids, ref.node_id))
+        if row == len(fwd.plan.req_ids) or fwd.plan.req_ids[row] != ref.node_id:
+            raise KeyError(f"{ref} is not a root of this forward pass")
+        all_row = int(fwd.plan.req_rows[row])
         att = {}
         if fwd.att_weights is not None:
             att = dict(zip(fwd.path_names, fwd.att_weights[all_row]))
@@ -358,14 +332,10 @@ class MatchingModel:
     def _execute_path(self, plan: PathPlan, h0_by_type: dict) -> Tensor:
         chain = plan.path.type_chain()
         K = len(plan.path.steps)
-        idx = self.graph.index_of
         states = []
         for j in range(K + 1):
-            dense = np.array(
-                [idx[chain[j]][int(i)] for i in plan.level_ids[j]], dtype=np.int64
-            )
-            if len(dense):
-                states.append(ad.gather(h0_by_type[chain[j]], dense))
+            if len(plan.level_rows[j]):
+                states.append(ad.gather(h0_by_type[chain[j]], plan.level_rows[j]))
             else:
                 states.append(Tensor(np.zeros((0, self.cfg.d))))
         for k in range(1, K + 1):
@@ -415,12 +385,9 @@ class MatchingModel:
         h0_by_type = {t: self.node_level_all(t) for t in sorted(types_needed, key=lambda t: t.value)}
 
         towers = {}
-        idx = self.graph.index_of
         for tower, tp in plan.towers.items():
-            ntype = TOWER_TYPE[tower]
-            dense = np.array([idx[ntype][int(i)] for i in tp.all_ids], dtype=np.int64)
-            if len(dense):
-                h0 = ad.gather(h0_by_type[ntype], dense)
+            if len(tp.all_rows):
+                h0 = ad.gather(h0_by_type[TOWER_TYPE[tower]], tp.all_rows)
             else:
                 h0 = Tensor(np.zeros((0, self.cfg.d)))
             per_path, names = {}, []

@@ -41,9 +41,6 @@ class ModelParams:
         for t in self.tensors.values():
             t.grad = None
 
-    def scalar_count(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
 
 def _glorot(rng, shape):
     fan_in = shape[0] if len(shape) > 1 else 1

@@ -20,29 +20,17 @@ from .features import (
 from .graph import HeteroGraph, load_graph
 from .model import MatchingModel, active_paths
 from .params import ModelParams, init_params, save_checkpoint
-from .retrieval import EvalTask, RecallResult, cold_start_split, evaluate_store, export_embeddings, load_task
+from .retrieval import (
+    EvalTask,
+    RecallResult,
+    cold_start_split,
+    evaluate_store,
+    export_embeddings,
+    load_labels,
+    load_task,
+)
 from .sampling import CategoryIndex
 from .trainer import FitResult, Trainer
-
-
-def load_labels(path) -> list:
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected `view ad_id kw_id`")
-            view, ad_id, kw_id = parts
-            if view not in ALL_VIEWS:
-                raise DataError(f"{path}:{lineno}: unknown view {view!r}")
-            try:
-                labels.append((view, int(ad_id), int(kw_id)))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return labels
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ALL_VIEWS
 from .errors import DataError
-from .graph import HeteroGraph, NodeType, Relation
+from .graph import HeteroGraph, NodeType, Relation, iter_file_records
 from .model import AD_TOWER, KW_TOWER, MatchingModel
 from .sampling import CategoryIndex
 
@@ -40,9 +40,6 @@ class EmbeddingStore:
     def vector(self, view: str, ntype: NodeType, node_id: int) -> np.ndarray:
         ids_mat = self.vectors[view][ntype]
         return ids_mat[1][self._row[(view, ntype)][node_id]]
-
-    def has(self, view: str, ntype: NodeType, node_id: int) -> bool:
-        return node_id in self._row.get((view, ntype), {})
 
 
 def _quantize(matrix: np.ndarray) -> np.ndarray:
@@ -161,34 +158,26 @@ class EvalTask:
         )
 
 
+def parse_view_line(line: str, location: str) -> tuple:
+    """One `view ad_id kw_id` record of a labels or task file."""
+    parts = line.split()
+    if len(parts) != 3:
+        raise DataError(f"{location}: expected `view ad_id kw_id`")
+    view, ad_id, kw_id = parts
+    if view not in ALL_VIEWS:
+        raise DataError(f"{location}: unknown view {view!r}")
+    try:
+        return view, int(ad_id), int(kw_id)
+    except ValueError as exc:
+        raise DataError(f"{location}: {exc}") from exc
+
+
+def load_labels(path) -> list:
+    return list(iter_file_records(path, parse_view_line))
+
+
 def load_task(path) -> EvalTask:
-    lines = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected `view ad_id kw_id`")
-            view, ad_id, kw_id = parts
-            if view not in ALL_VIEWS:
-                raise DataError(f"{path}:{lineno}: unknown view {view!r}")
-            try:
-                lines.append((view, int(ad_id), int(kw_id)))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return EvalTask.from_lines(lines)
-
-
-def save_task(task: EvalTask, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# view\tad_id\tkeyword_id\n")
-        for view in ALL_VIEWS:
-            per = task.view_targets.get(view, {})
-            for ad_id in sorted(per):
-                for kw_id in sorted(per[ad_id]):
-                    fh.write(f"{view}\t{ad_id}\t{kw_id}\n")
+    return EvalTask.from_lines(load_labels(path))
 
 
 def cold_start_split(graph: HeteroGraph, task: EvalTask) -> EvalTask:

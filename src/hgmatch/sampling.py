@@ -2,7 +2,7 @@
 
 Sampling weights are sqrt(searched count), precomputed at build time.
 Draws are without replacement via exponential-key order statistics
-(Efraimidis-Spadaro), so a single draw is exactly proportional to weight
+(Efraimidis–Spirakis), so a single draw is exactly proportional to weight
 and everything is deterministic given the caller's seed.
 """
 
@@ -42,10 +42,6 @@ class CategoryIndex:
             ws = np.array([p[1] for p in pairs], dtype=np.float64)
             categories[cat] = (ids, ws)
         return cls(categories, kw_category)
-
-    def category_size(self, cat_id: int) -> int:
-        entry = self.categories.get(cat_id)
-        return 0 if entry is None else len(entry[0])
 
     def candidate_keywords(self, graph: HeteroGraph, ad_id: int):
         """All keywords sharing the ad's leaf category (the retrieval universe)."""

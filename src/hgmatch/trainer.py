@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NumericError
 from .graph import NodeType
-from .model import AD_TOWER, KW_TOWER, MatchingModel, build_plan
+from .model import AD_TOWER, KW_TOWER, ForwardPlan, MatchingModel, build_plan
 from .sampling import CategoryIndex, CategoryTooSmall
 
 
@@ -85,6 +85,18 @@ def loss_from_forward(model: MatchingModel, fwd, pairs) -> Tensor:
     return total
 
 
+def full_plan(model: MatchingModel) -> ForwardPlan:
+    """One plan over every ad and keyword of the model's graph."""
+    graph = model.graph
+    return build_plan(
+        graph,
+        graph.ids_of[NodeType.AD],
+        graph.ids_of[NodeType.KEYWORD],
+        model.cfg,
+        model.variant,
+    )
+
+
 class Adam:
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
@@ -132,14 +144,7 @@ class Trainer:
                 raise DataError(f"label references unknown ad {ad_id}")
             if kw_id not in graph.nodes[NodeType.KEYWORD]:
                 raise DataError(f"label references unknown keyword {kw_id}")
-        # one plan over the full universe, reused every step
-        self.plan = build_plan(
-            graph,
-            graph.ids_of[NodeType.AD],
-            graph.ids_of[NodeType.KEYWORD],
-            model.cfg,
-            model.variant,
-        )
+        self.plan = full_plan(model)  # reused every step
         self.optimizer = Adam(model.params, model.cfg.learning_rate)
 
     def step(self, pairs) -> float:
@@ -196,14 +201,7 @@ def relative_error(a: float, n: float) -> float:
 
 def grad_check(model: MatchingModel, pairs, probe_count=200, eps=1e-4, seed=0) -> GradCheckReport:
     """Central finite differences vs backward() on randomly probed scalars."""
-    graph = model.graph
-    plan = build_plan(
-        graph,
-        graph.ids_of[NodeType.AD],
-        graph.ids_of[NodeType.KEYWORD],
-        model.cfg,
-        model.variant,
-    )
+    plan = full_plan(model)
 
     def loss_value() -> float:
         fwd = model.execute(plan)

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here recomputes results node by node with the plain single-node
-ops (or raw numpy), never touching the batched executor or its plans.
+ops (or raw numpy), never touching the batched executor or its plans;
+`naive_plan` fills the plan containers from per-node neighbor queries.
 """
 
 import numpy as np
@@ -11,6 +12,11 @@ from hgmatch.graph import NodeRef, NodeType
 from hgmatch.model import (
     AD_TOWER,
     KW_TOWER,
+    TOWER_TYPE,
+    CacheStats,
+    ForwardPlan,
+    PathPlan,
+    TowerPlan,
     active_paths,
     conv_layer,
     sage_layer,
@@ -22,7 +28,7 @@ from hgmatch.model import (
 
 def naive_h0(model, ntype, node_id):
     layout = model.layouts[ntype]
-    row = model.graph.index_of[ntype][node_id]
+    row = int(np.searchsorted(model.graph.ids_of[ntype], node_id))
     parts = []
     for spec in layout.specs:
         table = model.params[f"table/{spec.name}"].data
@@ -110,3 +116,91 @@ def naive_recall(ads, targets, retrieved_union):
     hit = sum(len(set(retrieved_union[a]) & set(targets[a])) for a in ads)
     total = sum(len(targets[a]) for a in ads)
     return hit / total
+
+
+def _dense_rows(graph, ntype, ids):
+    row_of = {int(i): r for r, i in enumerate(graph.ids_of[ntype])}
+    return np.array([row_of[int(i)] for i in ids], dtype=np.int64)
+
+
+def naive_path_plan(graph, roots, path, m, stats) -> PathPlan:
+    """Node-by-node metapath walk; each level numbers its nodes in first-seen order."""
+    chain = path.type_chain()
+    level_ids = [np.asarray(roots, dtype=np.int64)]
+    child_flat, child_segs, child_counts = [], [], []
+    stats.misses += len(roots)
+    for depth, rel in enumerate(path.steps):
+        ptype = chain[depth]
+        next_rows = {}
+        next_ids = []
+        flat, segs, counts = [], [], []
+        for row, pid in enumerate(level_ids[depth]):
+            ids, _ = graph.neighbors(NodeRef(ptype, int(pid)), rel, m)
+            counts.append(float(len(ids)))
+            for cid in ids:
+                cid = int(cid)
+                crow = next_rows.get(cid)
+                if crow is None:
+                    crow = len(next_ids)
+                    next_rows[cid] = crow
+                    next_ids.append(cid)
+                    stats.misses += 1
+                else:
+                    stats.hits += 1
+                flat.append(crow)
+                segs.append(row)
+        level_ids.append(np.array(next_ids, dtype=np.int64))
+        child_flat.append(np.array(flat, dtype=np.int64))
+        child_segs.append(np.array(segs, dtype=np.int64))
+        child_counts.append(np.array(counts, dtype=np.float64))
+    level_rows = [_dense_rows(graph, t, ids) for t, ids in zip(chain, level_ids)]
+    return PathPlan(path, level_ids, level_rows, child_flat, child_segs, child_counts)
+
+
+def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
+    """build_plan recomputed with per-node neighbor queries and dicts."""
+    stats = CacheStats()
+    req_ids = {
+        AD_TOWER: np.array(sorted(set(int(i) for i in ad_ids)), dtype=np.int64),
+        KW_TOWER: np.array(sorted(set(int(i) for i in kw_ids)), dtype=np.int64),
+    }
+    infl = {AD_TOWER: {}, KW_TOWER: {}}
+    if variant.siamese:
+        for tower, req in req_ids.items():
+            for i in req:
+                refs = graph.influential_neighbors(NodeRef(TOWER_TYPE[tower], int(i)), cfg.kappa)
+                infl[tower][int(i)] = [r.node_id for r in refs]
+    other = {AD_TOWER: KW_TOWER, KW_TOWER: AD_TOWER}
+    all_ids = {}
+    for tower, req in req_ids.items():
+        extra = {i for lst in infl[other[tower]].values() for i in lst}
+        all_ids[tower] = np.array(sorted(set(req.tolist()) | extra), dtype=np.int64)
+
+    towers = {}
+    for tower, ids in all_ids.items():
+        row_of = {int(i): r for r, i in enumerate(ids)}
+        req = req_ids[tower]
+        plans = []
+        if variant.conv and len(ids):
+            for tp in active_paths(tower, variant.groups):
+                plans.append(naive_path_plan(graph, ids, tp.path, cfg.m, stats))
+        other_rows = {int(i): r for r, i in enumerate(all_ids[other[tower]])}
+        flat, segs, counts = [], [], []
+        for row, rid in enumerate(req):
+            nbrs = infl[tower].get(int(rid), [])
+            counts.append(float(len(nbrs)))
+            for nid in nbrs:
+                flat.append(other_rows[int(nid)])
+                segs.append(row)
+        towers[tower] = TowerPlan(
+            tower=tower,
+            all_ids=ids,
+            all_rows=_dense_rows(graph, TOWER_TYPE[tower], ids),
+            req_ids=req,
+            req_rows=np.array([row_of[int(i)] for i in req], dtype=np.int64),
+            path_plans=plans,
+            infl_flat=np.array(flat, dtype=np.int64),
+            infl_segs=np.array(segs, dtype=np.int64),
+            infl_counts=np.array(counts, dtype=np.float64),
+        )
+    return ForwardPlan(towers, stats)

@@ -195,3 +195,34 @@ def test_ablate_report_shape(data_dir, tmp_path):
         assert variant in text
     # single_view reports '-' for the views it does not train
     assert "-" in text
+
+
+def test_bad_boundaries_file_exits_3_with_location(data_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    rc = main(["train", *dataset_args(data_dir), "--out-dir", str(run), "--epochs", "0",
+               "--set", "d=8", "--set", "l=4"])
+    assert rc == 0
+    bounds = tmp_path / "bounds.tsv"
+    bounds.write_text("# feature\tboundaries...\nsearched\tabc\n")
+    emb = tmp_path / "emb.tsv"
+    capsys.readouterr()
+    rc = main(["embed", "--checkpoint", str(run / "model.ckpt"),
+               "--edges", str(data_dir / "edges.tsv"),
+               "--nodes", str(data_dir / "nodes.tsv"),
+               "--features", str(data_dir / "features.tsv"),
+               "--boundaries", str(bounds), "--out", str(emb)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{bounds}:2:" in err and "Traceback" not in err
+    assert not emb.exists()
+
+
+@pytest.mark.parametrize("override", ["batch_size=0", "learning_rate=nan", "gamma=inf"])
+def test_invalid_train_config_exits_3(data_dir, tmp_path, capsys, override):
+    out = tmp_path / "run"
+    rc = main(["train", *dataset_args(data_dir), "--out-dir", str(out), "--epochs", "1",
+               "--set", "d=8", "--set", "l=4", "--set", override])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert override.split("=")[0] in err and "Traceback" not in err
+    assert not (out / "model.ckpt").exists()

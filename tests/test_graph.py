@@ -1,10 +1,12 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgmatch.config import TrainConfig, VARIANTS
 from hgmatch.errors import DataError
 from hgmatch.graph import (
     EdgeRecord,
@@ -19,6 +21,8 @@ from hgmatch.graph import (
     parse_edge_line,
     parse_node_line,
 )
+from hgmatch.model import build_plan
+from oracles import naive_plan
 
 
 def node(ntype, nid, cat=0, searched=1.0):
@@ -206,8 +210,8 @@ def test_ingestion_idempotent_from_files(tiny_dataset):
     g1 = load_graph(paths["edges"], paths["nodes"])
     g2 = load_graph(paths["edges"], paths["nodes"])
     seen = 0
-    for key, nid, ids, ws in g1.adjacency_items():
-        ids2, ws2 = g2._adj[key][nid]
+    for (rel, ntype), nid, ids, ws in g1.adjacency_items():
+        ids2, ws2 = g2.neighbors(NodeRef(ntype, nid), rel)
         assert np.array_equal(ids, ids2) and np.array_equal(ws, ws2)
         seen += 1
     assert seen > 0
@@ -245,3 +249,102 @@ def test_ingest_merge_property(pairs):
         got = dict(zip(ids.tolist(), ws.tolist()))
         want = {q: w for (aa, q), w in merged.items() if aa == a}
         assert got == pytest.approx(want)
+
+
+# --- CSR store and plans against per-node references ------------------------
+
+# ids differ from their rows, so a row/id mix-up shows
+SMALL_IDS = {
+    NodeType.AD: (3, 7, 8, 20),
+    NodeType.KEYWORD: (1, 2, 5, 9, 11),
+    NodeType.ITEM: (4, 6, 30),
+}
+M_VALUES = st.one_of(st.none(), st.integers(0, 4))
+
+
+@st.composite
+def small_edges(draw):
+    """Edges over SMALL_IDS with few distinct weights: duplicates and ties are common,
+    and inexact sums make the merge order matter."""
+    edges = []
+    for _ in range(draw(st.integers(0, 30))):
+        rel = draw(st.sampled_from(list(Relation)))
+        src_t, dst_t = RELATION_SCHEMA[rel]
+        edges.append(edge(
+            rel,
+            draw(st.sampled_from(SMALL_IDS[src_t])),
+            draw(st.sampled_from(SMALL_IDS[dst_t])),
+            draw(st.sampled_from([0.0, 0.1, 0.7, 2.5])),
+        ))
+    return edges
+
+
+def small_graph(edges):
+    return ingest(edges, [node(t, i) for t, ids in SMALL_IDS.items() for i in ids])
+
+
+def dict_adjacency(edges):
+    """Merged, sorted neighbor lists built with a dict per node."""
+    acc = collections.defaultdict(lambda: collections.defaultdict(float))
+    for e in edges:
+        acc[(e.relation, e.src_type, e.src_id)][e.dst_id] += e.weight
+        acc[(e.relation, e.dst_type, e.dst_id)][e.src_id] += e.weight
+    return {k: sorted(v.items(), key=lambda kv: (-kv[1], kv[0])) for k, v in acc.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_edges(), M_VALUES, st.data())
+def test_expand_equals_per_node_neighbors(edges, m, data):
+    g = small_graph(edges)
+    want = dict_adjacency(edges)
+    for rel in Relation:
+        for t in RELATION_SCHEMA[rel]:
+            for i in SMALL_IDS[t]:
+                ids, ws = g.neighbors(NodeRef(t, i), rel)
+                assert list(zip(ids.tolist(), ws.tolist())) == want.get((rel, t, i), [])
+            ids = data.draw(st.lists(st.sampled_from(SMALL_IDS[t]), max_size=6))
+            nbrs, parents, counts = g.expand(t, ids, rel, m)
+            per_node = [g.neighbors(NodeRef(t, i), rel, m)[0].tolist() for i in ids]
+            assert nbrs.tolist() == [n for p in per_node for n in p]
+            assert parents.tolist() == [r for r, p in enumerate(per_node) for _ in p]
+            assert counts.tolist() == [len(p) for p in per_node]
+
+
+def assert_same(got, want, where="plan"):
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype, where
+        assert np.array_equal(got, want), where
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_same(a, b, f"{where}[{i}]")
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for k in want:
+            assert_same(got[k], want[k], f"{where}[{k!r}]")
+    elif dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            assert_same(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+    else:
+        assert got == want, where
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_edges(), M_VALUES, st.integers(0, 3), st.sampled_from(sorted(VARIANTS)), st.data())
+def test_build_plan_matches_per_node_walk(edges, m, kappa, variant, data):
+    g = small_graph(edges)
+    ads = data.draw(st.lists(st.sampled_from(SMALL_IDS[NodeType.AD]), max_size=5))
+    kws = data.draw(st.lists(st.sampled_from(SMALL_IDS[NodeType.KEYWORD]), max_size=5))
+    cfg = TrainConfig(d=8, l=4, m=m, kappa=kappa)
+    got = build_plan(g, ads, kws, cfg, VARIANTS[variant])
+    assert_same(got, naive_plan(g, ads, kws, cfg, VARIANTS[variant]))
+
+
+def test_build_plan_rejects_unknown_ids():
+    g = small_graph([edge(Relation.AD_BID_KW, 3, 1, 1.0)])
+    cfg = TrainConfig(d=8, l=4)
+    for variant in ("full", "dssm"):
+        with pytest.raises(DataError, match="unknown ad id 4"):
+            build_plan(g, [3, 4], [1], cfg, VARIANTS[variant])
+        with pytest.raises(DataError, match="unknown keyword id 3"):
+            build_plan(g, [3], [3], cfg, VARIANTS[variant])

@@ -155,6 +155,14 @@ def test_memoized_forward_single_node_equals_naive(tiny_model):
     assert np.allclose(fwd.node(ref).z, z, rtol=1e-6, atol=1e-9)
 
 
+def test_node_of_a_non_root_raises(tiny_model):
+    ads = tiny_model.graph.ids_of[NodeType.AD]
+    fwd = tiny_model.memoized_forward([NodeRef(NodeType.AD, int(ads[0]))])
+    for missing in (int(ads[1]), int(ads[-1]) + 1):
+        with pytest.raises(KeyError):
+            fwd.node(NodeRef(NodeType.AD, missing))
+
+
 def test_cache_hits_when_ads_share_neighbors(tiny_model):
     graph = tiny_model.graph
     ads = [int(i) for i in graph.ids_of[NodeType.AD][:20]]
