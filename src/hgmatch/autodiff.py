@@ -4,13 +4,16 @@ Only the handful of ops the matching model needs: matmul, broadcast
 add/mul/div, relu, exp/log, reductions, row gather (embedding lookup),
 segment sum (neighbor pooling) and column concat/slice. Gradients
 accumulate into `.grad` of tensors created with requires_grad=True.
-Scatter-adds go through np.add.at, so accumulation order is fixed and
-results are reproducible run to run.
+Scatter-adds (segment_sum forward, gather backward) are products with a
+one-hot CSR matrix, not np.add.at: each bucket adds its rows in source
+order starting from zero, which is np.add.at's order, so the sums are the
+same bit for bit and reproducible run to run.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 
 class Tensor:
@@ -228,16 +231,35 @@ def tsum(a, axis=None, keepdims=False):
     return Tensor(out_data, parents=(a,), backward=backward)
 
 
+def _rows(idx, n):
+    """idx as int64 row numbers; IndexError unless each is in [0, n)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"row index out of range [0, {n})")
+    return idx
+
+
+def _scatter_add(idx, values, n):
+    """Rows of `values` summed into n buckets by idx, as one-hot CSR @ values.
+
+    Bucket i's CSR row lists the k with idx[k] == i in ascending k, and the
+    product adds 1.0 * values[k] row by row from zero: np.add.at's order.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
+    order = np.argsort(idx, kind="stable")
+    onehot = sparse.csr_array((np.ones(len(idx)), order, indptr), shape=(n, len(idx)))
+    return onehot @ values
+
+
 def gather(a, idx):
     """Row lookup a[idx]; backward scatter-adds into the source rows."""
     a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = _rows(idx, len(a.data))
     out_data = a.data[idx]
 
     def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        return (_scatter_add(idx, g, len(a.data)),)
 
     return Tensor(out_data, parents=(a,), backward=backward)
 
@@ -245,9 +267,8 @@ def gather(a, idx):
 def segment_sum(a, segment_ids, num_segments):
     """Sum rows of a into num_segments buckets given per-row segment ids."""
     a = as_tensor(a)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out_data = np.zeros((num_segments,) + a.data.shape[1:], dtype=np.float64)
-    np.add.at(out_data, segment_ids, a.data)
+    segment_ids = _rows(segment_ids, num_segments)
+    out_data = _scatter_add(segment_ids, a.data, num_segments)
 
     def backward(g):
         return (g[segment_ids],)

@@ -98,6 +98,9 @@ class SynthConfig:
                 raise DataError(f"synth config {name} must be in [0, 1]")
 
 
+_CONFIG_KEYS = {f.name for cls in (SynthConfig, TrainConfig) for f in fields(cls)}
+
+
 def parse_value(text: str, typ):
     if typ is bool:
         low = text.strip().lower()
@@ -127,12 +130,18 @@ def load_config_file(path) -> dict:
 
 
 def apply_overrides(cls, raw: dict):
-    """Build a dataclass from string key/values, ignoring unrelated keys."""
+    """Build a dataclass from string key/values.
+
+    Keys of the other config class are skipped, so one file can hold both;
+    a key that belongs to neither is a DataError.
+    """
     kwargs = {}
     by_name = {f.name: f for f in fields(cls)}
     for key, value in raw.items():
         f = by_name.get(key)
         if f is None:
+            if key not in _CONFIG_KEYS:
+                raise DataError(f"unknown config key {key!r}")
             continue
         typ = f.type if not isinstance(f.type, str) else {
             "int": int, "float": float, "bool": bool, "str": str, "tuple": tuple

@@ -9,6 +9,7 @@ methods are read-only, so concurrent lookups are safe.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,6 +248,8 @@ def ingest(edge_records, node_records) -> HeteroGraph:
                 f"{schema[0].value}->{schema[1].value}, got "
                 f"{e.src_type.value}->{e.dst_type.value}"
             )
+        if not math.isfinite(e.weight):
+            raise DataError(f"{e.location}: non-finite edge weight {e.weight}")
         if e.weight < 0:
             raise DataError(f"{e.location}: negative edge weight {e.weight}")
         if e.src_id not in nodes[e.src_type]:

@@ -181,14 +181,12 @@ def load_task(path) -> EvalTask:
 
 
 def cold_start_split(graph: HeteroGraph, task: EvalTask) -> EvalTask:
-    """Restrict to ads with no click edges at all (bid-only or isolated)."""
-    from .graph import NodeRef
+    """Restrict to ads with no click edges at all (bid-only or isolated).
 
-    cohort = [
-        a for a in task.ads
-        if graph.degree(NodeRef(NodeType.AD, a), Relation.AD_CLICK_KW) == 0
-    ]
-    sub = task.restrict(cohort)
+    A task ad the graph does not hold is a DataError, not a cold-start ad.
+    """
+    clicks = graph.expand(NodeType.AD, task.ads, Relation.AD_CLICK_KW)[2]
+    sub = task.restrict(a for a, n in zip(task.ads, clicks) if n == 0)
     if not sub.ads:
         raise DataError("cold-start cohort is empty")
     return sub

@@ -4,8 +4,9 @@ Each training pair scores one positive keyword against sampled same-category
 negatives in its view's transformed space; the loss is the summed negative
 log posterior. Negatives are resampled every epoch from an epoch-indexed
 seed, all shuffling comes from the run seed, and gradient reductions are
-plain numpy scatter-adds, so a (seed, data, config) triple fixes the loss
-trajectory bit for bit.
+scatter-adds done as one-hot CSR products that add in source order (not
+np.add.at, whose order they keep), so a (seed, data, config) triple fixes
+the loss trajectory bit for bit.
 """
 
 from __future__ import annotations

@@ -204,3 +204,10 @@ def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
             infl_counts=np.array(counts, dtype=np.float64),
         )
     return ForwardPlan(towers, stats)
+
+
+def naive_scatter_add(idx, values, n):
+    """Rows of `values` summed into n buckets with np.add.at, from zeros."""
+    out = np.zeros((n,) + values.shape[1:])
+    np.add.at(out, idx, values)
+    return out

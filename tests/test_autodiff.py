@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgmatch import autodiff as ad
+from oracles import naive_scatter_add
 
 
 def finite_diff(fn, tensor, eps=1e-6):
@@ -63,6 +65,54 @@ def test_gather_segment_sum_grads():
         return (ad.segment_sum(g, segs, 3) * 1.5).sum()
 
     check_grad(fn, [table])
+
+
+MIXED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e-9, 1e-9),
+    st.floats(-1.0, 1.0),
+    st.floats(-1e15, 1e15),
+)
+
+
+@st.composite
+def scatter_cases(draw):
+    """(n, idx, wide, d): idx in [0, n) with repeats, any order and empty
+    buckets; wide is (len(idx), 2d), so wide[:, :d] is a non-contiguous slice."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, 30))
+    idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)), dtype=np.int64)
+    d = draw(st.integers(1, 4))
+    flat = draw(st.lists(MIXED_FLOATS, min_size=2 * k * d, max_size=2 * k * d))
+    return n, idx, np.array(flat, dtype=np.float64).reshape(k, 2 * d), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(scatter_cases())
+def test_segment_sum_equals_add_at_bitwise(case):
+    n, idx, wide, d = case
+    values = wide[:, d:]
+    got = ad.segment_sum(values, idx, n).data
+    assert got.tobytes() == naive_scatter_add(idx, values, n).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(scatter_cases())
+def test_gather_backward_equals_add_at_bitwise(case):
+    n, idx, wide, d = case
+    table = ad.Tensor(np.zeros((n, d)), requires_grad=True)
+    # concat_cols backward hands gather the column slice wide[:, :d]
+    ad.concat_cols([ad.gather(table, idx), np.zeros((len(idx), d))]).backward(wide)
+    expect = np.zeros((n, d)) + naive_scatter_add(idx, wide[:, :d], n)
+    assert table.grad.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("idx", [[0, -1], [0, 3]])
+def test_gather_and_segment_sum_reject_out_of_range_rows(idx):
+    with pytest.raises(IndexError):
+        ad.gather(np.zeros((3, 2)), idx)
+    with pytest.raises(IndexError):
+        ad.segment_sum(np.zeros((2, 2)), idx, 3)
 
 
 def test_concat_slice_grads():

@@ -217,7 +217,9 @@ def test_bad_boundaries_file_exits_3_with_location(data_dir, tmp_path, capsys):
     assert not emb.exists()
 
 
-@pytest.mark.parametrize("override", ["batch_size=0", "learning_rate=nan", "gamma=inf"])
+@pytest.mark.parametrize(
+    "override", ["batch_size=0", "learning_rate=nan", "gamma=inf", "learnig_rate=0.003"]
+)
 def test_invalid_train_config_exits_3(data_dir, tmp_path, capsys, override):
     out = tmp_path / "run"
     rc = main(["train", *dataset_args(data_dir), "--out-dir", str(out), "--epochs", "1",
@@ -226,3 +228,19 @@ def test_invalid_train_config_exits_3(data_dir, tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert override.split("=")[0] in err and "Traceback" not in err
     assert not (out / "model.ckpt").exists()
+
+
+def test_config_file_shared_by_synth_and_train(data_dir, tmp_path):
+    conf = tmp_path / "shared.conf"
+    keys = {k: v for k, v in TINY_SYNTH.items() if k != "seed"}
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in keys.items())
+                    + "d = 8\nl = 4\nlearning_rate = 0.01\n")
+    rc = main(["synth-gen", "--config", str(conf), "--seed", "7",
+               "--out-dir", str(tmp_path / "data")])
+    assert rc == 0
+    out = tmp_path / "run"
+    rc = main(["train", *dataset_args(data_dir), "--config", str(conf),
+               "--epochs", "0", "--out-dir", str(out)])
+    assert rc == 0
+    manifest = read_manifest(out / "manifest.txt")
+    assert manifest["config.learning_rate"] == "0.01"

@@ -106,6 +106,14 @@ def test_negative_weight_rejected():
         ingest([edge(Relation.AD_CLICK_KW, 1, 1, -2.0)], basic_nodes())
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weight_rejected_with_location(weight):
+    edges = [edge(Relation.AD_CLICK_KW, 1, 1, 1.0, "f:1"),
+             edge(Relation.AD_CLICK_KW, 1, 2, weight, "f:2")]
+    with pytest.raises(DataError, match="f:2: non-finite"):
+        ingest(edges, basic_nodes())
+
+
 def test_duplicate_node_rejected():
     with pytest.raises(DataError, match="duplicate node"):
         ingest([], [node(NodeType.AD, 1), node(NodeType.AD, 1)])

@@ -176,6 +176,14 @@ def test_cold_start_empty_cohort_errors(tiny_dataset):
         cold_start_split(tiny_dataset.graph, tiny_dataset.task.restrict(warm[:3]))
 
 
+def test_cold_start_rejects_ad_not_in_graph(tiny_dataset):
+    unknown = max(tiny_dataset.graph.ids_of[NodeType.AD]) + 1
+    task = EvalTask.from_lines([("ad_click", tiny_dataset.task.ads[0], 1),
+                                ("ad_click", unknown, 1)])
+    with pytest.raises(DataError, match=f"ad id {unknown}"):
+        cold_start_split(tiny_dataset.graph, task)
+
+
 def test_export_round_trip_bit_identical(tiny_model, tmp_path):
     path = tmp_path / "emb.tsv"
     store = export_embeddings(tiny_model, path=path)
