@@ -23,13 +23,12 @@ from .config import (
     load_config_file,
 )
 from .errors import DataError, NumericError
-from .graph import RELATION_SCHEMA, Relation, NodeType, load_graph
+from .graph import RELATION_SCHEMA, Relation, NodeType, iter_file_records, load_graph
 from .manifest import write_manifest
 from .params import load_checkpoint, variant_from_meta
 from .pipeline import (
     Dataset,
     build_model,
-    evaluate_variant,
     load_dataset,
     run_ablation,
     train_variant,
@@ -41,6 +40,7 @@ from .retrieval import (
     load_embeddings,
     load_task,
     recall_at_k,
+    retrieve_all,
     save_embeddings,
 )
 from .sampling import CategoryIndex
@@ -181,8 +181,6 @@ def cmd_retrieve(args, tracker: OutputTracker) -> int:
     graph = load_graph(args.edges, args.nodes)
     cat_index = CategoryIndex.build(graph)
     task = load_task(args.task)
-    from .retrieval import retrieve_all
-
     retrieved = retrieve_all(store, graph, cat_index, task, args.k)
     out = tracker.register(args.out)
     with open(out, "w", encoding="utf-8") as fh:
@@ -200,21 +198,21 @@ def cmd_retrieve(args, tracker: OutputTracker) -> int:
     return 0
 
 
+def _parse_retrieved_line(line: str, location: str) -> tuple:
+    parts = line.split()
+    if len(parts) != 3:
+        raise DataError(f"{location}: expected `ad_id view kw_id`")
+    ad_id, view, kw = parts
+    try:
+        return int(ad_id), view, int(kw)
+    except ValueError as exc:
+        raise DataError(f"{location}: {exc}") from exc
+
+
 def _load_retrieved(path) -> dict:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected `ad_id view kw_id`")
-            ad_id, view, kw = parts
-            try:
-                out.setdefault(int(ad_id), {}).setdefault(view, []).append(int(kw))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    for ad_id, view, kw in iter_file_records(path, _parse_retrieved_line):
+        out.setdefault(ad_id, {}).setdefault(view, []).append(kw)
     return out
 
 
@@ -271,12 +269,11 @@ def cmd_ablate(args, tracker: OutputTracker) -> int:
     dataset = _load_dataset_from_args(args, need_task=True)
     if dataset.task is None:
         raise DataError("ablate requires --task")
-    ks = [int(k) for k in args.ks.split(",") if k]
     out_dir = Path(args.out_dir)
     tracker.register(out_dir / "report.txt")
     tracker.register(out_dir / "report.tsv")
     tracker.register(out_dir / "manifest.txt")
-    report = run_ablation(dataset, cfg, ks, variants=ABLATION_ORDER,
+    report = run_ablation(dataset, cfg, args.ks, variants=ABLATION_ORDER,
                           out_dir=out_dir, log=print)
     text = render_text(report)
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
@@ -286,9 +283,24 @@ def cmd_ablate(args, tracker: OutputTracker) -> int:
         "labels": args.labels, "features": args.features, "task": args.task,
     }
     write_manifest(out_dir / "manifest.txt", cfg=cfg, inputs=inputs,
-                   extra={"variants": ",".join(ABLATION_ORDER), "ks": args.ks})
+                   extra={"variants": ",".join(ABLATION_ORDER),
+                          "ks": ",".join(map(str, args.ks))})
     print(text, end="")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _positive_ints(text: str) -> list:
+    """One or more comma-separated positive integers."""
+    values = [_positive_int(k) for k in text.split(",") if k]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True)
     p.add_argument("--nodes", required=True)
     p.add_argument("--task", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_retrieve)
 
@@ -367,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--task", required=True)
-    p.add_argument("--ks", default="100,200,500,1000")
+    p.add_argument("--ks", type=_positive_ints, default="100,200,500,1000")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_ablate)
 

@@ -100,6 +100,18 @@ class Metapath:
         return chain
 
 
+def lookup_rows(known: np.ndarray, ids, missing: str) -> np.ndarray:
+    """Rows of `ids` in the ascending id array `known`; an id not there is a
+    DataError that reads `{missing} {id}`."""
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = np.searchsorted(known, ids)
+    found = rows < len(known)
+    found[found] = known[rows[found]] == ids[found]
+    if not found.all():
+        raise DataError(f"{missing} {int(ids[~found][0])}")
+    return rows
+
+
 class HeteroGraph:
     """Frozen typed graph with one CSR table per (relation, side).
 
@@ -122,14 +134,7 @@ class HeteroGraph:
 
     def rows(self, node_type: NodeType, ids) -> np.ndarray:
         """Rows of `ids` in ids_of[node_type]; DataError for an id not in the graph."""
-        ids = np.asarray(ids, dtype=np.int64)
-        known = self.ids_of[node_type]
-        rows = np.searchsorted(known, ids)
-        found = rows < len(known)
-        found[found] = known[rows[found]] == ids[found]
-        if not found.all():
-            raise DataError(f"unknown {node_type.value} id {int(ids[~found][0])}")
-        return rows
+        return lookup_rows(self.ids_of[node_type], ids, f"unknown {node_type.value} id")
 
     def expand(self, node_type: NodeType, ids, relation: Relation, m=None):
         """Top-m neighbors of every node in `ids` under relation, row after row.

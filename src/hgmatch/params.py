@@ -132,20 +132,23 @@ def save_checkpoint(params: ModelParams, path):
 
 def load_checkpoint(path) -> ModelParams:
     tensors = {}
-    with zipfile.ZipFile(path, "r") as zf:
-        try:
-            meta = json.loads(zf.read("__meta__.json").decode("utf-8"))
-        except KeyError as exc:
-            raise DataError(f"{path}: not a model checkpoint") from exc
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise DataError(
-                f"{path}: unsupported checkpoint version {meta.get('format_version')}"
-            )
-        for member in zf.namelist():
-            if not member.startswith("t:"):
-                continue
-            arr = np.load(io.BytesIO(zf.read(member)))
-            tensors[member[2:-len(".npy")]] = Tensor(arr, requires_grad=True)
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
+            try:
+                meta = json.loads(zf.read("__meta__.json").decode("utf-8"))
+            except KeyError as exc:
+                raise DataError(f"{path}: not a model checkpoint") from exc
+            if meta.get("format_version") != CHECKPOINT_VERSION:
+                raise DataError(
+                    f"{path}: unsupported checkpoint version {meta.get('format_version')}"
+                )
+            for member in zf.namelist():
+                if not member.startswith("t:"):
+                    continue
+                arr = np.load(io.BytesIO(zf.read(member)))
+                tensors[member[2:-len(".npy")]] = Tensor(arr, requires_grad=True)
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:  # truncated or corrupt bytes
+        raise DataError(f"{path}: unreadable checkpoint: {exc}") from exc
     return ModelParams(tensors, meta)
 
 

@@ -24,10 +24,12 @@ from .retrieval import (
     EvalTask,
     RecallResult,
     cold_start_split,
-    evaluate_store,
     export_embeddings,
+    list_length,
     load_labels,
     load_task,
+    recall_at_k,
+    retrieve_all,
 )
 from .sampling import CategoryIndex
 from .trainer import FitResult, Trainer
@@ -84,15 +86,23 @@ def train_variant(dataset: Dataset, cfg: TrainConfig, variant: VariantSpec,
     return model, result
 
 
-def evaluate_variant(model: MatchingModel, dataset: Dataset, ks, cold=False) -> dict:
-    """Recall at each K; returns {k: RecallResult}."""
+def evaluate_variant(model: MatchingModel, dataset: Dataset, ks) -> tuple:
+    """Recall at each K over the task and over its cold-start cohort, as two
+    {k: RecallResult} maps, from one export and one top-max(ks) pass: the
+    ranking sort is stable, so a smaller K's lists are prefixes of the longest."""
     if dataset.task is None:
         raise DataError("dataset has no evaluation task")
-    task = cold_start_split(dataset.graph, dataset.task) if cold else dataset.task
+    cohorts = (dataset.task, cold_start_split(dataset.graph, dataset.task))
     store = export_embeddings(model)
-    return {
-        k: evaluate_store(store, dataset.graph, dataset.cat_index, task, k) for k in ks
-    }
+    longest = retrieve_all(store, dataset.graph, dataset.cat_index, dataset.task, max(ks))
+    results = ({}, {})
+    for k in ks:
+        n = list_length(store.views, k)
+        lists = {ad: {v: lst[:n] for v, lst in per_view.items()}
+                 for ad, per_view in longest.items()}
+        for task, result in zip(cohorts, results):
+            result[k] = recall_at_k(task, lists)
+    return results
 
 
 SECTION_OVERALL = "recall@3k"
@@ -113,8 +123,7 @@ def run_ablation(dataset: Dataset, base_cfg: TrainConfig, ks,
         variant = VARIANTS[name]
         vdir = None if out_dir is None else Path(out_dir) / name
         model, fit_result = train_variant(dataset, base_cfg, variant, out_dir=vdir, log=log)
-        results = evaluate_variant(model, dataset, ks)
-        cold_results = evaluate_variant(model, dataset, ks, cold=True)
+        results, cold_results = evaluate_variant(model, dataset, ks)
         for k in ks:
             r: RecallResult = results[k]
             report.values[(name, SECTION_OVERALL, k)] = r.overall

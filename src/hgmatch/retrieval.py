@@ -2,7 +2,9 @@
 
 Retrieval is brute-force dot product over the ad's same-category candidate
 set: candidate pools at this scale are small enough that exactness is
-cheap, and tests stay deterministic. Exported embedding values are the
+cheap, and tests stay deterministic. A pass gathers each category's
+candidate matrix once per view, through a checked id lookup, and ranks
+each ad by one matrix-vector product. Exported embedding values are the
 9-significant-digit decimals of the dump file, so export -> reload -> score
 is reproducible bit for bit.
 """
@@ -10,45 +12,40 @@ is reproducible bit for bit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ALL_VIEWS
 from .errors import DataError
-from .graph import HeteroGraph, NodeType, Relation, iter_file_records
+from .graph import HeteroGraph, NodeType, Relation, iter_file_records, lookup_rows
 from .model import AD_TOWER, KW_TOWER, MatchingModel
 from .sampling import CategoryIndex
 
 logger = logging.getLogger(__name__)
-
-_TOWER_OF_TYPE = {NodeType.AD: AD_TOWER, NodeType.KEYWORD: KW_TOWER}
 
 
 @dataclass
 class EmbeddingStore:
     d: int
     views: tuple
-    vectors: dict   # {view: {NodeType: (ids array, matrix)}}
-    _row: dict = field(default_factory=dict)
+    vectors: dict   # {view: {NodeType: (ascending ids array, matrix)}}
 
-    def __post_init__(self):
-        for view, per_type in self.vectors.items():
-            for ntype, (ids, _) in per_type.items():
-                self._row[(view, ntype)] = {int(i): r for r, i in enumerate(ids)}
+    def gather(self, view: str, ntype: NodeType, ids) -> np.ndarray:
+        """Vectors of `ids`; a DataError names the view, type and first id without one."""
+        known, mat = self.vectors.get(view, {}).get(
+            ntype, (np.empty(0, np.int64), np.empty((0, self.d))))
+        missing = f"embeddings have no {view} vector for {ntype.value} id"
+        return mat[lookup_rows(known, ids, missing)]
 
     def vector(self, view: str, ntype: NodeType, node_id: int) -> np.ndarray:
-        ids_mat = self.vectors[view][ntype]
-        return ids_mat[1][self._row[(view, ntype)][node_id]]
+        return self.gather(view, ntype, [node_id])[0]
 
 
 def _quantize(matrix: np.ndarray) -> np.ndarray:
     """Round-trip through the dump's 9-significant-digit rendering."""
-    out = np.empty_like(matrix)
-    flat_in, flat_out = matrix.ravel(), out.ravel()
-    for i, x in enumerate(flat_in):
-        flat_out[i] = float(f"{x:.9g}")
-    return out
+    text = map("{:.9g}".format, matrix.ravel().tolist())
+    return np.fromiter(map(float, text), np.float64, matrix.size).reshape(matrix.shape)
 
 
 def export_embeddings(model: MatchingModel, path=None) -> EmbeddingStore:
@@ -74,37 +71,43 @@ def save_embeddings(store: EmbeddingStore, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# node_type\tnode_id\tview\tvalues...\n")
         for ntype in (NodeType.AD, NodeType.KEYWORD):
-            id_sets = [store.vectors[v][ntype][0] for v in store.views]
-            ids = id_sets[0]
-            for row, node_id in enumerate(ids):
+            for row, node_id in enumerate(store.vectors[store.views[0]][ntype][0]):
                 for view in store.views:
                     vec = store.vectors[view][ntype][1][row]
                     vals = " ".join(f"{x:.9g}" for x in vec)
                     fh.write(f"{ntype.value}\t{int(node_id)}\t{view}\t{vals}\n")
 
 
+_NODE_TYPES = {t.value: t for t in NodeType}
+
+
+def _parse_embedding_line(line: str, location: str) -> tuple:
+    """One `node_type node_id view values...` record of an embedding dump."""
+    parts = line.split("\t")
+    if len(parts) != 4:
+        raise DataError(f"{location}: expected 4 tab-separated fields")
+    ttok, nid, view, vals = parts
+    if view not in ALL_VIEWS:
+        raise DataError(f"{location}: unknown view {view!r}")
+    try:
+        ntype, node_id = _NODE_TYPES[ttok], int(nid)
+        vec = np.array(vals.split(), dtype=np.float64)
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"{location}: {exc}") from exc
+    if not np.isfinite(vec).all():
+        raise DataError(f"{location}: non-finite vector value")
+    return ntype, node_id, view, vec, location
+
+
 def load_embeddings(path) -> EmbeddingStore:
     rows = {}
     d = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            ttok, nid, view, vals = parts
-            try:
-                ntype = {t.value: t for t in NodeType}[ttok]
-                vec = np.array([float(v) for v in vals.split()], dtype=np.float64)
-            except (KeyError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if d is None:
-                d = len(vec)
-            elif len(vec) != d:
-                raise DataError(f"{path}:{lineno}: inconsistent vector length")
-            rows.setdefault((view, ntype), []).append((int(nid), vec))
+    for ntype, node_id, view, vec, location in iter_file_records(path, _parse_embedding_line):
+        if d is None:
+            d = len(vec)
+        elif len(vec) != d:
+            raise DataError(f"{location}: inconsistent vector length")
+        rows.setdefault((view, ntype), []).append((node_id, vec))
     views = tuple(sorted({v for v, _ in rows}, key=lambda v: ALL_VIEWS.index(v)))
     vectors = {}
     for (view, ntype), entries in rows.items():
@@ -115,18 +118,26 @@ def load_embeddings(path) -> EmbeddingStore:
     return EmbeddingStore(d, views, vectors)
 
 
+def list_length(views, k: int) -> int:
+    """K per view, or 3K from a single-view store (it has no union to build)."""
+    return 3 * k if len(views) == 1 else k
+
+
+def _rank(cand_ids: np.ndarray, cand_mat: np.ndarray, z: np.ndarray, k: int) -> list:
+    """The k candidates with the largest dot product with z. `cand_ids`
+    ascend, so the stable sort breaks score ties by ascending id."""
+    scores = cand_mat @ z
+    return cand_ids[np.argsort(-scores, kind="stable")[:k]].tolist()
+
+
 def topk_retrieve(store: EmbeddingStore, ad_id: int, view: str, k: int, candidate_ids):
     """Exact top-k candidates by dot product; ties break on ascending id."""
-    candidate_ids = np.asarray(sorted(int(c) for c in candidate_ids), dtype=np.int64)
+    candidate_ids = np.unique(np.asarray(candidate_ids, dtype=np.int64))
     if len(candidate_ids) == 0:
         logger.warning("ad %s has an empty candidate set", ad_id)
         return []
-    z = store.vector(view, NodeType.AD, ad_id)
-    kw_ids, kw_mat = store.vectors[view][NodeType.KEYWORD]
-    rows = np.searchsorted(kw_ids, candidate_ids)
-    scores = kw_mat[rows] @ z
-    order = np.lexsort((candidate_ids, -scores))
-    return [int(candidate_ids[i]) for i in order[:k]]
+    cand_mat = store.gather(view, NodeType.KEYWORD, candidate_ids)
+    return _rank(candidate_ids, cand_mat, store.vector(view, NodeType.AD, ad_id), k)
 
 
 # --- evaluation tasks --------------------------------------------------------
@@ -233,20 +244,21 @@ def recall_at_k(task: EvalTask, retrieved: dict) -> RecallResult:
 
 def retrieve_all(store: EmbeddingStore, graph: HeteroGraph, cat_index: CategoryIndex,
                  task: EvalTask, k: int) -> dict:
-    """Per-ad per-view top-K lists; a single-view store retrieves top-3K
-    from its one view (it has no union to build)."""
-    single = len(store.views) == 1
-    out = {}
+    """Per-ad per-view lists, `list_length(store.views, k)` long, ranked as
+    topk_retrieve ranks them."""
+    kk = list_length(store.views, k)
+    # candidate_keywords hands out one shared id array per category; holding
+    # the array in its entry keeps its id() from being reused
+    groups = {}
     for ad_id in task.ads:
-        candidates = cat_index.candidate_keywords(graph, ad_id)
-        per_view = {}
+        cand_ids = cat_index.candidate_keywords(graph, ad_id)
+        if len(cand_ids) == 0:
+            logger.warning("ad %s has an empty candidate set", ad_id)
+        groups.setdefault(id(cand_ids), (cand_ids, []))[1].append(ad_id)
+    out = {ad_id: {} for ad_id in task.ads}
+    for cand_ids, ads in groups.values():
         for view in store.views:
-            kk = 3 * k if single else k
-            per_view[view] = topk_retrieve(store, ad_id, view, kk, candidates)
-        out[ad_id] = per_view
+            cand_mat = store.gather(view, NodeType.KEYWORD, cand_ids)
+            for ad_id, z in zip(ads, store.gather(view, NodeType.AD, ads)):
+                out[ad_id][view] = _rank(cand_ids, cand_mat, z, kk)
     return out
-
-
-def evaluate_store(store: EmbeddingStore, graph: HeteroGraph, cat_index: CategoryIndex,
-                   task: EvalTask, k: int) -> RecallResult:
-    return recall_at_k(task, retrieve_all(store, graph, cat_index, task, k))

@@ -211,3 +211,43 @@ def naive_scatter_add(idx, values, n):
     out = np.zeros((n,) + values.shape[1:])
     np.add.at(out, idx, values)
     return out
+
+
+def naive_evaluate(model, dataset, ks):
+    """Recall at each K over the task and its cold-start cohort, as two
+    {k: RecallResult} maps, the long way: a fresh export and a top-K pass
+    for every cohort and every K, each ad's candidates read off the node
+    records and ranked by a Python sort on (-score, id)."""
+    from hgmatch.retrieval import cold_start_split, export_embeddings, recall_at_k
+
+    graph = dataset.graph
+    kw_category = {q: rec.category_id for q, rec in graph.nodes[NodeType.KEYWORD].items()}
+    cohorts = (dataset.task, cold_start_split(graph, dataset.task))
+    out = ({}, {})
+    for task, results in zip(cohorts, out):
+        for k in ks:
+            store = export_embeddings(model)
+            kk = 3 * k if len(store.views) == 1 else k
+            retrieved = {}
+            for ad in task.ads:
+                cat = graph.nodes[NodeType.AD][ad].category_id
+                cands = [q for q, c in kw_category.items() if c == cat and c >= 0]
+                retrieved[ad] = {}
+                for view in store.views:
+                    kw_ids, kw_mat = store.vectors[view][NodeType.KEYWORD]
+                    kw_row = {int(q): r for r, q in enumerate(kw_ids)}
+                    ad_ids, ad_mat = store.vectors[view][NodeType.AD]
+                    z = ad_mat[list(ad_ids).index(ad)]
+                    scored = sorted((-float(kw_mat[kw_row[q]] @ z), q) for q in cands)
+                    retrieved[ad][view] = [q for _, q in scored[:kk]]
+            results[k] = recall_at_k(task, retrieved)
+    return out
+
+
+def naive_quantize(matrix):
+    """The dump's 9-significant-digit rendering read back, element by element."""
+    out = np.empty_like(matrix)
+    flat_in, flat_out = matrix.ravel(), out.ravel()
+    for i, x in enumerate(flat_in):
+        flat_out[i] = float(f"{x:.9g}")
+    return out

@@ -70,11 +70,10 @@ def experiment_results(tmp_path_factory):
             t0 = time.time()
             model, fit = train_variant(ds, cfg, VARIANTS[vname])
             seconds = time.time() - t0
-            overall = evaluate_variant(model, ds, ks=[EXPERIMENT_K])[EXPERIMENT_K]
-            cold = evaluate_variant(model, ds, ks=[EXPERIMENT_K], cold=True)[EXPERIMENT_K]
+            overall, cold = evaluate_variant(model, ds, ks=[EXPERIMENT_K])
             results[(seed, vname)] = {
-                "recall": overall.overall,
-                "cold": cold.overall,
+                "recall": overall[EXPERIMENT_K].overall,
+                "cold": cold[EXPERIMENT_K].overall,
                 "seconds": seconds,
                 "epoch_losses": fit.epoch_losses,
             }

@@ -138,6 +138,24 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("retrieve", "--k", "-1"), ("retrieve", "--k", "0"), ("retrieve", "--k", "x"),
+    ("ablate", "--ks", ","), ("ablate", "--ks", "5,0"), ("ablate", "--ks", "5,-1"),
+])
+def test_non_positive_k_exits_2(data_dir, tmp_path, capsys, command, flag, value):
+    inputs = {
+        "retrieve": ["--embeddings", str(tmp_path / "emb.tsv"),
+                     "--edges", str(data_dir / "edges.tsv"),
+                     "--nodes", str(data_dir / "nodes.tsv"), "--out", str(tmp_path / "out.tsv")],
+        "ablate": [*dataset_args(data_dir), "--out-dir", str(tmp_path / "ablate")],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs[command], "--task", str(data_dir / "task.tsv"), f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_file_exits_3(tmp_path):
     rc = main(["build-graph", "--edges", str(tmp_path / "nope.tsv"),
                "--nodes", str(tmp_path / "nope2.tsv")])
@@ -244,3 +262,56 @@ def test_config_file_shared_by_synth_and_train(data_dir, tmp_path):
     assert rc == 0
     manifest = read_manifest(out / "manifest.txt")
     assert manifest["config.learning_rate"] == "0.01"
+
+
+@pytest.fixture(scope="module")
+def dump(data_dir, tmp_path_factory):
+    """An untrained model's checkpoint and embedding dump of the module's dataset."""
+    out = tmp_path_factory.mktemp("dump")
+    rc = main(["train", *dataset_args(data_dir), "--out-dir", str(out), "--epochs", "0",
+               "--set", "d=8", "--set", "l=4", "--set", "m=5", "--set", "kappa=2"])
+    assert rc == 0
+    rc = main(["embed", "--checkpoint", str(out / "model.ckpt"),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+               "--features", str(data_dir / "features.tsv"),
+               "--boundaries", str(out / "boundaries.tsv"), "--out", str(out / "emb.tsv")])
+    assert rc == 0
+    return out
+
+
+@pytest.mark.parametrize("drop", ["keyword 5", "every keyword", "every ad"])
+def test_retrieve_from_a_dump_missing_a_node_exits_3(data_dir, dump, tmp_path, capsys, drop):
+    lines = (dump / "emb.tsv").read_text().splitlines(keepends=True)
+    cut = {"keyword 5": "keyword\t5\t", "every keyword": "keyword\t", "every ad": "ad\t"}[drop]
+    emb = tmp_path / "emb.tsv"
+    emb.write_text("".join(l for l in lines if not l.startswith(cut)))
+    out = tmp_path / "retrieved.tsv"
+    rc = main(["retrieve", "--embeddings", str(emb),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+               "--task", str(data_dir / "task.tsv"), "--k", "5", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    kind = "ad" if drop == "every ad" else "keyword"
+    assert f"no ad_click vector for {kind} id" in err and "Traceback" not in err
+    if drop == "keyword 5":
+        assert "keyword id 5" in err
+    assert not out.exists() and not (tmp_path / "retrieved.tsv.manifest").exists()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped byte"])
+def test_damaged_checkpoint_exits_3(data_dir, dump, tmp_path, capsys, damage):
+    data = bytearray((dump / "model.ckpt").read_bytes())
+    if damage == "truncated":
+        data = data[:3000]
+    else:
+        data[len(data) // 2] ^= 0xFF  # inside a stored tensor member
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(bytes(data))
+    emb = tmp_path / "emb.tsv"
+    rc = main(["embed", "--checkpoint", str(ckpt),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+               "--features", str(data_dir / "features.tsv"), "--out", str(emb)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{ckpt}: unreadable checkpoint" in err and "Traceback" not in err
+    assert not emb.exists()

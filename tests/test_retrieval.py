@@ -1,14 +1,18 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from hgmatch.config import TrainConfig, VARIANTS
 from hgmatch.errors import DataError
 from hgmatch.graph import NodeType
-from hgmatch.pipeline import build_model
+from hgmatch.pipeline import build_model, evaluate_variant
 from hgmatch.retrieval import (
     EmbeddingStore,
     EvalTask,
+    _quantize,
     cold_start_split,
-    evaluate_store,
     export_embeddings,
     load_embeddings,
     recall_at_k,
@@ -17,7 +21,7 @@ from hgmatch.retrieval import (
     topk_retrieve,
 )
 
-from oracles import naive_recall
+from oracles import naive_evaluate, naive_quantize, naive_recall
 
 
 def make_store(rng, n_ads=5, n_kws=40, d=8, views=("ad_click",)):
@@ -73,6 +77,59 @@ def test_topk_matches_full_sort_oracle():
         assert got == expect
 
 
+def test_store_lookup_of_a_missing_id_is_a_data_error():
+    vectors = {"ad_click": {
+        NodeType.AD: (np.array([0, 1]), np.ones((2, 2))),
+        NodeType.KEYWORD: (np.array([0, 1, 2, 3, 4, 6]), np.ones((6, 2))),  # no keyword 5
+    }}
+    store = EmbeddingStore(2, ("ad_click",), vectors)
+    with pytest.raises(DataError, match="no ad_click vector for keyword id 5"):
+        topk_retrieve(store, 0, "ad_click", 3, [4, 5, 6])
+    with pytest.raises(DataError, match="no ad_click vector for ad id 2"):
+        topk_retrieve(store, 2, "ad_click", 3, [4, 6])
+    with pytest.raises(DataError, match="no ad_bid vector for ad id 0"):
+        store.vector("ad_bid", NodeType.AD, 0)
+
+
+@pytest.mark.parametrize("drop", ["one keyword", "every keyword", "every ad"])
+def test_retrieve_all_rejects_a_store_missing_a_node(tiny_dataset, tiny_model, drop):
+    store = export_embeddings(tiny_model)
+    g, task = tiny_dataset.graph, tiny_dataset.task
+    missing = int(tiny_dataset.cat_index.candidate_keywords(g, task.ads[0])[0])
+    ntype = NodeType.AD if drop == "every ad" else NodeType.KEYWORD
+    for per_type in store.vectors.values():
+        ids, mat = per_type.pop(ntype)
+        if drop == "one keyword":
+            keep = ids != missing
+            per_type[ntype] = (ids[keep], mat[keep])
+    name = f"{ntype.value} id {missing}" if drop == "one keyword" else f"{ntype.value} id"
+    with pytest.raises(DataError, match=f"no ad_click vector for {name}"):
+        retrieve_all(store, g, tiny_dataset.cat_index, task, k=5)
+
+
+def test_retrieve_all_ties_break_by_ascending_id(tiny_dataset):
+    g, cat_index, task = tiny_dataset.graph, tiny_dataset.cat_index, tiny_dataset.task
+    ads, kws = g.ids_of[NodeType.AD], g.ids_of[NodeType.KEYWORD]
+    per_type = {NodeType.AD: (ads, np.ones((len(ads), 1))),
+                NodeType.KEYWORD: (kws, (kws % 3).astype(np.float64)[:, None])}  # 3 scores
+    store = EmbeddingStore(1, ("ad_click", "ad_bid"), {"ad_click": per_type, "ad_bid": per_type})
+    got = retrieve_all(store, g, cat_index, task, k=30)
+    for ad_id in task.ads:
+        cands = cat_index.candidate_keywords(g, ad_id).tolist()
+        want = sorted(cands, key=lambda q: (-(q % 3), q))[:30]
+        assert got[ad_id] == {"ad_click": want, "ad_bid": want}
+
+
+@pytest.mark.parametrize("variant", ["full", "single_view"])
+def test_evaluate_variant_matches_per_k_per_cohort_oracle(tiny_dataset, variant):
+    model = build_model(tiny_dataset, TrainConfig(d=8, l=4, m=5, kappa=2, seed=11),
+                        VARIANTS[variant])
+    ks = [5, 1, 12, 3]
+    got = evaluate_variant(model, tiny_dataset, ks)
+    assert got == naive_evaluate(model, tiny_dataset, ks)
+    assert list(got[0]) == list(got[1]) == ks
+
+
 def test_recall_perfect_retrieval_is_one():
     task = EvalTask.from_lines([("ad_click", 1, 10), ("ad_click", 1, 11), ("ad_click", 2, 12)])
     retrieved = {1: {"ad_click": [10, 11]}, 2: {"ad_click": [12]}}
@@ -125,8 +182,8 @@ def test_recall_monotone_in_k(tiny_dataset, tiny_model):
     store = export_embeddings(tiny_model)
     prev = 0.0
     for k in (1, 3, 5, 10, 30):
-        r = evaluate_store(store, tiny_dataset.graph, tiny_dataset.cat_index,
-                           tiny_dataset.task, k)
+        r = recall_at_k(tiny_dataset.task, retrieve_all(
+            store, tiny_dataset.graph, tiny_dataset.cat_index, tiny_dataset.task, k))
         assert r.overall >= prev - 1e-12
         assert 0.0 <= r.overall <= 1.0
         prev = r.overall
@@ -184,6 +241,13 @@ def test_cold_start_rejects_ad_not_in_graph(tiny_dataset):
         cold_start_split(tiny_dataset.graph, task)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=24))
+def test_quantize_equals_per_element_rendering(values):
+    m = np.array(values, dtype=np.float64).reshape(len(values), 1)
+    assert _quantize(m).tobytes() == naive_quantize(m).tobytes()
+
+
 def test_export_round_trip_bit_identical(tiny_model, tmp_path):
     path = tmp_path / "emb.tsv"
     store = export_embeddings(tiny_model, path=path)
@@ -195,6 +259,20 @@ def test_export_round_trip_bit_identical(tiny_model, tmp_path):
             ids1, mat1 = loaded.vectors[view][ntype]
             assert np.array_equal(ids0, ids1)
             assert np.array_equal(mat0, mat1)  # bit-identical after quantized export
+
+
+@pytest.mark.parametrize("row, message", [
+    ("ad\t1\tad_clik\t0.5 0.5", "unknown view"),
+    ("ad\tx1\tad_click\t0.5 0.5", "invalid literal"),
+    ("ad\t1\tad_click\t0.5 nan", "non-finite"),
+    ("ad\t1\tad_click\t0.5", "inconsistent vector length"),
+    ("ad\t1\tad_click", "expected 4 tab-separated fields"),
+])
+def test_load_embeddings_rejects_a_bad_row_with_its_location(tmp_path, row, message):
+    path = tmp_path / "emb.tsv"
+    path.write_text(f"# header\nkeyword\t1\tad_click\t0.25 0.25\n{row}\n")
+    with pytest.raises(DataError, match=f"{re.escape(str(path))}:3: .*{message}"):
+        load_embeddings(path)
 
 
 def test_export_twice_identical_files(tiny_model, tmp_path):
