@@ -2,15 +2,20 @@
 
 Only the handful of ops the matching model needs: matmul, broadcast
 add/mul/div, relu, exp/log, reductions, row gather (embedding lookup),
-segment sum (neighbor pooling) and column concat/slice. Gradients
+segment sum, neighbor pooling and column concat/slice. Gradients
 accumulate into `.grad` of tensors created with requires_grad=True.
 Scatter-adds (segment_sum forward, gather backward) are products with a
 one-hot CSR matrix, not np.add.at: each bucket adds its rows in source
 order starting from zero, which is np.add.at's order, so the sums are the
-same bit for bit and reproducible run to run.
+same bit for bit and reproducible run to run. Neighbor pooling (`pool`)
+is a gather and a segment_sum fused: a `Pooling` holds the plan's index
+arrays and builds its two one-hot CSR matrices once, so each call is one
+sparse product forward and one backward, in that same order.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -239,17 +244,22 @@ def _rows(idx, n):
     return idx
 
 
-def _scatter_add(idx, values, n):
-    """Rows of `values` summed into n buckets by idx, as one-hot CSR @ values.
+def _onehot(rows, cols, n_rows, n_cols):
+    """One-hot CSR (n_rows, n_cols): row i lists cols[k] for each k with
+    rows[k] == i, in ascending k, each with the value 1.0.
 
-    Bucket i's CSR row lists the k with idx[k] == i in ascending k, and the
-    product adds 1.0 * values[k] row by row from zero: np.add.at's order.
+    A product with it adds 1.0 * x[cols[k]] row by row from zero, in that
+    order: np.add.at's order for a scatter of x[cols] by rows.
     """
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
-    order = np.argsort(idx, kind="stable")
-    onehot = sparse.csr_array((np.ones(len(idx)), order, indptr), shape=(n, len(idx)))
-    return onehot @ values
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    order = np.argsort(rows, kind="stable")
+    return sparse.csr_array((np.ones(len(rows)), cols[order], indptr), shape=(n_rows, n_cols))
+
+
+def _scatter_add(idx, values, n):
+    """Rows of `values` summed into n buckets by idx, as one-hot CSR @ values."""
+    return _onehot(idx, np.arange(len(idx)), n, len(idx)) @ values
 
 
 def gather(a, idx):
@@ -274,6 +284,47 @@ def segment_sum(a, segment_ids, num_segments):
         return (g[segment_ids],)
 
     return Tensor(out_data, parents=(a,), backward=backward)
+
+
+@dataclass(eq=False)
+class Pooling:
+    """Neighbor pooling out[dst_rows[k]] += a[src_rows[k]] over k, as a plan
+    builds it once: gather by src_rows then segment_sum by dst_rows, fused.
+
+    The fields are the index arrays; the two one-hot CSR matrices built
+    from them are not fields. Forward has one row per output bucket
+    listing its source rows, backward one row per source row listing its
+    buckets, both in ascending k, so values and gradients are those of
+    gather followed by segment_sum bit for bit.
+    """
+
+    src_rows: np.ndarray  # row of `a` for each pooled entry
+    dst_rows: np.ndarray  # output bucket of each pooled entry
+    n_out: int
+    n_in: int
+
+    def __post_init__(self):
+        self.src_rows = _rows(self.src_rows, self.n_in)
+        self.dst_rows = _rows(self.dst_rows, self.n_out)
+        if len(self.src_rows) != len(self.dst_rows):
+            raise ValueError("src_rows and dst_rows differ in length")
+        self._fwd = _onehot(self.dst_rows, self.src_rows, self.n_out, self.n_in)
+        self._bwd = _onehot(self.src_rows, self.dst_rows, self.n_in, self.n_out)
+
+
+def pool(a, op: Pooling):
+    """op's buckets summed from the rows of a; a constant zero block when
+    op pools nothing, so no gradient flows."""
+    a = as_tensor(a)
+    if len(a.data) != op.n_in:
+        raise ValueError(f"pool expects {op.n_in} input rows, got {len(a.data)}")
+    if not len(op.src_rows):
+        return Tensor(np.zeros((op.n_out,) + a.data.shape[1:]))
+
+    def backward(g):
+        return (op._bwd @ g,)
+
+    return Tensor(op._fwd @ a.data, parents=(a,), backward=backward)
 
 
 def concat_cols(tensors):

@@ -392,11 +392,7 @@ def main(argv=None) -> int:
     tracker = OutputTracker()
     try:
         return args.func(args, tracker) or 0
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        tracker.cleanup()
-        return 3
-    except FileNotFoundError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         tracker.cleanup()
         return 3

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Pooling
 from .errors import DataError
 from .graph import HeteroGraph, NodeType, iter_file_records
 
@@ -188,14 +189,7 @@ class TermSlot:
     flat: np.ndarray     # table indices of all terms, CSR order
     offsets: np.ndarray  # (n_nodes + 1,)
     counts: np.ndarray   # (n_nodes,) float, 0 for empty term lists
-    rows: np.ndarray = None  # node row of each flat entry
-
-    def __post_init__(self):
-        if self.rows is None:
-            self.rows = np.repeat(
-                np.arange(len(self.counts), dtype=np.int64),
-                np.diff(self.offsets),
-            )
+    pooling: Pooling     # sums each node's term rows of the table
 
 
 @dataclass
@@ -249,10 +243,13 @@ class FeatureEncoder:
                         toks = [] if raw in (None, "") else raw.split(",")
                         flat.extend(self._index_value(spec, t) for t in toks)
                         offsets.append(len(flat))
+                    flat = np.array(flat, dtype=np.int64)
                     offsets = np.array(offsets, dtype=np.int64)
-                    counts = np.diff(offsets).astype(np.float64)
+                    counts = np.diff(offsets)
+                    rows = np.repeat(np.arange(len(records), dtype=np.int64), counts)
                     terms[spec.name] = TermSlot(
-                        spec.name, np.array(flat, dtype=np.int64), offsets, counts
+                        spec.name, flat, offsets, counts.astype(np.float64),
+                        Pooling(flat, rows, len(records), spec.size),
                     )
                 elif spec.kind == KIND_NUMERIC:
                     q = self.boundaries.get(spec.name)

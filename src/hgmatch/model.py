@@ -6,7 +6,10 @@ at which depth of which metapath, with child linkage) and an execution
 keeps a per-call cache keyed by (metapath, depth, node), so every distinct
 intermediate embedding is computed exactly once no matter how many tree
 branches reach it; plans depend only on the frozen graph and can be
-reused across training steps.
+reused across training steps. Every neighbor sum (a metapath hop's
+children, the influential neighbors, and the term embeddings of the
+feature layout) is an `ad.Pooling` built once with its plan: one sparse
+product per step, with no gathered copy of the neighbor rows.
 
 Per metapath of length K, a node at depth j carries hidden states for
 layers 0..K-j: layer k of node u combines u's own layer k-1 state with
@@ -24,6 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig, VariantSpec
+from .errors import DataError
 from .features import KIND_TERMS
 from .graph import HeteroGraph, Metapath, NodeRef, NodeType, Relation
 
@@ -126,9 +130,11 @@ class PathPlan:
     path: Metapath
     level_ids: list          # np arrays of node ids, depth 0..K
     level_rows: list         # depth j: rows of level_ids[j] in the graph's ids_of
-    child_flat: list         # depth j: rows into level j+1
-    child_segs: list         # depth j: row in level j per child
+    child_pools: list        # depth j: Pooling of each row's children (see below)
     child_counts: list       # depth j: children per row (float)
+    # child_pools[j] sums level j+1 rows into level j, except the deepest:
+    # child_pools[K-1] reads the deepest children's h0 rows straight from
+    # the node-level table of their type, so level K is never gathered.
 
 
 @dataclass
@@ -139,8 +145,7 @@ class TowerPlan:
     req_ids: np.ndarray
     req_rows: np.ndarray     # rows of req_ids within all_ids
     path_plans: list
-    infl_flat: np.ndarray    # rows into the *other* tower's all_ids
-    infl_segs: np.ndarray
+    infl_pool: ad.Pooling    # the *other* tower's all_ids rows into req_ids rows
     infl_counts: np.ndarray
 
 
@@ -169,7 +174,15 @@ def _build_path_plan(graph, roots, path, m, stats: CacheStats) -> PathPlan:
         child_segs.append(segs)
         child_counts.append(counts.astype(np.float64))
     level_rows = [graph.rows(t, ids) for t, ids in zip(chain, level_ids)]
-    return PathPlan(path, level_ids, level_rows, child_flat, child_segs, child_counts)
+    K = len(path.steps)
+    pools = []
+    for j in range(K):
+        if j < K - 1:
+            src, n_in = child_flat[j], len(level_ids[j + 1])
+        else:  # the deepest pool reads h0 rows (see PathPlan)
+            src, n_in = level_rows[K][child_flat[j]], len(graph.ids_of[chain[K]])
+        pools.append(ad.Pooling(src, child_segs[j], len(level_ids[j]), n_in))
+    return PathPlan(path, level_ids, level_rows, pools, child_counts)
 
 
 def build_plan(
@@ -208,8 +221,10 @@ def build_plan(
             req_ids=req_ids[tower],
             req_rows=np.searchsorted(ids, req_ids[tower]),
             path_plans=plans,
-            infl_flat=np.searchsorted(all_ids[other[tower]], nbrs),
-            infl_segs=segs,
+            infl_pool=ad.Pooling(
+                np.searchsorted(all_ids[other[tower]], nbrs), segs,
+                len(req_ids[tower]), len(all_ids[other[tower]]),
+            ),
             infl_counts=counts.astype(np.float64),
         )
     return ForwardPlan(towers, stats)
@@ -267,15 +282,6 @@ class ForwardResult:
             per_view={v: t.data[row].copy() for v, t in fwd.per_view.items()},
         )
 
-    def nodes(self):
-        out = {}
-        for tower, fwd in self.towers.items():
-            ntype = TOWER_TYPE[tower]
-            for i in fwd.plan.req_ids:
-                ref = NodeRef(ntype, int(i))
-                out[ref] = self.node(ref)
-        return out
-
 
 class MatchingModel:
     """Binds graph, encoded features and parameters; runs forward passes."""
@@ -288,12 +294,19 @@ class MatchingModel:
         self.cfg = cfg
         self.variant = variant
         if params.meta.get("d") != cfg.d or params.meta.get("l") != cfg.l:
-            from .errors import DataError
-
             raise DataError(
                 f"checkpoint dimensions d={params.meta.get('d')}, l={params.meta.get('l')} "
                 f"do not match config d={cfg.d}, l={cfg.l}"
             )
+        # the term slots' poolings are built for tables of exactly this shape
+        for name, spec in manifest.tables.items():
+            key = f"table/{name}"
+            shape = params[key].shape if key in params else None
+            if shape != (spec.size, spec.width):
+                raise DataError(
+                    f"checkpoint {key} has shape {shape}; the feature manifest "
+                    f"needs ({spec.size}, {spec.width})"
+                )
 
     # node-level fusion, vectorized over every node of a type
     def node_level_all(self, ntype: NodeType) -> Tensor:
@@ -304,13 +317,8 @@ class MatchingModel:
             table = p[f"table/{spec.name}"]
             if spec.kind == KIND_TERMS:
                 slot = layout.terms[spec.name]
-                if len(slot.flat):
-                    g = ad.gather(table, slot.flat)
-                    s = ad.segment_sum(g, slot.rows, len(slot.counts))
-                else:
-                    s = Tensor(np.zeros((len(slot.counts), spec.width)))
                 inv = 1.0 / np.maximum(slot.counts, 1.0)
-                slots.append(s * inv[:, None])
+                slots.append(ad.pool(table, slot.pooling) * inv[:, None])
             else:
                 slots.append(ad.gather(table, layout.single[spec.name]))
         x = ad.concat_cols(slots)
@@ -333,20 +341,16 @@ class MatchingModel:
         chain = plan.path.type_chain()
         K = len(plan.path.steps)
         states = []
-        for j in range(K + 1):
+        for j in range(K):
             if len(plan.level_rows[j]):
                 states.append(ad.gather(h0_by_type[chain[j]], plan.level_rows[j]))
             else:
                 states.append(Tensor(np.zeros((0, self.cfg.d))))
+        states.append(h0_by_type[chain[K]])  # the deepest pool reads h0 rows
         for k in range(1, K + 1):
             nxt = []
             for j in range(0, K - k + 1):
-                n_rows = len(plan.level_ids[j])
-                if len(plan.child_flat[j]):
-                    gathered = ad.gather(states[j + 1], plan.child_flat[j])
-                    neigh = ad.segment_sum(gathered, plan.child_segs[j], n_rows)
-                else:
-                    neigh = Tensor(np.zeros((n_rows, self.cfg.d)))
+                neigh = ad.pool(states[j + 1], plan.child_pools[j])
                 nxt.append(
                     self._conv_step(
                         plan.path.name, k, states[j], neigh, plan.child_counts[j]
@@ -412,13 +416,7 @@ class MatchingModel:
                 h_req = Tensor(np.zeros((0, self.cfg.d)))
             if self.variant.siamese and len(tp.req_rows):
                 other = KW_TOWER if tower == AD_TOWER else AD_TOWER
-                other_h = towers[other][5]
-                if len(tp.infl_flat):
-                    s = ad.segment_sum(
-                        ad.gather(other_h, tp.infl_flat), tp.infl_segs, len(tp.req_ids)
-                    )
-                else:
-                    s = Tensor(np.zeros((len(tp.req_ids), self.cfg.d)))
+                s = ad.pool(towers[other][5], tp.infl_pool)
                 inv = 1.0 / np.maximum(tp.infl_counts, 1.0)
                 z = h_req + s * inv[:, None]
             else:
@@ -443,8 +441,8 @@ class MatchingModel:
     def memoized_forward(self, refs) -> ForwardResult:
         """Forward for a batch of ad/keyword roots with a per-call cache.
 
-        Use .nodes() / .node(ref) on the result for per-node embeddings and
-        .cache for hit/miss counters.
+        Use .node(ref) on the result for per-node embeddings and .cache for
+        hit/miss counters.
         """
         ad_ids, kw_ids = [], []
         for ref in refs:

@@ -108,6 +108,8 @@ def load_embeddings(path) -> EmbeddingStore:
         elif len(vec) != d:
             raise DataError(f"{location}: inconsistent vector length")
         rows.setdefault((view, ntype), []).append((node_id, vec))
+    if not rows:
+        raise DataError(f"{path}: embedding dump has no rows")
     views = tuple(sorted({v for v, _ in rows}, key=lambda v: ALL_VIEWS.index(v)))
     vectors = {}
     for (view, ntype), entries in rows.items():

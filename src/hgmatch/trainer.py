@@ -6,7 +6,9 @@ log posterior. Negatives are resampled every epoch from an epoch-indexed
 seed, all shuffling comes from the run seed, and gradient reductions are
 scatter-adds done as one-hot CSR products that add in source order (not
 np.add.at, whose order they keep), so a (seed, data, config) triple fixes
-the loss trajectory bit for bit.
+the loss trajectory bit for bit. The one full-graph plan the trainer
+reuses every step carries its neighbor poolings with their CSR matrices
+built, so no step rebuilds them.
 """
 
 from __future__ import annotations
@@ -122,6 +124,8 @@ class Adam:
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
             tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if not np.all(np.isfinite(tensor.data)):
+                raise NumericError(f"non-finite parameter {name} after update")
 
 
 @dataclass

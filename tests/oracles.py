@@ -1,12 +1,17 @@
 """Independent reference implementations used as test oracles.
 
-Everything here recomputes results node by node with the plain single-node
-ops (or raw numpy), never touching the batched executor or its plans;
-`naive_plan` fills the plan containers from per-node neighbor queries.
+Almost everything here recomputes results node by node with the plain
+single-node ops (or raw numpy), never touching the batched executor or its
+plans; `naive_plan` fills the plan containers from per-node neighbor
+queries. `gather_segment_sum_execute` is the exception: it runs a plan
+with the executor's layer helpers, pooling in two ops, as a bitwise
+reference for the fused pooling.
 """
 
 import numpy as np
 
+from hgmatch import autodiff as ad
+from hgmatch.autodiff import Pooling, Tensor
 from hgmatch.features import KIND_TERMS
 from hgmatch.graph import NodeRef, NodeType
 from hgmatch.model import (
@@ -15,7 +20,9 @@ from hgmatch.model import (
     TOWER_TYPE,
     CacheStats,
     ForwardPlan,
+    ForwardResult,
     PathPlan,
+    TowerForward,
     TowerPlan,
     active_paths,
     conv_layer,
@@ -154,7 +161,16 @@ def naive_path_plan(graph, roots, path, m, stats) -> PathPlan:
         child_segs.append(np.array(segs, dtype=np.int64))
         child_counts.append(np.array(counts, dtype=np.float64))
     level_rows = [_dense_rows(graph, t, ids) for t, ids in zip(chain, level_ids)]
-    return PathPlan(path, level_ids, level_rows, child_flat, child_segs, child_counts)
+    pools = [
+        Pooling(child_flat[j], child_segs[j], len(level_ids[j]), len(level_ids[j + 1]))
+        for j in range(len(path.steps) - 1)
+    ]
+    # the deepest children are pooled from their h0 rows
+    pools.append(Pooling(
+        level_rows[-1][child_flat[-1]], child_segs[-1],
+        len(level_ids[-2]), len(graph.ids_of[chain[-1]]),
+    ))
+    return PathPlan(path, level_ids, level_rows, pools, child_counts)
 
 
 def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
@@ -199,8 +215,10 @@ def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
             req_ids=req,
             req_rows=np.array([row_of[int(i)] for i in req], dtype=np.int64),
             path_plans=plans,
-            infl_flat=np.array(flat, dtype=np.int64),
-            infl_segs=np.array(segs, dtype=np.int64),
+            infl_pool=Pooling(
+                np.array(flat, dtype=np.int64), np.array(segs, dtype=np.int64),
+                len(req), len(all_ids[other[tower]]),
+            ),
             infl_counts=np.array(counts, dtype=np.float64),
         )
     return ForwardPlan(towers, stats)
@@ -251,3 +269,90 @@ def naive_quantize(matrix):
     for i, x in enumerate(flat_in):
         flat_out[i] = float(f"{x:.9g}")
     return out
+
+
+def _gather_segment_sum(a, src_rows, dst_rows, n_out):
+    """Neighbor pooling in two ops: copy the source rows out with a gather,
+    then segment_sum them into their buckets."""
+    if not len(src_rows):
+        return Tensor(np.zeros((n_out, a.shape[1])))
+    return ad.segment_sum(ad.gather(a, src_rows), dst_rows, n_out)
+
+
+def gather_segment_sum_execute(model, plan):
+    """model.execute(plan) with every neighbor pooling done as a gather and
+    a segment_sum, and every metapath level (the deepest too) gathered from
+    h0 first: a bitwise reference for `ad.pool` inside the whole forward."""
+    d = model.cfg.d
+    p = model.params
+
+    def node_level_all(ntype):
+        layout = model.layouts[ntype]
+        slots = []
+        for spec in layout.specs:
+            table = p[f"table/{spec.name}"]
+            if spec.kind == KIND_TERMS:
+                slot = layout.terms[spec.name]
+                pl = slot.pooling
+                s = _gather_segment_sum(table, pl.src_rows, pl.dst_rows, pl.n_out)
+                slots.append(s * (1.0 / np.maximum(slot.counts, 1.0))[:, None])
+            else:
+                slots.append(ad.gather(table, layout.single[spec.name]))
+        x = ad.concat_cols(slots)
+        t = ntype.value
+        hidden = ad.relu(x @ p[f"fusion/{t}/W1"] + p[f"fusion/{t}/b1"])
+        return hidden @ p[f"fusion/{t}/W2"] + p[f"fusion/{t}/b2"]
+
+    def gather_rows(a, rows):
+        return ad.gather(a, rows) if len(rows) else Tensor(np.zeros((0, d)))
+
+    def execute_path(pp, h0_by_type):
+        chain = pp.path.type_chain()
+        K = len(pp.path.steps)
+        states = [gather_rows(h0_by_type[t], rows) for t, rows in zip(chain, pp.level_rows)]
+        # the deepest pool indexes h0 rows; map them back to level-K rows
+        level_of = np.zeros(len(model.graph.ids_of[chain[K]]), dtype=np.int64)
+        level_of[pp.level_rows[K]] = np.arange(len(pp.level_rows[K]))
+        children = [pl.src_rows for pl in pp.child_pools[:-1]]
+        children.append(level_of[pp.child_pools[-1].src_rows])
+        for k in range(1, K + 1):
+            states = [
+                model._conv_step(
+                    pp.path.name, k, states[j],
+                    _gather_segment_sum(states[j + 1], children[j],
+                                        pp.child_pools[j].dst_rows, len(pp.level_ids[j])),
+                    pp.child_counts[j],
+                )
+                for j in range(K - k + 1)
+            ]
+        return states[0]
+
+    types = set()
+    for tower, tp in plan.towers.items():
+        types.add(TOWER_TYPE[tower])
+        for pp in tp.path_plans:
+            types.update(pp.path.type_chain())
+    h0_by_type = {t: node_level_all(t) for t in sorted(types, key=lambda t: t.value)}
+
+    towers = {}
+    for tower, tp in plan.towers.items():
+        h0 = gather_rows(h0_by_type[TOWER_TYPE[tower]], tp.all_rows)
+        per_path, names, att_weights, h_tilde = {}, [], None, h0
+        if model.variant.conv and tp.path_plans:
+            outputs = [execute_path(pp, h0_by_type) for pp in tp.path_plans]
+            names = [pp.path.name for pp in tp.path_plans]
+            per_path = dict(zip(names, outputs))
+            h_tilde, w = model._fuse(tower, outputs, names)
+            att_weights = w.data
+        towers[tower] = TowerForward(tp, h0, per_path, att_weights, names, h_tilde, None, {})
+    for tower, fwd in towers.items():
+        tp = fwd.plan
+        z = gather_rows(fwd.h_tilde, tp.req_rows)
+        if model.variant.siamese and len(tp.req_rows):
+            other = towers[KW_TOWER if tower == AD_TOWER else AD_TOWER].h_tilde
+            pl = tp.infl_pool
+            s = _gather_segment_sum(other, pl.src_rows, pl.dst_rows, pl.n_out)
+            z = z + s * (1.0 / np.maximum(tp.infl_counts, 1.0))[:, None]
+        fwd.z = z
+        fwd.per_view = {v: model._view_head(tower, v, z) for v in model.variant.views}
+    return ForwardResult(towers, plan.cache)

@@ -115,6 +115,55 @@ def test_gather_and_segment_sum_reject_out_of_range_rows(idx):
         ad.segment_sum(np.zeros((2, 2)), idx, 3)
 
 
+@st.composite
+def pool_cases(draw):
+    """(op, a_wide, g_wide, d): op pools entries with repeated and unsorted
+    source rows, empty buckets or no entries at all; a_wide is (n_in, 2d)
+    and g_wide (n_out, 2d), so their column halves are non-contiguous."""
+    n_in, n_out = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    k = draw(st.integers(0, 30))
+    src = draw(st.lists(st.integers(0, n_in - 1), min_size=k, max_size=k))
+    dst = draw(st.lists(st.integers(0, n_out - 1), min_size=k, max_size=k))
+    d = draw(st.integers(1, 4))
+
+    def block(rows):
+        flat = draw(st.lists(MIXED_FLOATS, min_size=2 * rows * d, max_size=2 * rows * d))
+        return np.array(flat, dtype=np.float64).reshape(rows, 2 * d)
+
+    op = ad.Pooling(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), n_out, n_in)
+    return op, block(n_in), block(n_out), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_cases())
+def test_pool_equals_gather_segment_sum_bitwise(case):
+    op, a_wide, g_wide, d = case
+    a, b = (ad.Tensor(a_wide[:, d:], requires_grad=True) for _ in range(2))
+    got = ad.pool(a, op)
+    want = ad.segment_sum(ad.gather(b, op.src_rows), op.dst_rows, op.n_out)
+    assert got.data.tobytes() == want.data.tobytes()
+    expect = naive_scatter_add(op.dst_rows, a_wide[:, d:][op.src_rows], op.n_out)
+    assert got.data.tobytes() == expect.tobytes()
+    # concat_cols backward hands each its gradient as the slice g_wide[:, :d]
+    ad.concat_cols([got, np.zeros((op.n_out, d))]).backward(g_wide)
+    ad.concat_cols([want, np.zeros((op.n_out, d))]).backward(g_wide)
+    if not len(op.src_rows):  # a constant: no gradient reaches a
+        assert a.grad is None and not b.grad.any()
+    else:
+        assert a.grad.tobytes() == b.grad.tobytes()
+
+
+def test_pooling_rejects_bad_rows():
+    with pytest.raises(IndexError):
+        ad.Pooling(np.array([0, 3]), np.array([0, 0]), 1, 3)
+    with pytest.raises(IndexError):
+        ad.Pooling(np.array([0, 1]), np.array([0, -1]), 2, 3)
+    with pytest.raises(ValueError, match="differ in length"):
+        ad.Pooling(np.array([0, 1]), np.array([0]), 1, 3)
+    with pytest.raises(ValueError, match="expects 3 input rows"):
+        ad.pool(np.zeros((2, 1)), ad.Pooling(np.array([0]), np.array([0]), 1, 3))
+
+
 def test_concat_slice_grads():
     rng = np.random.default_rng(4)
     a = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)

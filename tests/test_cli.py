@@ -315,3 +315,29 @@ def test_damaged_checkpoint_exits_3(data_dir, dump, tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert f"{ckpt}: unreadable checkpoint" in err and "Traceback" not in err
     assert not emb.exists()
+
+
+def test_checkpoint_that_is_a_directory_exits_3(data_dir, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt_dir"
+    ckpt.mkdir()
+    emb = tmp_path / "emb.tsv"
+    rc = main(["embed", "--checkpoint", str(ckpt),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+               "--features", str(data_dir / "features.tsv"), "--out", str(emb)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "Traceback" not in err
+    assert not emb.exists() and not (tmp_path / "emb.tsv.manifest").exists()
+
+
+def test_retrieve_from_an_empty_dump_exits_3(data_dir, tmp_path, capsys):
+    emb = tmp_path / "emb.tsv"
+    emb.write_text("# node_type\tnode_id\tview\tvector...\n")
+    out = tmp_path / "retrieved.tsv"
+    rc = main(["retrieve", "--embeddings", str(emb),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+               "--task", str(data_dir / "task.tsv"), "--k", "5", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{emb}: embedding dump has no rows" in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "retrieved.tsv.manifest").exists()

@@ -346,6 +346,25 @@ def test_tower_symmetry_mirrored_parameters():
     assert np.allclose(za, zq, atol=1e-10)
 
 
+@pytest.mark.parametrize("change", ["one more row", "missing"])
+def test_checkpoint_table_shape_mismatch_rejected(tiny_dataset, tiny_model, change):
+    from hgmatch.autodiff import Tensor
+    from hgmatch.errors import DataError
+    from hgmatch.model import MatchingModel
+    from hgmatch.params import ModelParams
+
+    name, spec = next(iter(tiny_dataset.manifest.tables.items()))
+    tensors = dict(tiny_model.params.tensors)
+    if change == "missing":
+        del tensors[f"table/{name}"]
+    else:
+        tensors[f"table/{name}"] = Tensor(np.zeros((spec.size + 1, spec.width)))
+    params = ModelParams(tensors, tiny_model.params.meta)
+    with pytest.raises(DataError, match=f"checkpoint table/{name} has shape"):
+        MatchingModel(tiny_dataset.graph, tiny_dataset.layouts, tiny_dataset.manifest,
+                      params, tiny_model.cfg, VARIANTS["full"])
+
+
 def test_checkpoint_dimension_mismatch_rejected(tiny_dataset, tiny_model):
     from hgmatch.errors import DataError
     from hgmatch.model import MatchingModel

@@ -8,6 +8,7 @@ from hgmatch.autodiff import Tensor
 from hgmatch.config import TrainConfig, VARIANTS
 from hgmatch.errors import DataError, NumericError
 from hgmatch.graph import NodeType
+from hgmatch.model import MatchingModel
 from hgmatch.params import ModelParams
 from hgmatch.pipeline import build_model, train_variant
 from hgmatch.trainer import (
@@ -21,6 +22,7 @@ from hgmatch.trainer import (
     posterior,
     relative_error,
 )
+from oracles import gather_segment_sum_execute
 
 
 def test_posterior_equal_scores_is_uniform():
@@ -189,6 +191,16 @@ def test_non_finite_gradient_aborts_with_tensor_name():
         opt.step()
 
 
+def test_overflowing_update_aborts_with_tensor_name():
+    w = Tensor(np.array([1.5e308, 0.0]), requires_grad=True)
+    params = ModelParams({"big/tensor": w}, {})
+    opt = Adam(params, lr=1e308)
+    w.grad = np.array([-1.0, 1.0])  # moves w[0] up by ~lr: past the float64 range
+    with pytest.raises(NumericError, match="non-finite parameter big/tensor"), \
+            np.errstate(over="ignore"):
+        opt.step()
+
+
 def test_trainer_rejects_unknown_label_nodes(tiny_dataset):
     cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
     model = build_model(tiny_dataset, cfg, VARIANTS["full"])
@@ -231,6 +243,31 @@ def test_fit_reduces_loss_on_tiny_dataset(tiny_dataset):
                       batch_size=64, learning_rate=0.01)
     model, fit = train_variant(tiny_dataset, cfg, VARIANTS["full"])
     assert fit.epoch_losses[-1] < fit.epoch_losses[0]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_gradients_equal_gather_segment_sum_reference(tiny_dataset, variant):
+    """Before each of three Trainer steps, the loss and every parameter
+    gradient equal bit for bit those of the gather->segment_sum reference."""
+    cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11, learning_rate=0.01)
+    model = build_model(tiny_dataset, cfg, VARIANTS[variant])
+    trainer = Trainer(model, tiny_dataset.cat_index, tiny_dataset.labels)
+    pairs, _ = build_training_pairs(trainer.labels, tiny_dataset.cat_index, cfg.negatives,
+                                    (cfg.seed, 101, 0))
+
+    def loss_and_grads(execute, batch):
+        model.params.zero_grads()
+        loss = loss_from_forward(model, execute(model, trainer.plan), batch)
+        loss.backward()
+        grads = {n: None if t.grad is None else t.grad.tobytes()
+                 for n, t in model.params.tensors.items()}
+        return loss.data.tobytes(), grads
+
+    for b0 in (0, 16, 32):
+        batch = pairs[b0:b0 + 16]
+        got = loss_and_grads(MatchingModel.execute, batch)
+        assert got == loss_and_grads(gather_segment_sum_execute, batch)
+        trainer.step(batch)
 
 
 def test_negatives_resampled_per_epoch(tiny_dataset):
