@@ -11,20 +11,40 @@ same bit for bit and reproducible run to run. Neighbor pooling (`pool`)
 is a gather and a segment_sum fused: a `Pooling` holds the plan's index
 arrays and builds its two one-hot CSR matrices once, so each call is one
 sparse product forward and one backward, in that same order.
+Inference runs inside `no_grad()`: there every op returns a plain
+constant Tensor (no parents, no backward closure), so no tape is recorded
+and the arrays a backward would read are freed as soon as the forward
+moves on. The values are those of the taped ops bit for bit.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+
+_grad_enabled = ContextVar("grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Ops inside the block record no tape; the previous mode returns on exit."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
+        if parents and not _grad_enabled.get():
+            parents, backward = (), None
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)

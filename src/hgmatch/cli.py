@@ -400,6 +400,9 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         tracker.cleanup()
         return 4
+    except BaseException:
+        tracker.cleanup()
+        raise
 
 
 if __name__ == "__main__":

@@ -326,6 +326,8 @@ def parse_node_line(line: str, location: str) -> NodeRecord:
         searched_count = float(searched)
     except (KeyError, ValueError) as exc:
         raise DataError(f"{location}: {exc}") from exc
+    if not math.isfinite(searched_count):
+        raise DataError(f"{location}: non-finite searched count {searched!r}")
     features = {}
     for kv in parts[4:]:
         if "=" not in kv:

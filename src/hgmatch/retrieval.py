@@ -3,19 +3,24 @@
 Retrieval is brute-force dot product over the ad's same-category candidate
 set: candidate pools at this scale are small enough that exactness is
 cheap, and tests stay deterministic. A pass gathers each category's
-candidate matrix once per view, through a checked id lookup, and ranks
-each ad by one matrix-vector product. Exported embedding values are the
-9-significant-digit decimals of the dump file, so export -> reload -> score
-is reproducible bit for bit.
+candidate matrix once per view, through a checked id lookup, and scores
+each ad by one matrix-vector product; a partition at the K-th largest
+score leaves only the candidates that can make the list (every tie with
+the K-th among them) to a stable sort, so lists equal those of a full
+stable sort. Export runs the forward without a tape and renders each row
+to the dump's 9-significant-digit text once: the exported values are that
+text read back, and the store keeps the text for the dump, so
+export -> dump -> reload -> score is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .config import ALL_VIEWS
 from .errors import DataError
 from .graph import HeteroGraph, NodeType, Relation, iter_file_records, lookup_rows
@@ -30,6 +35,9 @@ class EmbeddingStore:
     d: int
     views: tuple
     vectors: dict   # {view: {NodeType: (ascending ids array, matrix)}}
+    # {view: {NodeType: dump text per row}} as export rendered the matrices;
+    # None for a loaded or hand-built store, whose dump renders them anew
+    rendered: dict = field(default=None, repr=False)
 
     def gather(self, view: str, ntype: NodeType, ids) -> np.ndarray:
         """Vectors of `ids`; a DataError names the view, type and first id without one."""
@@ -42,26 +50,35 @@ class EmbeddingStore:
         return self.gather(view, ntype, [node_id])[0]
 
 
-def _quantize(matrix: np.ndarray) -> np.ndarray:
-    """Round-trip through the dump's 9-significant-digit rendering."""
-    text = map("{:.9g}".format, matrix.ravel().tolist())
-    return np.fromiter(map(float, text), np.float64, matrix.size).reshape(matrix.shape)
+def _render(matrix: np.ndarray) -> list:
+    """The dump text of each row: its values as 9-significant-digit
+    decimals joined by spaces (`"%.9g"`, the same text as `"{:.9g}"`)."""
+    fmt = " ".join(["%.9g"] * matrix.shape[1])
+    return [fmt % tuple(row) for row in matrix.tolist()]
+
+
+def _quantize(matrix: np.ndarray) -> tuple:
+    """(rows, values): the dump text of `matrix` and the matrix it reads
+    back as, parsed in one pass with no Python float per value."""
+    rows = _render(matrix)
+    return rows, np.fromstring(" ".join(rows), sep=" ").reshape(matrix.shape)
 
 
 def export_embeddings(model: MatchingModel, path=None) -> EmbeddingStore:
-    """Compute final per-view vectors for every ad and keyword."""
+    """Compute final per-view vectors for every ad and keyword.
+
+    The forward records no tape; the store keeps each row's dump text."""
     graph = model.graph
-    fwd = model.forward(graph.ids_of[NodeType.AD], graph.ids_of[NodeType.KEYWORD])
+    with ad.no_grad():
+        fwd = model.forward(graph.ids_of[NodeType.AD], graph.ids_of[NodeType.KEYWORD])
     views = tuple(model.variant.views)
-    vectors = {}
+    vectors, rendered = {}, {}
     for view in views:
-        per_type = {}
         for ntype, tower in ((NodeType.AD, AD_TOWER), (NodeType.KEYWORD, KW_TOWER)):
-            ids = fwd.towers[tower].plan.req_ids
-            mat = _quantize(fwd.towers[tower].per_view[view].data)
-            per_type[ntype] = (ids, mat)
-        vectors[view] = per_type
-    store = EmbeddingStore(model.cfg.d, views, vectors)
+            rows, mat = _quantize(fwd.towers[tower].per_view[view].data)
+            vectors.setdefault(view, {})[ntype] = (fwd.towers[tower].plan.req_ids, mat)
+            rendered.setdefault(view, {})[ntype] = rows
+    store = EmbeddingStore(model.cfg.d, views, vectors, rendered)
     if path is not None:
         save_embeddings(store, path)
     return store
@@ -71,11 +88,12 @@ def save_embeddings(store: EmbeddingStore, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# node_type\tnode_id\tview\tvalues...\n")
         for ntype in (NodeType.AD, NodeType.KEYWORD):
-            for row, node_id in enumerate(store.vectors[store.views[0]][ntype][0]):
-                for view in store.views:
-                    vec = store.vectors[view][ntype][1][row]
-                    vals = " ".join(f"{x:.9g}" for x in vec)
-                    fh.write(f"{ntype.value}\t{int(node_id)}\t{view}\t{vals}\n")
+            ids = store.vectors[store.views[0]][ntype][0].tolist()
+            texts = [store.rendered[view][ntype] if store.rendered is not None
+                     else _render(store.vectors[view][ntype][1]) for view in store.views]
+            for node_id, *row_texts in zip(ids, *texts):
+                for view, text in zip(store.views, row_texts):
+                    fh.write(f"{ntype.value}\t{node_id}\t{view}\t{text}\n")
 
 
 _NODE_TYPES = {t.value: t for t in NodeType}
@@ -126,10 +144,23 @@ def list_length(views, k: int) -> int:
 
 
 def _rank(cand_ids: np.ndarray, cand_mat: np.ndarray, z: np.ndarray, k: int) -> list:
-    """The k candidates with the largest dot product with z. `cand_ids`
-    ascend, so the stable sort breaks score ties by ascending id."""
-    scores = cand_mat @ z
-    return cand_ids[np.argsort(-scores, kind="stable")[:k]].tolist()
+    """The k candidates with the largest dot product with z, in the order of
+    a stable sort on -score: `cand_ids` ascend, so ties break by ascending
+    id, and NaN scores come last.
+
+    Only candidates scoring at least the k-th largest are sorted; every
+    candidate tied with it stays in, so the stable order is kept.
+    """
+    neg = -(cand_mat @ z)
+    if 0 < k < len(neg):
+        kth = np.partition(neg, k - 1)[k - 1]
+        # `not >` also keeps NaNs: all of them when kth is NaN, and after
+        # the sort they trail k non-NaN scores otherwise
+        keep = np.flatnonzero(~(neg > kth))
+        order = keep[np.argsort(neg[keep], kind="stable")[:k]]
+    else:
+        order = np.argsort(neg, kind="stable")[:k]
+    return cand_ids[order].tolist()
 
 
 def topk_retrieve(store: EmbeddingStore, ad_id: int, view: str, k: int, candidate_ids):

@@ -8,7 +8,8 @@ scatter-adds done as one-hot CSR products that add in source order (not
 np.add.at, whose order they keep), so a (seed, data, config) triple fixes
 the loss trajectory bit for bit. The one full-graph plan the trainer
 reuses every step carries its neighbor poolings with their CSR matrices
-built, so no step rebuilds them.
+built, so no step rebuilds them. The finite-difference loss evaluations
+of `grad_check` run under `autodiff.no_grad()`, so they record no tape.
 """
 
 from __future__ import annotations
@@ -209,8 +210,9 @@ def grad_check(model: MatchingModel, pairs, probe_count=200, eps=1e-4, seed=0) -
     plan = full_plan(model)
 
     def loss_value() -> float:
-        fwd = model.execute(plan)
-        return float(loss_from_forward(model, fwd, pairs).data)
+        with ad.no_grad():
+            fwd = model.execute(plan)
+            return float(loss_from_forward(model, fwd, pairs).data)
 
     model.params.zero_grads()
     fwd = model.execute(plan)

@@ -262,6 +262,11 @@ def naive_evaluate(model, dataset, ks):
     return out
 
 
+def naive_rank(cand_ids, cand_mat, z, k):
+    """The k best candidates by a full stable argsort on -score."""
+    return cand_ids[np.argsort(-(cand_mat @ z), kind="stable")[:k]].tolist()
+
+
 def naive_quantize(matrix):
     """The dump's 9-significant-digit rendering read back, element by element."""
     out = np.empty_like(matrix)

@@ -225,3 +225,24 @@ def test_detach_blocks_gradient():
     y = (x.detach() * x).sum()
     y.backward()
     assert np.allclose(x.grad, x.data)  # only the non-detached factor
+
+
+def test_no_grad_records_no_tape():
+    x = ad.Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        y = (ad.relu(x @ np.ones((2, 2))) * 2.0).sum()
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    taped = (ad.relu(x @ np.ones((2, 2))) * 2.0).sum()
+    assert taped.requires_grad and taped._parents
+    assert y.data.tobytes() == taped.data.tobytes()
+
+
+def test_no_grad_restores_the_mode_after_an_exception():
+    x = ad.Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    (x * 3.0).sum().backward()
+    assert np.allclose(x.grad, 3.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hgmatch import cli
 from hgmatch.cli import main
 from hgmatch.manifest import read_manifest
 from hgmatch.params import load_checkpoint
@@ -341,3 +342,35 @@ def test_retrieve_from_an_empty_dump_exits_3(data_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{emb}: embedding dump has no rows" in err and "Traceback" not in err
     assert not out.exists() and not (tmp_path / "retrieved.tsv.manifest").exists()
+
+
+def test_non_finite_searched_count_exits_3(data_dir, tmp_path, capsys):
+    lines = (data_dir / "nodes.tsv").read_text().splitlines(keepends=True)
+    at = next(i for i, l in enumerate(lines) if l.startswith("keyword\t"))
+    fields = lines[at].split("\t")
+    fields[3] = "nan"
+    lines[at] = "\t".join(fields)
+    nodes = tmp_path / "nodes.tsv"
+    nodes.write_text("".join(lines))
+    out = tmp_path / "stats.txt"
+    rc = main(["build-graph", "--edges", str(data_dir / "edges.tsv"),
+               "--nodes", str(nodes), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{nodes}:{at + 1}: non-finite searched count 'nan'" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_unexpected_exception_removes_outputs_and_propagates(monkeypatch, tmp_path):
+    boom = RuntimeError("boom")
+
+    def failing(args, tracker):
+        tracker.register(args.out).write_text("partial\n")
+        raise boom
+
+    monkeypatch.setattr(cli, "cmd_build_graph", failing)
+    out = tmp_path / "stats.txt"
+    with pytest.raises(RuntimeError) as info:
+        main(["build-graph", "--edges", "e.tsv", "--nodes", "n.tsv", "--out", str(out)])
+    assert info.value is boom
+    assert not out.exists()

@@ -114,6 +114,12 @@ def test_non_finite_weight_rejected_with_location(weight):
         ingest(edges, basic_nodes())
 
 
+@pytest.mark.parametrize("searched", ["nan", "inf", "-inf"])
+def test_non_finite_searched_count_rejected_with_location(searched):
+    with pytest.raises(DataError, match=f"f:4: non-finite searched count '{searched}'"):
+        parse_node_line(f"keyword 1 3 {searched}", "f:4")
+
+
 def test_duplicate_node_rejected():
     with pytest.raises(DataError, match="duplicate node"):
         ingest([], [node(NodeType.AD, 1), node(NodeType.AD, 1)])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hgmatch import autodiff as ad
 from hgmatch.config import TrainConfig, VARIANTS
 from hgmatch.graph import NodeRef, NodeType
 from hgmatch.model import (
@@ -153,6 +154,22 @@ def test_memoized_forward_single_node_equals_naive(tiny_model):
     fwd = tiny_model.memoized_forward([ref])
     _, _, z, per_view = naive_node_embedding(tiny_model, ref)
     assert np.allclose(fwd.node(ref).z, z, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_no_grad_forward_equals_taped_forward(tiny_dataset, variant):
+    cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
+    model = build_model(tiny_dataset, cfg, VARIANTS[variant])
+    ids = (tiny_dataset.graph.ids_of[NodeType.AD], tiny_dataset.graph.ids_of[NodeType.KEYWORD])
+    taped = model.forward(*ids)
+    with ad.no_grad():
+        free = model.forward(*ids)
+    for tower in (AD_TOWER, KW_TOWER):
+        for view, want in taped.towers[tower].per_view.items():
+            got = free.towers[tower].per_view[view]
+            assert want._parents
+            assert got._parents == () and got._backward is None and not got.requires_grad
+            assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_node_of_a_non_root_raises(tiny_model):

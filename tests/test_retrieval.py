@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hgmatch.config import TrainConfig, VARIANTS
 from hgmatch.errors import DataError
@@ -12,6 +12,7 @@ from hgmatch.retrieval import (
     EmbeddingStore,
     EvalTask,
     _quantize,
+    _rank,
     cold_start_split,
     export_embeddings,
     load_embeddings,
@@ -21,7 +22,7 @@ from hgmatch.retrieval import (
     topk_retrieve,
 )
 
-from oracles import naive_evaluate, naive_quantize, naive_recall
+from oracles import naive_evaluate, naive_quantize, naive_rank, naive_recall
 
 
 def make_store(rng, n_ads=5, n_kws=40, d=8, views=("ad_click",)):
@@ -241,11 +242,50 @@ def test_cold_start_rejects_ad_not_in_graph(tiny_dataset):
         cold_start_split(tiny_dataset.graph, task)
 
 
+_SPECIAL_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, float("inf"), float("-inf")])
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=24))
-def test_quantize_equals_per_element_rendering(values):
-    m = np.array(values, dtype=np.float64).reshape(len(values), 1)
-    assert _quantize(m).tobytes() == naive_quantize(m).tobytes()
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.lists(st.one_of(_SPECIAL_VALUES, st.floats(allow_nan=False, width=64)),
+             min_size=d, max_size=d),
+    min_size=1, max_size=8)))
+def test_quantize_equals_per_element_rendering(rows):
+    m = np.array(rows, dtype=np.float64)
+    text, values = _quantize(m)
+    assert values.tobytes() == naive_quantize(m).tobytes()
+    assert text == [" ".join(f"{x:.9g}" for x in row) for row in rows]
+
+
+def test_save_writes_the_same_bytes_with_or_without_kept_rows(tiny_model, tmp_path):
+    store = export_embeddings(tiny_model)
+    assert store.rendered is not None
+    bare = EmbeddingStore(store.d, store.views, store.vectors)
+    save_embeddings(store, tmp_path / "kept.tsv")
+    save_embeddings(bare, tmp_path / "bare.tsv")
+    save_embeddings(load_embeddings(tmp_path / "kept.tsv"), tmp_path / "reloaded.tsv")
+    kept = (tmp_path / "kept.tsv").read_bytes()
+    assert kept == (tmp_path / "bare.tsv").read_bytes()
+    assert kept == (tmp_path / "reloaded.tsv").read_bytes()
+
+
+# scores from a few levels, so ties often straddle the k-th place
+_SCORES = st.sampled_from([-1.0, 0.0, -0.0, 0.5, 2.0, float("inf"), float("-inf"), float("nan")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SCORES, max_size=30), st.integers(1, 34))
+@example([], 3)                              # no candidates
+@example([0.5], 1)                           # one candidate
+@example([2.0, 0.5, 2.0], 5)                 # k beyond the candidate count
+@example([0.5, 2.0, 0.5, 0.5, -1.0, 0.5], 3)  # ties across the k-th place
+@example([float("nan"), 0.5, float("nan"), -1.0], 3)
+def test_rank_equals_full_stable_argsort(scores, k):
+    cand_ids = np.arange(100, 100 + 3 * len(scores), 3)
+    cand_mat = np.array(scores, dtype=np.float64).reshape(-1, 1)
+    z = np.ones(1)
+    assert _rank(cand_ids, cand_mat, z, k) == naive_rank(cand_ids, cand_mat, z, k)
 
 
 def test_export_round_trip_bit_identical(tiny_model, tmp_path):

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -290,6 +292,16 @@ def test_grad_check_full_model(tiny_dataset):
     pairs = make_pairs(tiny_dataset, cfg, n=12)
     report = grad_check(model, pairs, probe_count=60, eps=1e-4, seed=3)
     assert report.max_rel_error <= 1e-4
+
+
+def test_grad_check_without_tapes_equals_taped_probes(tiny_dataset, monkeypatch):
+    cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
+    model = build_model(tiny_dataset, cfg, VARIANTS["full"])
+    pairs = make_pairs(tiny_dataset, cfg, n=6)
+    free = grad_check(model, pairs, probe_count=10, eps=1e-4, seed=3)
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+    taped = grad_check(model, pairs, probe_count=10, eps=1e-4, seed=3)
+    assert free == taped
 
 
 def test_grad_check_sage_and_dssm(tiny_dataset):
