@@ -55,9 +55,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def detach(self):
-        return Tensor(self.data)
-
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -109,15 +106,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def relu(self):
-        return relu(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)

@@ -157,7 +157,10 @@ def cmd_train(args, tracker: OutputTracker) -> int:
 def cmd_embed(args, tracker: OutputTracker) -> int:
     params = load_checkpoint(args.checkpoint)
     variant = variant_from_meta(params.meta)
-    cfg = TrainConfig(**params.meta["config"])
+    config = params.meta.get("config")
+    if not isinstance(config, dict):
+        raise DataError(f"{args.checkpoint}: checkpoint has no config mapping")
+    cfg = apply_overrides(TrainConfig, config)
     dataset = load_dataset(
         edges=args.edges, nodes=args.nodes, features=args.features,
         boundaries=args.boundaries,

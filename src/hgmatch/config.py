@@ -2,16 +2,33 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import DataError
+from .graph import iter_file_records
 
 VIEW_AD_CLICK = "ad_click"
 VIEW_AD_BID = "ad_bid"
 VIEW_ITEM_CLICK = "item_click"
 ALL_VIEWS = (VIEW_AD_CLICK, VIEW_AD_BID, VIEW_ITEM_CLICK)
+
+
+def check_fields(cfg, positive=(), unit=()):
+    """DataError unless every numeric field is finite and non-negative, each
+    field named in `positive` is above 0 and each named in `unit` at most 1."""
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise DataError(f"config field {f.name} must be finite, got {v}")
+        if isinstance(v, (int, float)) and v < 0:
+            raise DataError(f"config field {f.name} must be non-negative")
+    for name in positive:
+        if getattr(cfg, name) == 0:
+            raise DataError(f"config field {name} must be positive")
+    for name in unit:
+        if getattr(cfg, name) > 1:
+            raise DataError(f"config field {name} must be in [0, 1]")
 
 
 @dataclass
@@ -26,19 +43,9 @@ class TrainConfig:
     negatives: int = 5
     gamma: float = 1.0          # softmax smoothing factor
     seed: int = 0
-    attention_scale: bool = False   # divide attention logits by sqrt(d)
-    l2_normalize: bool = False      # normalize z before dot products
-    raw_prob_loss: bool = False     # sum raw posteriors instead of log-likelihood
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, float) and not math.isfinite(v):
-                raise DataError(f"config field {f.name} must be finite, got {v}")
-            if isinstance(v, (int, float)) and not isinstance(v, bool) and v < 0:
-                raise DataError(f"config field {f.name} must be non-negative")
-        if self.batch_size == 0:
-            raise DataError("config field batch_size must be positive")
+        check_fields(self, positive=("batch_size", "l", "negatives"))
         if self.l >= self.d:
             raise DataError("latent size l must be smaller than hidden size d")
 
@@ -89,69 +96,53 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("ads", "keywords", "items", "categories", "clusters"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"synth config {name} must be positive")
-        for name in ("noise_edge_frac", "target_frac", "cold_start_frac", "term_noise"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise DataError(f"synth config {name} must be in [0, 1]")
+        check_fields(
+            self,
+            positive=("ads", "keywords", "items", "categories", "clusters", "term_vocab"),
+            unit=(
+                "density_ad_click_kw", "density_ad_bid_kw", "density_item_click_kw",
+                "density_ad_coclick_item", "noise_edge_frac", "target_frac",
+                "cold_start_frac", "term_noise",
+            ),
+        )
 
 
 _CONFIG_KEYS = {f.name for cls in (SynthConfig, TrainConfig) for f in fields(cls)}
 
 
-def parse_value(text: str, typ):
-    if typ is bool:
-        low = text.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise DataError(f"bad boolean {text!r}")
-    if typ is tuple:
-        return tuple(t for t in text.replace(",", " ").split() if t)
-    return typ(text)
+def parse_config_line(line: str, location: str) -> tuple:
+    """`key = value`, with anything after a `#` a comment."""
+    key, sep, value = line.split("#", 1)[0].partition("=")
+    if not sep:
+        raise DataError(f"{location}: expected key = value")
+    return key.strip(), value.strip()
 
 
 def load_config_file(path) -> dict:
     """Flat `key = value` lines; `#` comments; later keys win."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
+    return dict(iter_file_records(path, parse_config_line))
 
 
 def apply_overrides(cls, raw: dict):
-    """Build a dataclass from string key/values.
+    """Build a dataclass from key/values: strings, or a checkpoint's JSON values.
 
     Keys of the other config class are skipped, so one file can hold both;
     a key that belongs to neither is a DataError.
     """
     kwargs = {}
-    by_name = {f.name: f for f in fields(cls)}
+    types = {f.name: {"int": int, "float": float}[f.type] for f in fields(cls)}
     for key, value in raw.items():
-        f = by_name.get(key)
-        if f is None:
+        typ = types.get(key)
+        if typ is None:
             if key not in _CONFIG_KEYS:
                 raise DataError(f"unknown config key {key!r}")
             continue
-        typ = f.type if not isinstance(f.type, str) else {
-            "int": int, "float": float, "bool": bool, "str": str, "tuple": tuple
-        }.get(f.type, str)
         try:
-            kwargs[key] = parse_value(str(value), typ)
-        except (TypeError, ValueError) as exc:
+            kwargs[key] = typ(str(value))
+        except ValueError as exc:
             raise DataError(f"bad value {value!r} for config key {key}: {exc}") from exc
     return cls(**kwargs)
 
 
 def config_as_dict(cfg) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}

@@ -81,24 +81,24 @@ def save_manifest(manifest: FeatureManifest, path):
                 fh.write(f"{ntype.value}\t{s.name}\t{s.kind}\t{s.size}\t{s.width}\n")
 
 
+def parse_manifest_line(line: str, location: str) -> tuple:
+    """`node_type feature kind size width` -> (NodeType, FeatureSpec); a size
+    of `-` is the default hash vocabulary."""
+    parts = line.split()
+    if len(parts) != 5:
+        raise DataError(f"{location}: expected 5 fields")
+    ttok, name, kind, size, width = parts
+    try:
+        vocab = DEFAULT_HASH_VOCAB if size == "-" else int(size)
+        return NodeType(ttok), FeatureSpec(name, kind, vocab, int(width))
+    except (ValueError, DataError) as exc:
+        raise DataError(f"{location}: {exc}") from exc
+
+
 def load_manifest(path) -> FeatureManifest:
     per_type = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 fields")
-            ttok, name, kind, size, width = parts
-            try:
-                ntype = {t.value: t for t in NodeType}[ttok]
-                vocab = DEFAULT_HASH_VOCAB if size == "-" else int(size)
-                spec = FeatureSpec(name, kind, vocab, int(width))
-            except (KeyError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            per_type.setdefault(ntype, []).append(spec)
+    for ntype, spec in iter_file_records(path, parse_manifest_line):
+        per_type.setdefault(ntype, []).append(spec)
     return FeatureManifest(per_type)
 
 

@@ -172,55 +172,9 @@ class HeteroGraph:
             hi = min(hi, lo + m)
         return nbrs[lo:hi], weights[lo:hi]
 
-    def degree(self, ref: NodeRef, relation: Relation) -> int:
-        return len(self.neighbors(ref, relation)[0])
-
     def edge_count(self, relation: Relation) -> int:
         """Distinct edges of one relation (counted from the source side)."""
         return len(self._csr[(relation, RELATION_SCHEMA[relation][0])][1])
-
-    def metapath_neighbors(self, v: NodeRef, path: Metapath, m=None):
-        """Tree expansion along `path` with top-m truncation per parent.
-
-        Returns one list per hop; each entry is (node_id, parent_index,
-        edge_weight) where parent_index points into the previous hop
-        (-1 for hop-1 entries, whose parent is the root). Nodes reached
-        through different branches appear once per branch.
-        """
-        if v.node_type != path.source_type:
-            raise ValueError(
-                f"node type {v.node_type.value} does not match metapath source "
-                f"{path.source_type.value}"
-            )
-        chain = path.type_chain()
-        hops = []
-        parents = [(v.node_id, -1, 0.0)]
-        for depth, rel in enumerate(path.steps):
-            layer = []
-            ptype = chain[depth]
-            for pidx, (pid, _, _) in enumerate(parents):
-                ids, ws = self.neighbors(NodeRef(ptype, pid), rel, m)
-                parent_mark = pidx if depth > 0 else -1
-                layer.extend((int(i), parent_mark, float(w)) for i, w in zip(ids, ws))
-            hops.append(layer)
-            parents = layer
-        return hops
-
-    def influential_neighbors(self, v: NodeRef, kappa: int):
-        """Top-kappa cross-type neighbors by bid-edge weight (ads <-> keywords)."""
-        if v.node_type == NodeType.ITEM:
-            raise ValueError("influential neighbors are defined for ads and keywords only")
-        ids, _ = self.neighbors(v, Relation.AD_BID_KW, kappa)
-        other = other_endpoint(Relation.AD_BID_KW, v.node_type)
-        return [NodeRef(other, int(i)) for i in ids]
-
-    def adjacency_items(self):
-        """Iterate ((relation, node_type), node_id, ids, weights) for all non-empty rows."""
-        for key, (indptr, nbrs, weights) in self._csr.items():
-            ids = self.ids_of[key[1]]
-            for row in np.flatnonzero(np.diff(indptr)):
-                lo, hi = indptr[row], indptr[row + 1]
-                yield key, int(ids[row]), nbrs[lo:hi], weights[lo:hi]
 
 
 def _csr_table(n_rows, rows, nbr_ids, weights):

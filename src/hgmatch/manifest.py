@@ -36,14 +36,3 @@ def write_manifest(path, cfg=None, variant=None, inputs=None, fit=None, extra=No
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_manifest(path) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out

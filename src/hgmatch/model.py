@@ -15,7 +15,13 @@ Per metapath of length K, a node at depth j carries hidden states for
 layers 0..K-j: layer k of node u combines u's own layer k-1 state with
 the pooled layer k-1 states of u's top-m children, through either the
 bottleneck combiner (compress the pooled neighborhood d -> l -> d) or a
-concat-projection combiner (mean pooling), per config.
+concat-projection combiner (mean pooling), per config. Path outputs are
+fused by softmax attention, the influential neighbors' fused embeddings
+are averaged in (the Siamese layer) and each view has its own MLP head.
+
+This module holds only the batched executor. The same layers written
+node by node, which the tests use as the reference for every output of
+`execute`, live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .autodiff import Tensor
 from .config import TrainConfig, VariantSpec
 from .errors import DataError
 from .features import KIND_TERMS
-from .graph import HeteroGraph, Metapath, NodeRef, NodeType, Relation
+from .graph import HeteroGraph, Metapath, NodeType, Relation
 
 AD_TOWER = "ad"
 KW_TOWER = "kw"
@@ -67,54 +73,6 @@ def active_paths(tower: str, groups: str) -> list:
     if groups == "all":
         return paths
     return [tp for tp in paths if tp.group == groups]
-
-
-# --- spec-level single-node ops (plain numpy; also the unit-test surface) ---
-
-def conv_layer(h_self, neighbor_vecs, W, b, V, U):
-    """sigma(W.h + b + U.sigma(V.n)) with n = sum of neighbors (0 if none)."""
-    h_self = np.asarray(h_self, dtype=np.float64)
-    n = np.zeros_like(h_self)
-    for v in neighbor_vecs:
-        n = n + np.asarray(v, dtype=np.float64)
-    out = h_self @ W + b + np.maximum(n @ V, 0.0) @ U
-    return np.maximum(out, 0.0)
-
-
-def sage_layer(h_self, neighbor_vecs, Ws, b):
-    """sigma(concat(h, mean-of-neighbors) @ Ws + b)."""
-    h_self = np.asarray(h_self, dtype=np.float64)
-    if neighbor_vecs:
-        mean = np.mean([np.asarray(v, dtype=np.float64) for v in neighbor_vecs], axis=0)
-    else:
-        mean = np.zeros_like(h_self)
-    return np.maximum(np.concatenate([h_self, mean]) @ Ws + b, 0.0)
-
-
-def semantic_fuse(per_path, att_vec, scale: bool = False):
-    """Softmax-weighted sum of per-metapath embeddings; returns (fused, weights)."""
-    if not per_path:
-        raise ValueError("semantic_fuse needs at least one metapath embedding")
-    names = [n for n, _ in per_path]
-    H = np.stack([np.asarray(h, dtype=np.float64) for _, h in per_path])
-    logits = H @ np.asarray(att_vec, dtype=np.float64).reshape(-1)
-    if scale:
-        logits = logits / np.sqrt(H.shape[1])
-    e = np.exp(logits - logits.max())
-    w = e / e.sum()
-    return (w[:, None] * H).sum(axis=0), dict(zip(names, w))
-
-
-def siamese_embed(h_tilde, neighbor_fused):
-    """z = h + mean of influential neighbors' fused embeddings (h alone if none)."""
-    h_tilde = np.asarray(h_tilde, dtype=np.float64)
-    if not neighbor_fused:
-        return h_tilde.copy()
-    return h_tilde + np.mean([np.asarray(v) for v in neighbor_fused], axis=0)
-
-
-def view_transform(z, W1, b1, W2, b2):
-    return np.maximum(np.asarray(z, dtype=np.float64) @ W1 + b1, 0.0) @ W2 + b2
 
 
 # --- forward plan ----------------------------------------------------------
@@ -245,42 +203,9 @@ class TowerForward:
 
 
 @dataclass
-class TowerEmbedding:
-    """All intermediate embeddings of one node, as plain arrays."""
-
-    ref: NodeRef
-    h: np.ndarray
-    per_path: dict
-    att_weights: dict
-    h_tilde: np.ndarray
-    z: np.ndarray
-    per_view: dict
-
-
 class ForwardResult:
-    def __init__(self, towers: dict, cache: CacheStats):
-        self.towers = towers
-        self.cache = cache
-
-    def node(self, ref: NodeRef) -> TowerEmbedding:
-        tower = AD_TOWER if ref.node_type == NodeType.AD else KW_TOWER
-        fwd = self.towers[tower]
-        row = int(np.searchsorted(fwd.plan.req_ids, ref.node_id))
-        if row == len(fwd.plan.req_ids) or fwd.plan.req_ids[row] != ref.node_id:
-            raise KeyError(f"{ref} is not a root of this forward pass")
-        all_row = int(fwd.plan.req_rows[row])
-        att = {}
-        if fwd.att_weights is not None:
-            att = dict(zip(fwd.path_names, fwd.att_weights[all_row]))
-        return TowerEmbedding(
-            ref=ref,
-            h=fwd.h0.data[all_row].copy(),
-            per_path={n: t.data[all_row].copy() for n, t in fwd.per_path.items()},
-            att_weights=att,
-            h_tilde=fwd.h_tilde.data[all_row].copy(),
-            z=fwd.z.data[row].copy(),
-            per_view={v: t.data[row].copy() for v, t in fwd.per_view.items()},
-        )
+    towers: dict             # {"ad": TowerForward, "kw": TowerForward}
+    cache: CacheStats
 
 
 class MatchingModel:
@@ -337,15 +262,14 @@ class MatchingModel:
         pooled = ad.relu(neigh_sum @ p[f"{base}/V"]) @ p[f"{base}/U"]
         return ad.relu(h_self @ p[f"{base}/W"] + p[f"{base}/b"] + pooled)
 
+    def _rows(self, a: Tensor, rows) -> Tensor:
+        """a[rows] as a gather; a constant (0, d) block when there are none."""
+        return ad.gather(a, rows) if len(rows) else Tensor(np.zeros((0, self.cfg.d)))
+
     def _execute_path(self, plan: PathPlan, h0_by_type: dict) -> Tensor:
         chain = plan.path.type_chain()
         K = len(plan.path.steps)
-        states = []
-        for j in range(K):
-            if len(plan.level_rows[j]):
-                states.append(ad.gather(h0_by_type[chain[j]], plan.level_rows[j]))
-            else:
-                states.append(Tensor(np.zeros((0, self.cfg.d))))
+        states = [self._rows(h0_by_type[chain[j]], plan.level_rows[j]) for j in range(K)]
         states.append(h0_by_type[chain[K]])  # the deepest pool reads h0 rows
         for k in range(1, K + 1):
             nxt = []
@@ -359,11 +283,10 @@ class MatchingModel:
             states = nxt
         return states[0]
 
-    def _fuse(self, tower, path_outputs, path_names):
+    def _fuse(self, tower, path_outputs):
         p = self.params
         att = p[f"att/{tower}"]
-        scale = 1.0 / np.sqrt(self.cfg.d) if self.cfg.attention_scale else 1.0
-        logits = ad.concat_cols([(h @ att) * scale for h in path_outputs])
+        logits = ad.concat_cols([h @ att for h in path_outputs])
         w = ad.softmax_rows(logits)
         fused = None
         for i, h in enumerate(path_outputs):
@@ -374,11 +297,7 @@ class MatchingModel:
     def _view_head(self, tower, view, z: Tensor) -> Tensor:
         p = self.params
         base = f"view/{tower}/{view}"
-        out = ad.relu(z @ p[f"{base}/W1"] + p[f"{base}/b1"]) @ p[f"{base}/W2"] + p[f"{base}/b2"]
-        if self.cfg.l2_normalize:
-            norm = ad.sqrt((out * out).sum(axis=1, keepdims=True) + 1e-12)
-            out = out / norm
-        return out
+        return ad.relu(z @ p[f"{base}/W1"] + p[f"{base}/b1"]) @ p[f"{base}/W2"] + p[f"{base}/b2"]
 
     def execute(self, plan: ForwardPlan) -> ForwardResult:
         types_needed = set()
@@ -390,66 +309,29 @@ class MatchingModel:
 
         towers = {}
         for tower, tp in plan.towers.items():
-            if len(tp.all_rows):
-                h0 = ad.gather(h0_by_type[TOWER_TYPE[tower]], tp.all_rows)
-            else:
-                h0 = Tensor(np.zeros((0, self.cfg.d)))
-            per_path, names = {}, []
-            if self.variant.conv and tp.path_plans:
-                outputs = []
-                for pp in tp.path_plans:
-                    out = self._execute_path(pp, h0_by_type)
-                    per_path[pp.path.name] = out
-                    outputs.append(out)
-                    names.append(pp.path.name)
-                h_tilde, w = self._fuse(tower, outputs, names)
-                att_weights = w.data
-            else:
-                h_tilde, att_weights = h0, None
-            towers[tower] = (tp, h0, per_path, att_weights, names, h_tilde)
-
-        result = {}
-        for tower, (tp, h0, per_path, att_weights, names, h_tilde) in towers.items():
-            if len(tp.req_rows):
-                h_req = ad.gather(h_tilde, tp.req_rows)
-            else:
-                h_req = Tensor(np.zeros((0, self.cfg.d)))
-            if self.variant.siamese and len(tp.req_rows):
-                other = KW_TOWER if tower == AD_TOWER else AD_TOWER
-                s = ad.pool(towers[other][5], tp.infl_pool)
-                inv = 1.0 / np.maximum(tp.infl_counts, 1.0)
-                z = h_req + s * inv[:, None]
-            else:
-                z = h_req
-            per_view = {v: self._view_head(tower, v, z) for v in self.variant.views}
-            result[tower] = TowerForward(
-                plan=tp,
-                h0=h0,
-                per_path=per_path,
-                att_weights=att_weights,
-                path_names=names,
-                h_tilde=h_tilde,
-                z=z,
-                per_view=per_view,
+            h0 = self._rows(h0_by_type[TOWER_TYPE[tower]], tp.all_rows)
+            fwd = towers[tower] = TowerForward(
+                plan=tp, h0=h0, per_path={}, att_weights=None, path_names=[],
+                h_tilde=h0, z=None, per_view={},
             )
-        return ForwardResult(result, plan.cache)
+            if self.variant.conv and tp.path_plans:
+                for pp in tp.path_plans:
+                    fwd.per_path[pp.path.name] = self._execute_path(pp, h0_by_type)
+                fwd.path_names = list(fwd.per_path)
+                fwd.h_tilde, w = self._fuse(tower, list(fwd.per_path.values()))
+                fwd.att_weights = w.data
+
+        for tower, fwd in towers.items():
+            tp = fwd.plan
+            z = self._rows(fwd.h_tilde, tp.req_rows)
+            if self.variant.siamese and len(tp.req_rows):
+                other = towers[KW_TOWER if tower == AD_TOWER else AD_TOWER]
+                s = ad.pool(other.h_tilde, tp.infl_pool)
+                z = z + s * (1.0 / np.maximum(tp.infl_counts, 1.0))[:, None]
+            fwd.z = z
+            fwd.per_view = {v: self._view_head(tower, v, z) for v in self.variant.views}
+        return ForwardResult(towers, plan.cache)
 
     def forward(self, ad_ids, kw_ids) -> ForwardResult:
         plan = build_plan(self.graph, ad_ids, kw_ids, self.cfg, self.variant)
         return self.execute(plan)
-
-    def memoized_forward(self, refs) -> ForwardResult:
-        """Forward for a batch of ad/keyword roots with a per-call cache.
-
-        Use .node(ref) on the result for per-node embeddings and .cache for
-        hit/miss counters.
-        """
-        ad_ids, kw_ids = [], []
-        for ref in refs:
-            if ref.node_type == NodeType.AD:
-                ad_ids.append(ref.node_id)
-            elif ref.node_type == NodeType.KEYWORD:
-                kw_ids.append(ref.node_id)
-            else:
-                raise ValueError("items do not have a tower")
-        return self.forward(ad_ids, kw_ids)

@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import Tensor
 from .config import TrainConfig, VariantSpec, VARIANTS, config_as_dict
 from .errors import DataError
-from .features import FeatureManifest, KIND_NUMERIC
+from .features import FeatureManifest
 from .graph import NodeType
 
 CHECKPOINT_VERSION = 1
@@ -69,8 +69,7 @@ def init_params(
 
     for name in sorted(manifest.tables):
         spec = manifest.tables[name]
-        vocab = spec.size if spec.kind != KIND_NUMERIC else spec.size
-        param(f"table/{name}", _table_init(rng, vocab, spec.width))
+        param(f"table/{name}", _table_init(rng, spec.size, spec.width))
 
     for ntype in NodeType:
         specs = manifest.per_type.get(ntype)
@@ -138,6 +137,8 @@ def load_checkpoint(path) -> ModelParams:
                 meta = json.loads(zf.read("__meta__.json").decode("utf-8"))
             except KeyError as exc:
                 raise DataError(f"{path}: not a model checkpoint") from exc
+            if not isinstance(meta, dict):
+                raise DataError(f"{path}: not a model checkpoint")
             if meta.get("format_version") != CHECKPOINT_VERSION:
                 raise DataError(
                     f"{path}: unsupported checkpoint version {meta.get('format_version')}"

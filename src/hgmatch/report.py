@@ -20,8 +20,8 @@ def _fmt(value) -> str:
     return "-" if value is None else f"{value:.4f}"
 
 
-def render_text(report: AblationReport, title: str = "ablation report") -> str:
-    lines = [f"# {title}"]
+def render_text(report: AblationReport) -> str:
+    lines = ["# ablation report"]
     name_w = max(len(v) for v in report.variants) + 2
     col_w = max(8, *(len(f"K={k}") for k in report.ks)) + 2
     for section in report.sections:
@@ -45,12 +45,9 @@ def render_tsv(report: AblationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_recall_result(result, ks_label: str = "") -> str:
+def render_recall_result(result) -> str:
     """Single-run report: overall plus per-view rows."""
-    lines = ["# recall report"]
-    if ks_label:
-        lines.append(f"# {ks_label}")
-    lines.append(f"overall\t{result.overall:.6f}")
+    lines = ["# recall report", f"overall\t{result.overall:.6f}"]
     for view in sorted(result.per_view):
         lines.append(f"view:{view}\t{result.per_view[view]:.6f}")
     return "\n".join(lines) + "\n"

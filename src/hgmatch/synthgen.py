@@ -11,17 +11,15 @@ future targets. Categories are coarser groupings aligned with clusters
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import SynthConfig, VIEW_AD_BID, VIEW_AD_CLICK, VIEW_ITEM_CLICK
-from .features import DEFAULT_BUCKETS, DEFAULT_WIDTH
+from .features import (DEFAULT_BUCKETS, DEFAULT_WIDTH, KIND_ID, KIND_NUMERIC, KIND_TERMS,
+                       FeatureManifest, FeatureSpec, save_manifest)
 from .graph import NodeType, Relation
-
-logger = logging.getLogger(__name__)
 
 BRANDS_PER_CLUSTER = 3
 SHOP_VOCAB = 200
@@ -34,7 +32,6 @@ class GenStats:
     targets: dict = field(default_factory=dict)          # view -> target pair count
     labels: dict = field(default_factory=dict)
     cold_ads: list = field(default_factory=list)
-    clamped: bool = False
 
 
 def _heavy_counts(rng, n, cap=100, alpha=1.3):
@@ -51,11 +48,7 @@ def _sample_relation(rng, cfg, density, src_clusters, dst_clusters, stats_key, s
     """Distinct (src, dst) pairs: intra-cluster quota plus uniform noise."""
     n_src, n_dst = len(src_clusters), len(dst_clusters)
     total_pairs = n_src * n_dst
-    n_edges = int(round(density * total_pairs))
-    if n_edges > total_pairs:
-        logger.warning("density %.3f for %s exceeds complete graph; clamped", density, stats_key)
-        stats.clamped = True
-        n_edges = total_pairs
+    n_edges = int(round(density * total_pairs))  # density <= 1, so at most every pair
     n_noise = int(round(n_edges * cfg.noise_edge_frac))
     n_intra = n_edges - n_noise
 
@@ -273,29 +266,20 @@ def generate(cfg: SynthConfig, out_dir) -> tuple:
             for a, q in pairs:
                 fh.write(f"{view}\t{a}\t{q}\n")
 
-    with open(paths["features"], "w", encoding="utf-8") as fh:
-        fh.write("# node_type\tfeature\tkind\tsize\twidth\n")
-        w, b = DEFAULT_WIDTH, DEFAULT_BUCKETS
-        rows = [
-            ("ad", "ad_id", "id", cfg.ads, w),
-            ("ad", "terms", "terms", cfg.term_vocab, w),
-            ("ad", "category_path", "id", cfg.categories, w),
-            ("ad", "brand", "id", BRANDS_PER_CLUSTER * cfg.clusters, w),
-            ("ad", "shop", "id", SHOP_VOCAB, w),
-            ("keyword", "kw_id", "id", cfg.keywords, w),
-            ("keyword", "terms", "terms", cfg.term_vocab, w),
-            ("keyword", "pred_category", "id", cfg.categories, w),
-            ("keyword", "bid_price", "numeric", b, w),
-            ("keyword", "bid_count", "numeric", b, w),
-            ("keyword", "inshop_count", "numeric", b, w),
-            ("item", "item_id", "id", cfg.items, w),
-            ("item", "terms", "terms", cfg.term_vocab, w),
-            ("item", "category_path", "id", cfg.categories, w),
-            ("item", "brand", "id", BRANDS_PER_CLUSTER * cfg.clusters, w),
-            ("item", "shop", "id", SHOP_VOCAB, w),
-        ]
-        for row in rows:
-            fh.write("\t".join(str(x) for x in row) + "\n")
+    w, b = DEFAULT_WIDTH, DEFAULT_BUCKETS
+    brand = FeatureSpec("brand", KIND_ID, BRANDS_PER_CLUSTER * cfg.clusters, w)
+    shop = FeatureSpec("shop", KIND_ID, SHOP_VOCAB, w)
+    terms = FeatureSpec("terms", KIND_TERMS, cfg.term_vocab, w)
+    category_path = FeatureSpec("category_path", KIND_ID, cfg.categories, w)
+    save_manifest(FeatureManifest({
+        NodeType.AD: [FeatureSpec("ad_id", KIND_ID, cfg.ads, w), terms, category_path, brand, shop],
+        NodeType.KEYWORD: [
+            FeatureSpec("kw_id", KIND_ID, cfg.keywords, w), terms,
+            FeatureSpec("pred_category", KIND_ID, cfg.categories, w),
+            *(FeatureSpec(n, KIND_NUMERIC, b, w) for n in ("bid_price", "bid_count", "inshop_count")),
+        ],
+        NodeType.ITEM: [FeatureSpec("item_id", KIND_ID, cfg.items, w), terms, category_path, brand, shop],
+    }), paths["features"])
 
     # leakage guard: held-out targets must not survive as graph edges
     assert not (set(click_targets) & set(click))

@@ -27,14 +27,6 @@ from .model import AD_TOWER, KW_TOWER, ForwardPlan, MatchingModel, build_plan
 from .sampling import CategoryIndex, CategoryTooSmall
 
 
-def posterior(score_pos: float, score_negs, gamma: float) -> float:
-    """Softmax probability of the positive among positive + negatives."""
-    logits = gamma * np.array([score_pos, *score_negs], dtype=np.float64)
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return float(e[0] / e.sum())
-
-
 @dataclass(frozen=True)
 class TrainingPair:
     ad: int
@@ -78,11 +70,7 @@ def loss_from_forward(model: MatchingModel, fwd, pairs) -> Tensor:
             rows = np.searchsorted(kw_ids, neg_mat[:, j])
             cols.append((Za * ad.gather(Zk, rows)).sum(axis=1, keepdims=True))
         scores = ad.concat_cols(cols) * gamma
-        lse = ad.logsumexp_rows(scores)
-        if model.cfg.raw_prob_loss:
-            contrib = -ad.exp(pos * gamma - lse).sum()
-        else:
-            contrib = (lse - pos * gamma).sum()
+        contrib = (ad.logsumexp_rows(scores) - pos * gamma).sum()
         total = contrib if total is None else total + contrib
     if total is None:
         raise DataError("batch contains no pairs for the active views")

@@ -1,19 +1,28 @@
 """Independent reference implementations used as test oracles.
 
-Almost everything here recomputes results node by node with the plain
-single-node ops (or raw numpy), never touching the batched executor or its
-plans; `naive_plan` fills the plan containers from per-node neighbor
-queries. `gather_segment_sum_execute` is the exception: it runs a plan
-with the executor's layer helpers, pooling in two ops, as a bitwise
-reference for the fused pooling.
+The model's layers written node by node in plain numpy (`conv_layer`,
+`sage_layer`, `semantic_fuse`, `siamese_embed`, `view_transform`), the
+contrastive `posterior` and the `influential_neighbors` query live here,
+next to `naive_node_embedding`, which chains them over per-node neighbor
+queries for one node's full forward pass. `node_embedding` reads one
+root's intermediate embeddings off a batched forward result, so tests can
+compare the two node by node.
+
+Almost everything here recomputes results without touching the batched
+executor or its plans; `naive_plan` fills the plan containers from
+per-node neighbor queries. `gather_segment_sum_execute` is the exception:
+it runs a plan with the executor's layer helpers, pooling in two ops, as a
+bitwise reference for the fused pooling.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from hgmatch import autodiff as ad
 from hgmatch.autodiff import Pooling, Tensor
 from hgmatch.features import KIND_TERMS
-from hgmatch.graph import NodeRef, NodeType
+from hgmatch.graph import NodeRef, NodeType, Relation, other_endpoint
 from hgmatch.model import (
     AD_TOWER,
     KW_TOWER,
@@ -25,13 +34,104 @@ from hgmatch.model import (
     TowerForward,
     TowerPlan,
     active_paths,
-    conv_layer,
-    sage_layer,
-    semantic_fuse,
-    siamese_embed,
-    view_transform,
 )
 
+
+# --- the layers for one node -------------------------------------------------
+
+def conv_layer(h_self, neighbor_vecs, W, b, V, U):
+    """sigma(W.h + b + U.sigma(V.n)) with n = sum of neighbors (0 if none)."""
+    h_self = np.asarray(h_self, dtype=np.float64)
+    n = np.zeros_like(h_self)
+    for v in neighbor_vecs:
+        n = n + np.asarray(v, dtype=np.float64)
+    out = h_self @ W + b + np.maximum(n @ V, 0.0) @ U
+    return np.maximum(out, 0.0)
+
+
+def sage_layer(h_self, neighbor_vecs, Ws, b):
+    """sigma(concat(h, mean-of-neighbors) @ Ws + b)."""
+    h_self = np.asarray(h_self, dtype=np.float64)
+    if neighbor_vecs:
+        mean = np.mean([np.asarray(v, dtype=np.float64) for v in neighbor_vecs], axis=0)
+    else:
+        mean = np.zeros_like(h_self)
+    return np.maximum(np.concatenate([h_self, mean]) @ Ws + b, 0.0)
+
+
+def semantic_fuse(per_path, att_vec):
+    """Softmax-weighted sum of per-metapath embeddings; returns (fused, weights)."""
+    if not per_path:
+        raise ValueError("semantic_fuse needs at least one metapath embedding")
+    names = [n for n, _ in per_path]
+    H = np.stack([np.asarray(h, dtype=np.float64) for _, h in per_path])
+    logits = H @ np.asarray(att_vec, dtype=np.float64).reshape(-1)
+    e = np.exp(logits - logits.max())
+    w = e / e.sum()
+    return (w[:, None] * H).sum(axis=0), dict(zip(names, w))
+
+
+def siamese_embed(h_tilde, neighbor_fused):
+    """z = h + mean of influential neighbors' fused embeddings (h alone if none)."""
+    h_tilde = np.asarray(h_tilde, dtype=np.float64)
+    if not neighbor_fused:
+        return h_tilde.copy()
+    return h_tilde + np.mean([np.asarray(v) for v in neighbor_fused], axis=0)
+
+
+def view_transform(z, W1, b1, W2, b2):
+    return np.maximum(np.asarray(z, dtype=np.float64) @ W1 + b1, 0.0) @ W2 + b2
+
+
+def posterior(score_pos: float, score_negs, gamma: float) -> float:
+    """Softmax probability of the positive among positive + negatives."""
+    logits = gamma * np.array([score_pos, *score_negs], dtype=np.float64)
+    e = np.exp(logits - logits.max())
+    return float(e[0] / e.sum())
+
+
+def influential_neighbors(graph, ref, kappa):
+    """Top-kappa cross-type neighbors by bid-edge weight (ads <-> keywords);
+    ValueError for an item."""
+    other = other_endpoint(Relation.AD_BID_KW, ref.node_type)
+    ids, _ = graph.neighbors(ref, Relation.AD_BID_KW, kappa)
+    return [NodeRef(other, int(i)) for i in ids]
+
+
+@dataclass
+class TowerEmbedding:
+    """All intermediate embeddings of one node, as plain arrays."""
+
+    ref: NodeRef
+    h: np.ndarray
+    per_path: dict
+    att_weights: dict
+    h_tilde: np.ndarray
+    z: np.ndarray
+    per_view: dict
+
+
+def node_embedding(fwd, ref) -> TowerEmbedding:
+    """One root's embeddings read off a batched forward result; KeyError if
+    `ref` is not a root of it."""
+    f = fwd.towers[AD_TOWER if ref.node_type == NodeType.AD else KW_TOWER]
+    row = int(np.searchsorted(f.plan.req_ids, ref.node_id))
+    if row == len(f.plan.req_ids) or f.plan.req_ids[row] != ref.node_id:
+        raise KeyError(f"{ref} is not a root of this forward pass")
+    all_row = int(f.plan.req_rows[row])
+    att = {} if f.att_weights is None else dict(zip(f.path_names, f.att_weights[all_row]))
+    return TowerEmbedding(
+        ref=ref,
+        h=f.h0.data[all_row].copy(),
+        per_path={n: t.data[all_row].copy() for n, t in f.per_path.items()},
+        att_weights=att,
+        h_tilde=f.h_tilde.data[all_row].copy(),
+        z=f.z.data[row].copy(),
+        per_view={v: t.data[row].copy() for v, t in f.per_view.items()},
+    )
+
+
+# --- one node's forward pass -------------------------------------------------
 
 def naive_h0(model, ntype, node_id):
     layout = model.layouts[ntype]
@@ -91,7 +191,7 @@ def naive_fused(model, ref):
         for tp in active_paths(tower, model.variant.groups)
     ]
     att = model.params[f"att/{tower}"].data
-    return semantic_fuse(per_path, att, scale=model.cfg.attention_scale)
+    return semantic_fuse(per_path, att)
 
 
 def naive_node_embedding(model, ref):
@@ -99,7 +199,7 @@ def naive_node_embedding(model, ref):
     tower = AD_TOWER if ref.node_type == NodeType.AD else KW_TOWER
     h_tilde, att = naive_fused(model, ref)
     if model.variant.siamese:
-        nbrs = model.graph.influential_neighbors(ref, model.cfg.kappa)
+        nbrs = influential_neighbors(model.graph, ref, model.cfg.kappa)
         nbr_fused = [naive_fused(model, n)[0] for n in nbrs]
         z = siamese_embed(h_tilde, nbr_fused)
     else:
@@ -108,13 +208,10 @@ def naive_node_embedding(model, ref):
     per_view = {}
     for view in model.variant.views:
         base = f"view/{tower}/{view}"
-        out = view_transform(
+        per_view[view] = view_transform(
             z, p[f"{base}/W1"].data, p[f"{base}/b1"].data,
             p[f"{base}/W2"].data, p[f"{base}/b2"].data,
         )
-        if model.cfg.l2_normalize:
-            out = out / np.sqrt((out * out).sum() + 1e-12)
-        per_view[view] = out
     return h_tilde, att, z, per_view
 
 
@@ -184,7 +281,7 @@ def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
     if variant.siamese:
         for tower, req in req_ids.items():
             for i in req:
-                refs = graph.influential_neighbors(NodeRef(TOWER_TYPE[tower], int(i)), cfg.kappa)
+                refs = influential_neighbors(graph, NodeRef(TOWER_TYPE[tower], int(i)), cfg.kappa)
                 infl[tower][int(i)] = [r.node_id for r in refs]
     other = {AD_TOWER: KW_TOWER, KW_TOWER: AD_TOWER}
     all_ids = {}
@@ -288,7 +385,6 @@ def gather_segment_sum_execute(model, plan):
     """model.execute(plan) with every neighbor pooling done as a gather and
     a segment_sum, and every metapath level (the deepest too) gathered from
     h0 first: a bitwise reference for `ad.pool` inside the whole forward."""
-    d = model.cfg.d
     p = model.params
 
     def node_level_all(ntype):
@@ -308,13 +404,10 @@ def gather_segment_sum_execute(model, plan):
         hidden = ad.relu(x @ p[f"fusion/{t}/W1"] + p[f"fusion/{t}/b1"])
         return hidden @ p[f"fusion/{t}/W2"] + p[f"fusion/{t}/b2"]
 
-    def gather_rows(a, rows):
-        return ad.gather(a, rows) if len(rows) else Tensor(np.zeros((0, d)))
-
     def execute_path(pp, h0_by_type):
         chain = pp.path.type_chain()
         K = len(pp.path.steps)
-        states = [gather_rows(h0_by_type[t], rows) for t, rows in zip(chain, pp.level_rows)]
+        states = [model._rows(h0_by_type[t], rows) for t, rows in zip(chain, pp.level_rows)]
         # the deepest pool indexes h0 rows; map them back to level-K rows
         level_of = np.zeros(len(model.graph.ids_of[chain[K]]), dtype=np.int64)
         level_of[pp.level_rows[K]] = np.arange(len(pp.level_rows[K]))
@@ -341,18 +434,18 @@ def gather_segment_sum_execute(model, plan):
 
     towers = {}
     for tower, tp in plan.towers.items():
-        h0 = gather_rows(h0_by_type[TOWER_TYPE[tower]], tp.all_rows)
+        h0 = model._rows(h0_by_type[TOWER_TYPE[tower]], tp.all_rows)
         per_path, names, att_weights, h_tilde = {}, [], None, h0
         if model.variant.conv and tp.path_plans:
             outputs = [execute_path(pp, h0_by_type) for pp in tp.path_plans]
             names = [pp.path.name for pp in tp.path_plans]
             per_path = dict(zip(names, outputs))
-            h_tilde, w = model._fuse(tower, outputs, names)
+            h_tilde, w = model._fuse(tower, outputs)
             att_weights = w.data
         towers[tower] = TowerForward(tp, h0, per_path, att_weights, names, h_tilde, None, {})
     for tower, fwd in towers.items():
         tp = fwd.plan
-        z = gather_rows(fwd.h_tilde, tp.req_rows)
+        z = model._rows(fwd.h_tilde, tp.req_rows)
         if model.variant.siamese and len(tp.req_rows):
             other = towers[KW_TOWER if tower == AD_TOWER else AD_TOWER].h_tilde
             pl = tp.infl_pool

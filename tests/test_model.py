@@ -3,21 +3,19 @@ import pytest
 from hgmatch import autodiff as ad
 from hgmatch.config import TrainConfig, VARIANTS
 from hgmatch.graph import NodeRef, NodeType
-from hgmatch.model import (
-    AD_TOWER,
-    KW_TOWER,
-    active_paths,
-    build_plan,
+from hgmatch.model import AD_TOWER, KW_TOWER, active_paths, tower_paths
+from hgmatch.pipeline import build_model
+
+from oracles import (
     conv_layer,
+    naive_h0,
+    naive_node_embedding,
+    node_embedding,
     sage_layer,
     semantic_fuse,
     siamese_embed,
-    tower_paths,
     view_transform,
 )
-from hgmatch.pipeline import build_model
-
-from oracles import naive_node_embedding, naive_h0
 
 
 def test_conv_layer_scalar_hand_forward():
@@ -135,9 +133,9 @@ def test_memoized_forward_matches_naive(tiny_model):
     ads = [int(i) for i in graph.ids_of[NodeType.AD][:12]]
     kws = [int(i) for i in graph.ids_of[NodeType.KEYWORD][:15]]
     refs = [NodeRef(NodeType.AD, a) for a in ads] + [NodeRef(NodeType.KEYWORD, q) for q in kws]
-    fwd = tiny_model.memoized_forward(refs)
+    fwd = tiny_model.forward(ads, kws)
     for ref in refs:
-        got = fwd.node(ref)
+        got = node_embedding(fwd, ref)
         h_tilde, att, z, per_view = naive_node_embedding(tiny_model, ref)
         assert np.allclose(got.h, naive_h0(tiny_model, ref.node_type, ref.node_id), atol=1e-12)
         rel = np.abs(got.h_tilde - h_tilde) / np.maximum(np.abs(h_tilde), 1e-9)
@@ -151,9 +149,9 @@ def test_memoized_forward_matches_naive(tiny_model):
 
 def test_memoized_forward_single_node_equals_naive(tiny_model):
     ref = NodeRef(NodeType.AD, int(tiny_model.graph.ids_of[NodeType.AD][0]))
-    fwd = tiny_model.memoized_forward([ref])
+    fwd = tiny_model.forward([ref.node_id], [])
     _, _, z, per_view = naive_node_embedding(tiny_model, ref)
-    assert np.allclose(fwd.node(ref).z, z, rtol=1e-6, atol=1e-9)
+    assert np.allclose(node_embedding(fwd, ref).z, z, rtol=1e-6, atol=1e-9)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -174,16 +172,16 @@ def test_no_grad_forward_equals_taped_forward(tiny_dataset, variant):
 
 def test_node_of_a_non_root_raises(tiny_model):
     ads = tiny_model.graph.ids_of[NodeType.AD]
-    fwd = tiny_model.memoized_forward([NodeRef(NodeType.AD, int(ads[0]))])
+    fwd = tiny_model.forward([int(ads[0])], [])
     for missing in (int(ads[1]), int(ads[-1]) + 1):
         with pytest.raises(KeyError):
-            fwd.node(NodeRef(NodeType.AD, missing))
+            node_embedding(fwd, NodeRef(NodeType.AD, missing))
 
 
 def test_cache_hits_when_ads_share_neighbors(tiny_model):
     graph = tiny_model.graph
     ads = [int(i) for i in graph.ids_of[NodeType.AD][:20]]
-    fwd = tiny_model.memoized_forward([NodeRef(NodeType.AD, a) for a in ads])
+    fwd = tiny_model.forward(ads, [])
     assert fwd.cache.hits > 0
     assert fwd.cache.misses > 0
 
@@ -216,16 +214,14 @@ def test_cache_hits_count_shared_pairs():
     params = init_params(manifest, cfg, variant, {t: active_paths(t, "all") for t in ("ad", "kw")},
                          np.random.default_rng(0))
     model = MatchingModel(g, layouts, manifest, params, cfg, variant)
-    fwd = model.memoized_forward([NodeRef(NodeType.AD, 1), NodeRef(NodeType.AD, 2)])
+    fwd = model.forward([1, 2], [])
     # ad 2 re-requests the 3 shared keywords on both a->q->a paths at hop 1
     assert fwd.cache.hits >= 6
 
 
 def test_attention_weights_sum_to_one(tiny_model):
     graph = tiny_model.graph
-    refs = [NodeRef(NodeType.AD, int(a)) for a in graph.ids_of[NodeType.AD]]
-    refs += [NodeRef(NodeType.KEYWORD, int(q)) for q in graph.ids_of[NodeType.KEYWORD]]
-    fwd = tiny_model.memoized_forward(refs)
+    fwd = tiny_model.forward(graph.ids_of[NodeType.AD], graph.ids_of[NodeType.KEYWORD])
     for tower in (AD_TOWER, KW_TOWER):
         w = fwd.towers[tower].att_weights
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-6
@@ -235,9 +231,9 @@ def test_attention_weights_sum_to_one(tiny_model):
 def test_attention_shift_invariance(tiny_model):
     # adding a constant to every logit must not change the weights
     ref = NodeRef(NodeType.AD, int(tiny_model.graph.ids_of[NodeType.AD][0]))
-    fwd = tiny_model.memoized_forward([ref])
-    base = fwd.node(ref).att_weights
-    per_path = [(n, fwd.node(ref).per_path[n]) for n in sorted(base)]
+    node = node_embedding(tiny_model.forward([ref.node_id], []), ref)
+    base = node.att_weights
+    per_path = [(n, node.per_path[n]) for n in sorted(base)]
     att = tiny_model.params["att/ad"].data.reshape(-1)
     logits = {n: h @ att for n, h in per_path}
     shifted = np.array([logits[n] + 7.5 for n in sorted(base)])
@@ -251,8 +247,7 @@ def test_dssm_variant_bypasses_conv(tiny_dataset):
     cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
     model = build_model(tiny_dataset, cfg, VARIANTS["dssm"])
     ref = NodeRef(NodeType.AD, int(tiny_dataset.graph.ids_of[NodeType.AD][0]))
-    fwd = model.memoized_forward([ref])
-    node = fwd.node(ref)
+    node = node_embedding(model.forward([ref.node_id], []), ref)
     assert np.allclose(node.z, node.h)  # no conv, no attention, no siamese
     assert node.per_path == {} and node.att_weights == {}
 
@@ -261,7 +256,7 @@ def test_no_siamese_variant(tiny_dataset):
     cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
     model = build_model(tiny_dataset, cfg, VARIANTS["no_siamese"])
     ref = NodeRef(NodeType.AD, int(tiny_dataset.graph.ids_of[NodeType.AD][0]))
-    node = model.memoized_forward([ref]).node(ref)
+    node = node_embedding(model.forward([ref.node_id], []), ref)
     assert np.allclose(node.z, node.h_tilde)
 
 
@@ -270,10 +265,10 @@ def test_sage_variant_matches_naive(tiny_dataset):
     model = build_model(tiny_dataset, cfg, VARIANTS["sage"])
     graph = tiny_dataset.graph
     refs = [NodeRef(NodeType.AD, int(a)) for a in graph.ids_of[NodeType.AD][:6]]
-    fwd = model.memoized_forward(refs)
+    fwd = model.forward([r.node_id for r in refs], [])
     for ref in refs:
         _, _, z, per_view = naive_node_embedding(model, ref)
-        assert np.allclose(fwd.node(ref).z, z, rtol=1e-6, atol=1e-9)
+        assert np.allclose(node_embedding(fwd, ref).z, z, rtol=1e-6, atol=1e-9)
 
 
 def test_group_variants_restrict_paths(tiny_dataset):
@@ -281,7 +276,7 @@ def test_group_variants_restrict_paths(tiny_dataset):
     for group, n_paths in (("bid_only", 2), ("item_only", 1)):
         model = build_model(tiny_dataset, cfg, VARIANTS[group])
         ref = NodeRef(NodeType.AD, int(tiny_dataset.graph.ids_of[NodeType.AD][0]))
-        node = model.memoized_forward([ref]).node(ref)
+        node = node_embedding(model.forward([ref.node_id], []), ref)
         assert len(node.per_path) == n_paths
 
 
@@ -305,7 +300,7 @@ def test_isolated_node_tower_collapses_to_nested_self(tiny_dataset):
                          np.random.default_rng((11, 31)))
     model = MatchingModel(g, layouts, base.manifest, params, cfg, variant)
     a = int(g.ids_of[NodeType.AD][0])
-    node = model.memoized_forward([NodeRef(NodeType.AD, a)]).node(NodeRef(NodeType.AD, a))
+    node = node_embedding(model.forward([a], []), NodeRef(NodeType.AD, a))
     h0 = naive_h0(model, NodeType.AD, a)
     for tp in active_paths(AD_TOWER, "all"):
         h = h0
@@ -355,9 +350,9 @@ def test_tower_symmetry_mirrored_parameters():
                 params[dst].data[...] = params[src].data
     params["att/kw"].data[...] = params["att/ad"].data
     model = MatchingModel(g, layouts, manifest, params, cfg, variant)
-    fwd = model.memoized_forward([NodeRef(NodeType.AD, 1), NodeRef(NodeType.KEYWORD, 1)])
-    za = fwd.node(NodeRef(NodeType.AD, 1)).z
-    zq = fwd.node(NodeRef(NodeType.KEYWORD, 1)).z
+    fwd = model.forward([1], [1])
+    za = node_embedding(fwd, NodeRef(NodeType.AD, 1)).z
+    zq = node_embedding(fwd, NodeRef(NodeType.KEYWORD, 1)).z
     # the bid-group paths mirror exactly; the item paths see no edges so both
     # towers collapse identically as well
     assert np.allclose(za, zq, atol=1e-10)

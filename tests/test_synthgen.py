@@ -58,9 +58,9 @@ def test_cold_ads_have_bids_but_no_clicks(tmp_path):
     assert stats.cold_ads
     for a in stats.cold_ads:
         ref = NodeRef(NodeType.AD, a)
-        assert g.degree(ref, Relation.AD_CLICK_KW) == 0
-        assert g.degree(ref, Relation.AD_COCLICK_ITEM) == 0
-        assert g.degree(ref, Relation.AD_BID_KW) > 0
+        assert len(g.neighbors(ref, Relation.AD_CLICK_KW)[0]) == 0
+        assert len(g.neighbors(ref, Relation.AD_COCLICK_ITEM)[0]) == 0
+        assert len(g.neighbors(ref, Relation.AD_BID_KW)[0]) > 0
 
 
 def test_cold_ads_have_click_targets(tmp_path):
@@ -102,14 +102,6 @@ def test_categories_partition_and_sizes(tmp_path):
         cats.setdefault(rec.category_id, 0)
         cats[rec.category_id] += 1
     assert sum(cats.values()) == 240
-
-
-def test_density_clamped_with_warning(tmp_path):
-    cfg = SynthConfig(ads=10, keywords=10, items=5, categories=2, clusters=2,
-                      density_ad_click_kw=5.0, labels_per_view=10, seed=0)
-    _, stats = generate(cfg, tmp_path / "d")
-    assert stats.clamped
-    assert stats.generated_edges["ad_click_kw"] <= 100
 
 
 def test_searched_counts_positive_for_keywords(tmp_path):

@@ -21,10 +21,9 @@ from hgmatch.trainer import (
     build_training_pairs,
     grad_check,
     loss_from_forward,
-    posterior,
     relative_error,
 )
-from oracles import gather_segment_sum_execute
+from oracles import gather_segment_sum_execute, node_embedding, posterior
 
 
 def test_posterior_equal_scores_is_uniform():
@@ -124,11 +123,11 @@ def test_batch_loss_matches_posterior_oracle(tiny_dataset):
     for p in pairs:
         from hgmatch.graph import NodeRef
 
-        za = fwd.node(NodeRef(NodeType.AD, p.ad)).per_view[p.view]
-        zq = fwd.node(NodeRef(NodeType.KEYWORD, p.positive_kw)).per_view[p.view]
+        za = node_embedding(fwd, NodeRef(NodeType.AD, p.ad)).per_view[p.view]
+        zq = node_embedding(fwd, NodeRef(NodeType.KEYWORD, p.positive_kw)).per_view[p.view]
         s_pos = float(za @ zq)
         s_negs = [
-            float(za @ fwd.node(NodeRef(NodeType.KEYWORD, n)).per_view[p.view])
+            float(za @ node_embedding(fwd, NodeRef(NodeType.KEYWORD, n)).per_view[p.view])
             for n in p.negatives
         ]
         want -= np.log(posterior(s_pos, s_negs, cfg.gamma))
