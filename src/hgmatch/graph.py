@@ -1,9 +1,9 @@
 """Typed weighted heterogeneous graph: ingestion and neighbor queries.
 
 The graph is built once from edge/node files and then frozen. Every
-relation is indexed from both endpoints as a CSR table whose rows are
-sorted by descending weight (ties: ascending node id), and all query
-methods are read-only, so concurrent lookups are safe.
+relation is indexed from both endpoints as a CSR table of neighbor rows,
+each row sorted by descending weight (ties: ascending node id), and all
+query methods are read-only, so concurrent lookups are safe.
 """
 
 from __future__ import annotations
@@ -115,9 +115,10 @@ def lookup_rows(known: np.ndarray, ids, missing: str) -> np.ndarray:
 class HeteroGraph:
     """Frozen typed graph with one CSR table per (relation, side).
 
-    Rows of a table are the side's node ids in ascending order (`ids_of`);
-    each row lists that node's neighbors by descending weight, ties by
-    ascending id, so top-m is a prefix of the row.
+    A node's row is its index in the ascending `ids_of` of its type. Row r
+    of a table lists r's neighbors as rows of the other type, by
+    descending weight, ties by ascending id, so top-m is a prefix of the
+    row and a hop is index arithmetic with no id lookup.
     """
 
     def __init__(self, nodes):
@@ -126,7 +127,7 @@ class HeteroGraph:
         self.ids_of = {
             t: np.array(sorted(recs.keys()), dtype=np.int64) for t, recs in nodes.items()
         }
-        # {(Relation, NodeType): (indptr, neighbor ids, weights)}, filled by ingest
+        # {(Relation, NodeType): (indptr, neighbor rows, weights)}, filled by ingest
         self._csr = {}
 
     def num_nodes(self, node_type: NodeType) -> int:
@@ -136,13 +137,14 @@ class HeteroGraph:
         """Rows of `ids` in ids_of[node_type]; DataError for an id not in the graph."""
         return lookup_rows(self.ids_of[node_type], ids, f"unknown {node_type.value} id")
 
-    def expand(self, node_type: NodeType, ids, relation: Relation, m=None):
-        """Top-m neighbors of every node in `ids` under relation, row after row.
+    def expand_rows(self, node_type: NodeType, rows, relation: Relation, m=None):
+        """Top-m neighbors of every node row in `rows` under relation, row
+        after row.
 
-        Returns (neighbor ids, index into `ids` of each neighbor's parent,
-        neighbor count per entry of `ids`).
+        Returns (neighbor rows in the other type's `ids_of`, index into
+        `rows` of each neighbor's parent, neighbor count per entry of `rows`).
         """
-        rows = self.rows(node_type, ids)
+        rows = np.asarray(rows, dtype=np.int64)
         table = self._csr.get((relation, node_type))
         if table is None:
             return np.empty(0, np.int64), np.empty(0, np.int64), np.zeros(len(rows), np.int64)
@@ -152,8 +154,18 @@ class HeteroGraph:
         if m is not None:
             counts = np.minimum(counts, m)
         parents = np.repeat(np.arange(len(rows)), counts)
-        offsets = np.arange(len(parents)) - np.repeat(np.cumsum(counts) - counts, counts)
-        return nbrs[start[parents] + offsets], parents, counts
+        # entry i of parent p sits at start[p] + (i - first entry of p)
+        idx = np.repeat(start - np.cumsum(counts) + counts, counts)
+        idx += np.arange(len(idx))
+        return nbrs[idx], parents, counts
+
+    def expand(self, node_type: NodeType, ids, relation: Relation, m=None):
+        """`expand_rows` over node ids: returns (neighbor ids, index into
+        `ids` of each neighbor's parent, neighbor count per entry of `ids`)."""
+        nbrs, parents, counts = self.expand_rows(
+            node_type, self.rows(node_type, ids), relation, m
+        )
+        return self.ids_of[other_endpoint(relation, node_type)][nbrs], parents, counts
 
     def neighbors(self, ref: NodeRef, relation: Relation, m=None):
         """Top-m neighbors of ref under relation, by descending edge weight.
@@ -170,19 +182,22 @@ class HeteroGraph:
         lo, hi = indptr[row], indptr[row + 1]
         if m is not None:
             hi = min(hi, lo + m)
-        return nbrs[lo:hi], weights[lo:hi]
+        ids = self.ids_of[other_endpoint(relation, ref.node_type)][nbrs[lo:hi]]
+        ids.flags.writeable = False
+        return ids, weights[lo:hi]
 
     def edge_count(self, relation: Relation) -> int:
         """Distinct edges of one relation (counted from the source side)."""
         return len(self._csr[(relation, RELATION_SCHEMA[relation][0])][1])
 
 
-def _csr_table(n_rows, rows, nbr_ids, weights):
-    """Sort merged edges into one read-only CSR table over n_rows rows."""
-    order = np.lexsort((nbr_ids, -weights, rows))
+def _csr_table(n_rows, rows, nbr_rows, weights):
+    """Sort merged edges into one read-only CSR table over n_rows rows
+    (rows ascend with ids, so ties by row are ties by id)."""
+    order = np.lexsort((nbr_rows, -weights, rows))
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    table = (indptr, nbr_ids[order], weights[order])
+    table = (indptr, nbr_rows[order], weights[order])
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -234,12 +249,8 @@ def ingest(edge_records, node_records) -> HeteroGraph:
         merged = np.zeros(len(keys))
         np.add.at(merged, inverse, np.asarray(weights, dtype=np.float64))
         src_rows, dst_rows = keys // n_dst, keys % n_dst
-        graph._csr[(rel, src_t)] = _csr_table(
-            graph.num_nodes(src_t), src_rows, graph.ids_of[dst_t][dst_rows], merged
-        )
-        graph._csr[(rel, dst_t)] = _csr_table(
-            graph.num_nodes(dst_t), dst_rows, graph.ids_of[src_t][src_rows], merged
-        )
+        graph._csr[(rel, src_t)] = _csr_table(graph.num_nodes(src_t), src_rows, dst_rows, merged)
+        graph._csr[(rel, dst_t)] = _csr_table(graph.num_nodes(dst_t), dst_rows, src_rows, merged)
     return graph
 
 

@@ -5,11 +5,13 @@ at which depth of which metapath, with child linkage) and an execution
 (vectorized autodiff ops over the plan's index arrays). The plan builder
 keeps a per-call cache keyed by (metapath, depth, node), so every distinct
 intermediate embedding is computed exactly once no matter how many tree
-branches reach it; plans depend only on the frozen graph and can be
-reused across training steps. Every neighbor sum (a metapath hop's
-children, the influential neighbors, and the term embeddings of the
-feature layout) is an `ad.Pooling` built once with its plan: one sparse
-product per step, with no gathered copy of the neighbor rows.
+branches reach it. A plan walks graph rows, never ids, and deduplicates
+each level without a sort, so it is cheap enough to build for every
+training batch from that batch's own roots. Every neighbor sum (a
+metapath hop's children, the influential neighbors, and the term
+embeddings of the feature layout) is an `ad.Pooling` built once with its
+plan: one sparse product per pass, with no gathered copy of the neighbor
+rows.
 
 Per metapath of length K, a node at depth j carries hidden states for
 layers 0..K-j: layer k of node u combines u's own layer k-1 state with
@@ -113,33 +115,42 @@ class ForwardPlan:
     cache: CacheStats
 
 
+def _first_seen(rows, n):
+    """The distinct entries of `rows` (each in [0, n)) in first-seen order,
+    and each entry's index among them; no sort of `rows`."""
+    first = np.full(n, len(rows))
+    np.minimum.at(first, rows, np.arange(len(rows)))
+    distinct = rows[first[rows] == np.arange(len(rows))]
+    rank = np.empty(n, dtype=np.int64)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank[rows]
+
+
 def _build_path_plan(graph, roots, path, m, stats: CacheStats) -> PathPlan:
-    """Each level holds its distinct nodes in first-seen order."""
+    """Each level holds its distinct nodes in first-seen order; `roots` and
+    every hop are rows of the graph's ids_of."""
     chain = path.type_chain()
-    level_ids = [roots]
+    level_rows = [roots]
     child_flat, child_segs, child_counts = [], [], []
     stats.misses += len(roots)
     for depth, rel in enumerate(path.steps):
-        nbrs, segs, counts = graph.expand(chain[depth], level_ids[depth], rel, m)
-        uniq, first, inverse = np.unique(nbrs, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        stats.misses += len(uniq)
-        stats.hits += len(nbrs) - len(uniq)
-        level_ids.append(uniq[order])
-        child_flat.append(rank[inverse])
+        nbrs, segs, counts = graph.expand_rows(chain[depth], level_rows[depth], rel, m)
+        distinct, flat = _first_seen(nbrs, len(graph.ids_of[chain[depth + 1]]))
+        stats.misses += len(distinct)
+        stats.hits += len(nbrs) - len(distinct)
+        level_rows.append(distinct)
+        child_flat.append(flat)
         child_segs.append(segs)
         child_counts.append(counts.astype(np.float64))
-    level_rows = [graph.rows(t, ids) for t, ids in zip(chain, level_ids)]
+    level_ids = [graph.ids_of[t][rows] for t, rows in zip(chain, level_rows)]
     K = len(path.steps)
     pools = []
     for j in range(K):
         if j < K - 1:
-            src, n_in = child_flat[j], len(level_ids[j + 1])
+            src, n_in = child_flat[j], len(level_rows[j + 1])
         else:  # the deepest pool reads h0 rows (see PathPlan)
             src, n_in = level_rows[K][child_flat[j]], len(graph.ids_of[chain[K]])
-        pools.append(ad.Pooling(src, child_segs[j], len(level_ids[j]), n_in))
+        pools.append(ad.Pooling(src, child_segs[j], len(level_rows[j]), n_in))
     return PathPlan(path, level_ids, level_rows, pools, child_counts)
 
 
@@ -150,38 +161,43 @@ def build_plan(
     cfg: TrainConfig,
     variant: VariantSpec,
 ) -> ForwardPlan:
-    """Plan a forward pass for the given roots; DataError for an id not in the graph."""
+    """Plan a forward pass for the given roots; DataError for an id not in the graph.
+
+    The walk runs on graph rows, so its cost follows the roots and their
+    neighborhoods, not the size of the graph.
+    """
     stats = CacheStats()
     other = {AD_TOWER: KW_TOWER, KW_TOWER: AD_TOWER}
     req_ids = {
         AD_TOWER: np.unique(np.asarray(ad_ids, dtype=np.int64)),
         KW_TOWER: np.unique(np.asarray(kw_ids, dtype=np.int64)),
     }
-    # influential neighbors: (ids, row in req_ids, count per req row); none without Siamese
+    req_rows = {t: graph.rows(TOWER_TYPE[t], ids) for t, ids in req_ids.items()}
+    # influential neighbors: (rows, row in req_ids, count per req row); none without Siamese
     kappa = cfg.kappa if variant.siamese else 0
     infl = {
-        t: graph.expand(TOWER_TYPE[t], req, Relation.AD_BID_KW, kappa)
-        for t, req in req_ids.items()
+        t: graph.expand_rows(TOWER_TYPE[t], rows, Relation.AD_BID_KW, kappa)
+        for t, rows in req_rows.items()
     }
-    all_ids = {t: np.union1d(req_ids[t], infl[other[t]][0]) for t in req_ids}
+    all_rows = {t: np.union1d(req_rows[t], infl[other[t]][0]) for t in req_rows}
 
     towers = {}
-    for tower, ids in all_ids.items():
+    for tower, rows in all_rows.items():
         plans = []
-        if variant.conv and len(ids):
+        if variant.conv and len(rows):
             for tp in active_paths(tower, variant.groups):
-                plans.append(_build_path_plan(graph, ids, tp.path, cfg.m, stats))
+                plans.append(_build_path_plan(graph, rows, tp.path, cfg.m, stats))
         nbrs, segs, counts = infl[tower]
         towers[tower] = TowerPlan(
             tower=tower,
-            all_ids=ids,
-            all_rows=graph.rows(TOWER_TYPE[tower], ids),
+            all_ids=graph.ids_of[TOWER_TYPE[tower]][rows],
+            all_rows=rows,
             req_ids=req_ids[tower],
-            req_rows=np.searchsorted(ids, req_ids[tower]),
+            req_rows=np.searchsorted(rows, req_rows[tower]),
             path_plans=plans,
             infl_pool=ad.Pooling(
-                np.searchsorted(all_ids[other[tower]], nbrs), segs,
-                len(req_ids[tower]), len(all_ids[other[tower]]),
+                np.searchsorted(all_rows[other[tower]], nbrs), segs,
+                len(req_ids[tower]), len(all_rows[other[tower]]),
             ),
             infl_counts=counts.astype(np.float64),
         )

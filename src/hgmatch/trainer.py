@@ -6,10 +6,13 @@ log posterior. Negatives are resampled every epoch from an epoch-indexed
 seed, all shuffling comes from the run seed, and gradient reductions are
 scatter-adds done as one-hot CSR products that add in source order (not
 np.add.at, whose order they keep), so a (seed, data, config) triple fixes
-the loss trajectory bit for bit. The one full-graph plan the trainer
-reuses every step carries its neighbor poolings with their CSR matrices
-built, so no step rebuilds them. The finite-difference loss evaluations
-of `grad_check` run under `autodiff.no_grad()`, so they record no tape.
+the loss trajectory bit for bit. Each step runs on a plan built from its
+batch's own roots (`batch_plan`: the distinct ads and the positive and
+negative keywords, plus what `build_plan` adds for them), so a step
+computes only the rows its loss reads and their neighborhoods, and its
+cost follows the batch rather than the graph. `grad_check` evaluates its
+loss on the same plan; its finite-difference loss evaluations run under
+`autodiff.no_grad()`, so they record no tape.
 """
 
 from __future__ import annotations
@@ -77,16 +80,11 @@ def loss_from_forward(model: MatchingModel, fwd, pairs) -> Tensor:
     return total
 
 
-def full_plan(model: MatchingModel) -> ForwardPlan:
-    """One plan over every ad and keyword of the model's graph."""
-    graph = model.graph
-    return build_plan(
-        graph,
-        graph.ids_of[NodeType.AD],
-        graph.ids_of[NodeType.KEYWORD],
-        model.cfg,
-        model.variant,
-    )
+def batch_plan(model: MatchingModel, pairs) -> ForwardPlan:
+    """The plan of a batch's roots: its distinct ads and its positive and
+    negative keywords."""
+    kw_ids = [kw for p in pairs for kw in (p.positive_kw, *p.negatives)]
+    return build_plan(model.graph, [p.ad for p in pairs], kw_ids, model.cfg, model.variant)
 
 
 class Adam:
@@ -138,11 +136,10 @@ class Trainer:
                 raise DataError(f"label references unknown ad {ad_id}")
             if kw_id not in graph.nodes[NodeType.KEYWORD]:
                 raise DataError(f"label references unknown keyword {kw_id}")
-        self.plan = full_plan(model)  # reused every step
         self.optimizer = Adam(model.params, model.cfg.learning_rate)
 
     def step(self, pairs) -> float:
-        fwd = self.model.execute(self.plan)
+        fwd = self.model.execute(batch_plan(self.model, pairs))
         loss = loss_from_forward(self.model, fwd, pairs)
         value = float(loss.data)
         if not np.isfinite(value):
@@ -195,7 +192,7 @@ def relative_error(a: float, n: float) -> float:
 
 def grad_check(model: MatchingModel, pairs, probe_count=200, eps=1e-4, seed=0) -> GradCheckReport:
     """Central finite differences vs backward() on randomly probed scalars."""
-    plan = full_plan(model)
+    plan = batch_plan(model, pairs)
 
     def loss_value() -> float:
         with ad.no_grad():

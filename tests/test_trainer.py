@@ -9,15 +9,17 @@ from hgmatch import autodiff as ad
 from hgmatch.autodiff import Tensor
 from hgmatch.config import TrainConfig, VARIANTS
 from hgmatch.errors import DataError, NumericError
-from hgmatch.graph import NodeType
-from hgmatch.model import MatchingModel
-from hgmatch.params import ModelParams
+from hgmatch.features import FeatureEncoder
+from hgmatch.graph import NodeRef, NodeType, Relation, ingest, iter_file_records, parse_edge_line
+from hgmatch.model import AD_TOWER, KW_TOWER, MatchingModel, active_paths, build_plan
+from hgmatch.params import ModelParams, init_params
 from hgmatch.pipeline import build_model, train_variant
 from hgmatch.trainer import (
     Adam,
     GradCheckReport,
     Trainer,
     TrainingPair,
+    batch_plan,
     build_training_pairs,
     grad_check,
     loss_from_forward,
@@ -258,7 +260,7 @@ def test_gradients_equal_gather_segment_sum_reference(tiny_dataset, variant):
 
     def loss_and_grads(execute, batch):
         model.params.zero_grads()
-        loss = loss_from_forward(model, execute(model, trainer.plan), batch)
+        loss = loss_from_forward(model, execute(model, batch_plan(model, batch)), batch)
         loss.backward()
         grads = {n: None if t.grad is None else t.grad.tobytes()
                  for n, t in model.params.tensors.items()}
@@ -269,6 +271,95 @@ def test_gradients_equal_gather_segment_sum_reference(tiny_dataset, variant):
         got = loss_and_grads(MatchingModel.execute, batch)
         assert got == loss_and_grads(gather_segment_sum_execute, batch)
         trainer.step(batch)
+
+
+def full_plan(model):
+    """A plan over every ad and keyword of the model's graph."""
+    graph = model.graph
+    return build_plan(graph, graph.ids_of[NodeType.AD], graph.ids_of[NodeType.KEYWORD],
+                      model.cfg, model.variant)
+
+
+def plan_loss_and_grads(model, plan, pairs):
+    model.params.zero_grads()
+    loss = loss_from_forward(model, model.execute(plan), pairs)
+    loss.backward()
+    grads = {n: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+             for n, t in model.params.tensors.items()}
+    model.params.zero_grads()
+    return float(loss.data), grads
+
+
+def assert_close_to_full_plan(model, pairs):
+    """Loss and every parameter gradient of the batch plan equal the
+    full-universe plan's within 1e-9 `relative_error`."""
+    got_loss, got = plan_loss_and_grads(model, batch_plan(model, pairs), pairs)
+    want_loss, want = plan_loss_and_grads(model, full_plan(model), pairs)
+    assert relative_error(got_loss, want_loss) <= 1e-9
+    for name, g in want.items():
+        scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(got[name])))
+        assert np.all(np.abs(got[name] - g) <= 1e-9 * scale), name
+    return got_loss
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_batch_plan_equals_full_plan(tiny_dataset, variant):
+    cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
+    model = build_model(tiny_dataset, cfg, VARIANTS[variant])
+    trainer = Trainer(model, tiny_dataset.cat_index, tiny_dataset.labels)
+    pairs, _ = build_training_pairs(trainer.labels, tiny_dataset.cat_index, cfg.negatives,
+                                    (cfg.seed, 101, 0))
+    for b0 in (0, 16):
+        batch = pairs[b0:b0 + 16]
+        assert_close_to_full_plan(model, batch)
+        trainer.step(batch)
+
+
+def test_batch_plan_edge_cases_and_step_roots(tiny_dataset, monkeypatch):
+    """An ad with no edges in any relation and a keyword with no influential
+    neighbors train like any other node; a step plans exactly its batch."""
+    base = tiny_dataset
+    edges = list(iter_file_records(base.paths["edges"], parse_edge_line))
+    lonely_ad = next(e.src_id for e in edges if e.src_type == NodeType.AD)
+    bidless_kw = next(e.dst_id for e in edges if e.relation == Relation.AD_BID_KW)
+    kept = [e for e in edges
+            if not (e.src_type == NodeType.AD and e.src_id == lonely_ad)
+            and not (e.relation == Relation.AD_BID_KW and e.dst_id == bidless_kw)]
+    records = [r for table in base.graph.nodes.values() for r in table.values()]
+    g = ingest(kept, records)
+    for rel in Relation:
+        assert not len(g.neighbors(NodeRef(NodeType.AD, lonely_ad), rel)[0])
+    assert not len(g.neighbors(NodeRef(NodeType.KEYWORD, bidless_kw), Relation.AD_BID_KW)[0])
+
+    cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
+    variant = VARIANTS["full"]
+    params = init_params(base.manifest, cfg, variant,
+                         {t: active_paths(t, "all") for t in (AD_TOWER, KW_TOWER)},
+                         np.random.default_rng((11, 31)))
+    layouts = FeatureEncoder(base.manifest, base.boundaries).encode_graph(g)
+    model = MatchingModel(g, layouts, base.manifest, params, cfg, variant)
+    trainer = Trainer(model, base.cat_index, base.labels)
+    kws = [int(k) for k in g.ids_of[NodeType.KEYWORD] if k != bidless_kw]
+    batch = [
+        TrainingPair(lonely_ad, bidless_kw, "ad_click", tuple(kws[:5])),
+        TrainingPair(lonely_ad, kws[5], "ad_bid", (bidless_kw, *kws[6:10])),
+        *make_pairs(base, cfg, n=6),
+    ]
+    want = assert_close_to_full_plan(model, batch)
+
+    plans = []
+
+    def spy(*args):
+        plans.append(build_plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr("hgmatch.trainer.build_plan", spy)
+    assert relative_error(trainer.step(batch), want) <= 1e-9
+    (plan,) = plans
+    ads = sorted({p.ad for p in batch})
+    kw_roots = sorted({k for p in batch for k in (p.positive_kw, *p.negatives)})
+    assert plan.towers[AD_TOWER].req_ids.tolist() == ads
+    assert plan.towers[KW_TOWER].req_ids.tolist() == kw_roots
 
 
 def test_negatives_resampled_per_epoch(tiny_dataset):
