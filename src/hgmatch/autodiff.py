@@ -4,13 +4,13 @@ Only the handful of ops the matching model needs: matmul, broadcast
 add/mul/div, relu, exp/log, reductions, row gather (embedding lookup),
 segment sum, neighbor pooling and column concat/slice. Gradients
 accumulate into `.grad` of tensors created with requires_grad=True.
-Scatter-adds (segment_sum forward, gather backward) are products with a
-one-hot CSR matrix, not np.add.at: each bucket adds its rows in source
-order starting from zero, which is np.add.at's order, so the sums are the
-same bit for bit and reproducible run to run. Neighbor pooling (`pool`)
-is a gather and a segment_sum fused: a `Pooling` holds the plan's index
-arrays and builds its two one-hot CSR matrices once, so each call is one
-sparse product forward and one backward, in that same order.
+Scatter-adds (segment_sum forward, gather backward) and neighbor pooling
+(`pool`, a gather and a segment_sum fused) are products with one-hot CSR
+matrices, not np.add.at. A `Pooling` is one such matrix, built with no
+sort from bucket-major index arrays; forward multiplies by it, backward by
+its transpose. Either product adds each entry into its bucket in ascending
+entry order, starting from zero: np.add.at's order, so the sums are the
+same bit for bit and reproducible run to run.
 Inference runs inside `no_grad()`: there every op returns a plain
 constant Tensor (no parents, no backward closure), so no tape is recorded
 and the arrays a backward would read are freed as soon as the forward
@@ -252,22 +252,10 @@ def _rows(idx, n):
     return idx
 
 
-def _onehot(rows, cols, n_rows, n_cols):
-    """One-hot CSR (n_rows, n_cols): row i lists cols[k] for each k with
-    rows[k] == i, in ascending k, each with the value 1.0.
-
-    A product with it adds 1.0 * x[cols[k]] row by row from zero, in that
-    order: np.add.at's order for a scatter of x[cols] by rows.
-    """
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    order = np.argsort(rows, kind="stable")
-    return sparse.csr_array((np.ones(len(rows)), cols[order], indptr), shape=(n_rows, n_cols))
-
-
 def _scatter_add(idx, values, n):
-    """Rows of `values` summed into n buckets by idx, as one-hot CSR @ values."""
-    return _onehot(idx, np.arange(len(idx)), n, len(idx)) @ values
+    """Rows of `values` summed into n buckets by idx, for any order of idx:
+    the transpose of the gather a[idx] as a pooling (row k selects idx[k])."""
+    return Pooling(idx, np.arange(len(idx)), len(idx), n)._fwd.T @ values
 
 
 def gather(a, idx):
@@ -299,15 +287,18 @@ class Pooling:
     """Neighbor pooling out[dst_rows[k]] += a[src_rows[k]] over k, as a plan
     builds it once: gather by src_rows then segment_sum by dst_rows, fused.
 
-    The fields are the index arrays; the two one-hot CSR matrices built
-    from them are not fields. Forward has one row per output bucket
-    listing its source rows, backward one row per source row listing its
-    buckets, both in ascending k, so values and gradients are those of
-    gather followed by segment_sum bit for bit.
+    The entries come bucket-major (`dst_rows` never decreases; ValueError
+    otherwise), as every plan and layout builder emits them, so the one-hot
+    CSR matrix is read straight off the index arrays: row i lists bucket
+    i's source rows in ascending k. `counts` holds the entries per bucket
+    (float), the divisor of a mean. Backward multiplies by the transpose
+    (CSC), which adds each bucket's gradient into its source rows in
+    ascending k, so values and gradients are those of gather followed by
+    segment_sum bit for bit.
     """
 
     src_rows: np.ndarray  # row of `a` for each pooled entry
-    dst_rows: np.ndarray  # output bucket of each pooled entry
+    dst_rows: np.ndarray  # output bucket of each pooled entry, non-decreasing
     n_out: int
     n_in: int
 
@@ -316,8 +307,14 @@ class Pooling:
         self.dst_rows = _rows(self.dst_rows, self.n_out)
         if len(self.src_rows) != len(self.dst_rows):
             raise ValueError("src_rows and dst_rows differ in length")
-        self._fwd = _onehot(self.dst_rows, self.src_rows, self.n_out, self.n_in)
-        self._bwd = _onehot(self.src_rows, self.dst_rows, self.n_in, self.n_out)
+        if np.any(np.diff(self.dst_rows) < 0):
+            raise ValueError("dst_rows must be non-decreasing (bucket-major entries)")
+        counts = np.bincount(self.dst_rows, minlength=self.n_out)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        self.counts = counts.astype(np.float64)
+        self._fwd = sparse.csr_array(
+            (np.ones(len(self.src_rows)), self.src_rows, indptr), shape=(self.n_out, self.n_in)
+        )
 
 
 def pool(a, op: Pooling):
@@ -330,7 +327,7 @@ def pool(a, op: Pooling):
         return Tensor(np.zeros((op.n_out,) + a.data.shape[1:]))
 
     def backward(g):
-        return (op._bwd @ g,)
+        return (op._fwd.T @ g,)
 
     return Tensor(op._fwd @ a.data, parents=(a,), backward=backward)
 

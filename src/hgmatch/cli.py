@@ -117,14 +117,13 @@ def cmd_build_graph(args, tracker: OutputTracker) -> int:
     return 0
 
 
-def _load_dataset_from_args(args, need_labels=True, need_task=False) -> Dataset:
+def _load_dataset_from_args(args) -> Dataset:
     return load_dataset(
         edges=args.edges,
         nodes=args.nodes,
         features=args.features,
-        labels=args.labels if need_labels else None,
-        task=getattr(args, "task", None) if need_task or getattr(args, "task", None) else None,
-        boundaries=getattr(args, "boundaries", None),
+        labels=args.labels,
+        task=getattr(args, "task", None),
     )
 
 
@@ -269,7 +268,7 @@ def cmd_gradcheck(args, tracker: OutputTracker) -> int:
 
 def cmd_ablate(args, tracker: OutputTracker) -> int:
     cfg = _gather_config(args, TrainConfig)
-    dataset = _load_dataset_from_args(args, need_task=True)
+    dataset = _load_dataset_from_args(args)
     if dataset.task is None:
         raise DataError("ablate requires --task")
     out_dir = Path(args.out_dir)

@@ -4,7 +4,9 @@ Numeric features are quantile-discretized (type-7 linear interpolation),
 id/term features are vocabulary indices with stable-hash fallback for
 out-of-range values. Features with the same name share one lookup table
 across node types. Bucket/index 0 doubles as the reserved slot for
-missing or NaN values.
+missing or NaN values. A terms feature is encoded as one `Pooling` per
+node type: its entries are each node's term indices, node after node
+(bucket-major), and its `counts` are the term-list lengths.
 """
 
 from __future__ import annotations
@@ -147,6 +149,8 @@ def parse_boundary_line(line: str, location: str) -> QuantileBoundaries:
         bounds = np.array([float(v) for v in values], dtype=np.float64)
     except ValueError as exc:
         raise DataError(f"{location}: {exc}") from exc
+    if not np.all(np.isfinite(bounds)) or np.any(np.diff(bounds) <= 0):
+        raise DataError(f"{location}: boundaries of {name} must be finite and increasing")
     return QuantileBoundaries(name, bounds, degenerate=bounds.size == 0)
 
 
@@ -164,15 +168,8 @@ def fit_graph_quantiles(graph: HeteroGraph, manifest: FeatureManifest) -> dict:
         for rec in graph.nodes[ntype].values():
             for s in numeric:
                 raw = rec.features.get(s.name)
-                if raw is None:
-                    continue
-                try:
-                    values.setdefault(s.name, []).append(float(raw))
-                except ValueError as exc:
-                    raise DataError(
-                        f"bad numeric value {raw!r} for {s.name} on "
-                        f"{ntype.value}:{rec.node_id}"
-                    ) from exc
+                if raw is not None:
+                    values.setdefault(s.name, []).append(_numeric(raw, s, rec))
     out = {}
     for ntype, specs in manifest.per_type.items():
         for s in specs:
@@ -181,23 +178,23 @@ def fit_graph_quantiles(graph: HeteroGraph, manifest: FeatureManifest) -> dict:
     return out
 
 
+def _numeric(raw, spec: FeatureSpec, rec) -> float:
+    """float(raw), or a DataError naming the feature and the node."""
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise DataError(f"bad numeric value {raw!r} for {spec.name} on "
+                        f"{rec.node_type.value}:{rec.node_id}") from exc
+
+
 # --- encoded layout --------------------------------------------------------
-
-@dataclass
-class TermSlot:
-    name: str
-    flat: np.ndarray     # table indices of all terms, CSR order
-    offsets: np.ndarray  # (n_nodes + 1,)
-    counts: np.ndarray   # (n_nodes,) float, 0 for empty term lists
-    pooling: Pooling     # sums each node's term rows of the table
-
 
 @dataclass
 class TypeLayout:
     node_type: NodeType
     specs: list
     single: dict  # {feature_name: (n_nodes,) int array}
-    terms: dict   # {feature_name: TermSlot}
+    terms: dict   # {feature_name: Pooling of each node's term rows of the table}
 
 
 @dataclass
@@ -237,31 +234,28 @@ class FeatureEncoder:
             single, terms = {}, {}
             for spec in specs:
                 if spec.kind == KIND_TERMS:
-                    flat, offsets = [], [0]
+                    flat, counts = [], []
                     for rec in records:
                         raw = rec.features.get(spec.name)
                         toks = [] if raw in (None, "") else raw.split(",")
                         flat.extend(self._index_value(spec, t) for t in toks)
-                        offsets.append(len(flat))
-                    flat = np.array(flat, dtype=np.int64)
-                    offsets = np.array(offsets, dtype=np.int64)
-                    counts = np.diff(offsets)
-                    rows = np.repeat(np.arange(len(records), dtype=np.int64), counts)
-                    terms[spec.name] = TermSlot(
-                        spec.name, flat, offsets, counts.astype(np.float64),
-                        Pooling(flat, rows, len(records), spec.size),
-                    )
+                        counts.append(len(toks))
+                    rows = np.repeat(np.arange(len(records)), counts)
+                    terms[spec.name] = Pooling(flat, rows, len(records), spec.size)
                 elif spec.kind == KIND_NUMERIC:
                     q = self.boundaries.get(spec.name)
                     if q is None:
                         raise DataError(f"no quantile boundaries for {spec.name!r}")
+                    if len(q.boundaries) >= spec.size:
+                        raise DataError(f"{len(q.boundaries)} boundaries for {spec.name!r}, "
+                                        f"which has {spec.size} buckets")
                     col = np.zeros(len(records), dtype=np.int64)
                     for row, rec in enumerate(records):
                         raw = rec.features.get(spec.name)
                         if raw is None:
                             self.stats.missing += 1
                             continue
-                        x = float(raw)
+                        x = _numeric(raw, spec, rec)
                         if math.isnan(x):
                             self.stats.nan += 1
                             continue

@@ -11,7 +11,9 @@ training batch from that batch's own roots. Every neighbor sum (a
 metapath hop's children, the influential neighbors, and the term
 embeddings of the feature layout) is an `ad.Pooling` built once with its
 plan: one sparse product per pass, with no gathered copy of the neighbor
-rows.
+rows. `graph.expand_rows` emits neighbors row after row, so each pooling
+is bucket-major as built and needs no sort, and its `counts` are the only
+record of how many children, neighbors or terms each mean divides by.
 
 Per metapath of length K, a node at depth j carries hidden states for
 layers 0..K-j: layer k of node u combines u's own layer k-1 state with
@@ -91,7 +93,6 @@ class PathPlan:
     level_ids: list          # np arrays of node ids, depth 0..K
     level_rows: list         # depth j: rows of level_ids[j] in the graph's ids_of
     child_pools: list        # depth j: Pooling of each row's children (see below)
-    child_counts: list       # depth j: children per row (float)
     # child_pools[j] sums level j+1 rows into level j, except the deepest:
     # child_pools[K-1] reads the deepest children's h0 rows straight from
     # the node-level table of their type, so level K is never gathered.
@@ -106,7 +107,6 @@ class TowerPlan:
     req_rows: np.ndarray     # rows of req_ids within all_ids
     path_plans: list
     infl_pool: ad.Pooling    # the *other* tower's all_ids rows into req_ids rows
-    infl_counts: np.ndarray
 
 
 @dataclass
@@ -131,17 +131,16 @@ def _build_path_plan(graph, roots, path, m, stats: CacheStats) -> PathPlan:
     every hop are rows of the graph's ids_of."""
     chain = path.type_chain()
     level_rows = [roots]
-    child_flat, child_segs, child_counts = [], [], []
+    child_flat, child_segs = [], []
     stats.misses += len(roots)
     for depth, rel in enumerate(path.steps):
-        nbrs, segs, counts = graph.expand_rows(chain[depth], level_rows[depth], rel, m)
+        nbrs, segs, _ = graph.expand_rows(chain[depth], level_rows[depth], rel, m)
         distinct, flat = _first_seen(nbrs, len(graph.ids_of[chain[depth + 1]]))
         stats.misses += len(distinct)
         stats.hits += len(nbrs) - len(distinct)
         level_rows.append(distinct)
         child_flat.append(flat)
         child_segs.append(segs)
-        child_counts.append(counts.astype(np.float64))
     level_ids = [graph.ids_of[t][rows] for t, rows in zip(chain, level_rows)]
     K = len(path.steps)
     pools = []
@@ -151,7 +150,7 @@ def _build_path_plan(graph, roots, path, m, stats: CacheStats) -> PathPlan:
         else:  # the deepest pool reads h0 rows (see PathPlan)
             src, n_in = level_rows[K][child_flat[j]], len(graph.ids_of[chain[K]])
         pools.append(ad.Pooling(src, child_segs[j], len(level_rows[j]), n_in))
-    return PathPlan(path, level_ids, level_rows, pools, child_counts)
+    return PathPlan(path, level_ids, level_rows, pools)
 
 
 def build_plan(
@@ -187,7 +186,7 @@ def build_plan(
         if variant.conv and len(rows):
             for tp in active_paths(tower, variant.groups):
                 plans.append(_build_path_plan(graph, rows, tp.path, cfg.m, stats))
-        nbrs, segs, counts = infl[tower]
+        nbrs, segs, _ = infl[tower]
         towers[tower] = TowerPlan(
             tower=tower,
             all_ids=graph.ids_of[TOWER_TYPE[tower]][rows],
@@ -199,7 +198,6 @@ def build_plan(
                 np.searchsorted(all_rows[other[tower]], nbrs), segs,
                 len(req_ids[tower]), len(all_rows[other[tower]]),
             ),
-            infl_counts=counts.astype(np.float64),
         )
     return ForwardPlan(towers, stats)
 
@@ -257,9 +255,8 @@ class MatchingModel:
         for spec in layout.specs:
             table = p[f"table/{spec.name}"]
             if spec.kind == KIND_TERMS:
-                slot = layout.terms[spec.name]
-                inv = 1.0 / np.maximum(slot.counts, 1.0)
-                slots.append(ad.pool(table, slot.pooling) * inv[:, None])
+                op = layout.terms[spec.name]
+                slots.append(ad.pool(table, op) * (1.0 / np.maximum(op.counts, 1.0))[:, None])
             else:
                 slots.append(ad.gather(table, layout.single[spec.name]))
         x = ad.concat_cols(slots)
@@ -293,7 +290,7 @@ class MatchingModel:
                 neigh = ad.pool(states[j + 1], plan.child_pools[j])
                 nxt.append(
                     self._conv_step(
-                        plan.path.name, k, states[j], neigh, plan.child_counts[j]
+                        plan.path.name, k, states[j], neigh, plan.child_pools[j].counts
                     )
                 )
             states = nxt
@@ -343,7 +340,7 @@ class MatchingModel:
             if self.variant.siamese and len(tp.req_rows):
                 other = towers[KW_TOWER if tower == AD_TOWER else AD_TOWER]
                 s = ad.pool(other.h_tilde, tp.infl_pool)
-                z = z + s * (1.0 / np.maximum(tp.infl_counts, 1.0))[:, None]
+                z = z + s * (1.0 / np.maximum(tp.infl_pool.counts, 1.0))[:, None]
             fwd.z = z
             fwd.per_view = {v: self._view_head(tower, v, z) for v in self.variant.views}
         return ForwardResult(towers, plan.cache)

@@ -11,6 +11,7 @@ future targets. Categories are coarser groupings aligned with clusters
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,20 +140,19 @@ def generate(cfg: SynthConfig, out_dir) -> tuple:
     stats.cold_ads = cold
 
     # cold ads: clicks all become future targets, co-clicks vanish, bids stay
-    cold_click_targets = sorted(k for k in click if k[0] in cold_set)
+    cold_click_targets = {k for k in click if k[0] in cold_set}
     click = {k: w for k, w in click.items() if k[0] not in cold_set}
     coclick = {k: w for k, w in coclick.items() if k[0] not in cold_set}
+    bidding = {k[0] for k in bid}
+    have = Counter(s for s, _ in cold_click_targets)
     for a in cold:
-        if not any(k[0] == a for k in bid):
+        if a not in bidding:
             q = int(rng.choice(kws_by_cluster[ad_cluster[a]]))
             bid[(a, q)] = int(_heavy_counts(rng, 1)[0])
-        have = sum(1 for (s, _) in cold_click_targets if s == a)
         pool = kws_by_cluster[ad_cluster[a]]
-        for _ in range(max(0, 3 - have)):
-            q = int(rng.choice(pool))
-            if (a, q) not in cold_click_targets:
-                cold_click_targets.append((a, q))
-    cold_click_targets = sorted(set(cold_click_targets))
+        for _ in range(max(0, 3 - have[a])):
+            cold_click_targets.add((a, int(rng.choice(pool))))
+    cold_click_targets = sorted(cold_click_targets)
 
     click, warm_click_targets = _holdout(rng, click, cfg.target_frac)
     bid, bid_targets = _holdout(rng, bid, cfg.target_frac, exclude_src=cold_set)

@@ -140,10 +140,10 @@ def naive_h0(model, ntype, node_id):
     for spec in layout.specs:
         table = model.params[f"table/{spec.name}"].data
         if spec.kind == KIND_TERMS:
-            slot = layout.terms[spec.name]
-            lo, hi = slot.offsets[row], slot.offsets[row + 1]
-            if hi > lo:
-                parts.append(table[slot.flat[lo:hi]].mean(axis=0))
+            op = layout.terms[spec.name]
+            terms = op.src_rows[op.dst_rows == row]
+            if len(terms):
+                parts.append(table[terms].mean(axis=0))
             else:
                 parts.append(np.zeros(spec.width))
         else:
@@ -231,16 +231,15 @@ def naive_path_plan(graph, roots, path, m, stats) -> PathPlan:
     """Node-by-node metapath walk; each level numbers its nodes in first-seen order."""
     chain = path.type_chain()
     level_ids = [np.asarray(roots, dtype=np.int64)]
-    child_flat, child_segs, child_counts = [], [], []
+    child_flat, child_segs = [], []
     stats.misses += len(roots)
     for depth, rel in enumerate(path.steps):
         ptype = chain[depth]
         next_rows = {}
         next_ids = []
-        flat, segs, counts = [], [], []
+        flat, segs = [], []
         for row, pid in enumerate(level_ids[depth]):
             ids, _ = graph.neighbors(NodeRef(ptype, int(pid)), rel, m)
-            counts.append(float(len(ids)))
             for cid in ids:
                 cid = int(cid)
                 crow = next_rows.get(cid)
@@ -256,7 +255,6 @@ def naive_path_plan(graph, roots, path, m, stats) -> PathPlan:
         level_ids.append(np.array(next_ids, dtype=np.int64))
         child_flat.append(np.array(flat, dtype=np.int64))
         child_segs.append(np.array(segs, dtype=np.int64))
-        child_counts.append(np.array(counts, dtype=np.float64))
     level_rows = [_dense_rows(graph, t, ids) for t, ids in zip(chain, level_ids)]
     pools = [
         Pooling(child_flat[j], child_segs[j], len(level_ids[j]), len(level_ids[j + 1]))
@@ -267,7 +265,7 @@ def naive_path_plan(graph, roots, path, m, stats) -> PathPlan:
         level_rows[-1][child_flat[-1]], child_segs[-1],
         len(level_ids[-2]), len(graph.ids_of[chain[-1]]),
     ))
-    return PathPlan(path, level_ids, level_rows, pools, child_counts)
+    return PathPlan(path, level_ids, level_rows, pools)
 
 
 def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
@@ -298,10 +296,9 @@ def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
             for tp in active_paths(tower, variant.groups):
                 plans.append(naive_path_plan(graph, ids, tp.path, cfg.m, stats))
         other_rows = {int(i): r for r, i in enumerate(all_ids[other[tower]])}
-        flat, segs, counts = [], [], []
+        flat, segs = [], []
         for row, rid in enumerate(req):
             nbrs = infl[tower].get(int(rid), [])
-            counts.append(float(len(nbrs)))
             for nid in nbrs:
                 flat.append(other_rows[int(nid)])
                 segs.append(row)
@@ -316,7 +313,6 @@ def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
                 np.array(flat, dtype=np.int64), np.array(segs, dtype=np.int64),
                 len(req), len(all_ids[other[tower]]),
             ),
-            infl_counts=np.array(counts, dtype=np.float64),
         )
     return ForwardPlan(towers, stats)
 
@@ -393,10 +389,9 @@ def gather_segment_sum_execute(model, plan):
         for spec in layout.specs:
             table = p[f"table/{spec.name}"]
             if spec.kind == KIND_TERMS:
-                slot = layout.terms[spec.name]
-                pl = slot.pooling
+                pl = layout.terms[spec.name]
                 s = _gather_segment_sum(table, pl.src_rows, pl.dst_rows, pl.n_out)
-                slots.append(s * (1.0 / np.maximum(slot.counts, 1.0))[:, None])
+                slots.append(s * (1.0 / np.maximum(pl.counts, 1.0))[:, None])
             else:
                 slots.append(ad.gather(table, layout.single[spec.name]))
         x = ad.concat_cols(slots)
@@ -419,7 +414,7 @@ def gather_segment_sum_execute(model, plan):
                     pp.path.name, k, states[j],
                     _gather_segment_sum(states[j + 1], children[j],
                                         pp.child_pools[j].dst_rows, len(pp.level_ids[j])),
-                    pp.child_counts[j],
+                    pp.child_pools[j].counts,
                 )
                 for j in range(K - k + 1)
             ]
@@ -450,7 +445,7 @@ def gather_segment_sum_execute(model, plan):
             other = towers[KW_TOWER if tower == AD_TOWER else AD_TOWER].h_tilde
             pl = tp.infl_pool
             s = _gather_segment_sum(other, pl.src_rows, pl.dst_rows, pl.n_out)
-            z = z + s * (1.0 / np.maximum(tp.infl_counts, 1.0))[:, None]
+            z = z + s * (1.0 / np.maximum(pl.counts, 1.0))[:, None]
         fwd.z = z
         fwd.per_view = {v: model._view_head(tower, v, z) for v in model.variant.views}
     return ForwardResult(towers, plan.cache)

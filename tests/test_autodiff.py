@@ -117,13 +117,14 @@ def test_gather_and_segment_sum_reject_out_of_range_rows(idx):
 
 @st.composite
 def pool_cases(draw):
-    """(op, a_wide, g_wide, d): op pools entries with repeated and unsorted
-    source rows, empty buckets or no entries at all; a_wide is (n_in, 2d)
-    and g_wide (n_out, 2d), so their column halves are non-contiguous."""
+    """(op, a_wide, g_wide, d): op pools bucket-major entries with repeated
+    and unsorted source rows, empty buckets or no entries at all; a_wide is
+    (n_in, 2d) and g_wide (n_out, 2d), so their column halves are
+    non-contiguous."""
     n_in, n_out = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     k = draw(st.integers(0, 30))
     src = draw(st.lists(st.integers(0, n_in - 1), min_size=k, max_size=k))
-    dst = draw(st.lists(st.integers(0, n_out - 1), min_size=k, max_size=k))
+    dst = sorted(draw(st.lists(st.integers(0, n_out - 1), min_size=k, max_size=k)))
     d = draw(st.integers(1, 4))
 
     def block(rows):
@@ -151,6 +152,9 @@ def test_pool_equals_gather_segment_sum_bitwise(case):
         assert a.grad is None and not b.grad.any()
     else:
         assert a.grad.tobytes() == b.grad.tobytes()
+        g = g_wide[:, :d][op.dst_rows]
+        expect = np.zeros((op.n_in, d)) + naive_scatter_add(op.src_rows, g, op.n_in)
+        assert a.grad.tobytes() == expect.tobytes()
 
 
 def test_pooling_rejects_bad_rows():
@@ -160,6 +164,8 @@ def test_pooling_rejects_bad_rows():
         ad.Pooling(np.array([0, 1]), np.array([0, -1]), 2, 3)
     with pytest.raises(ValueError, match="differ in length"):
         ad.Pooling(np.array([0, 1]), np.array([0]), 1, 3)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        ad.Pooling(np.array([0, 1, 2]), np.array([0, 1, 0]), 2, 3)
     with pytest.raises(ValueError, match="expects 3 input rows"):
         ad.pool(np.zeros((2, 1)), ad.Pooling(np.array([0]), np.array([0]), 1, 3))
 

@@ -1,4 +1,5 @@
 import json
+import re
 import zipfile
 
 import numpy as np
@@ -445,4 +446,34 @@ def test_checkpoint_with_a_bad_config_exits_3(data_dir, dump, tmp_path, capsys, 
     assert rc == 3
     err = capsys.readouterr().err
     assert named.format(ckpt=ckpt) in err and "Traceback" not in err
+    assert not emb.exists() and not (tmp_path / "emb.tsv.manifest").exists()
+
+
+@pytest.mark.parametrize("damage", ["bad numeric value", "too many boundaries", "nan boundary"])
+def test_bad_numeric_feature_or_boundaries_exits_3(data_dir, dump, tmp_path, capsys, damage):
+    nodes, bounds = tmp_path / "nodes.tsv", tmp_path / "bounds.tsv"
+    node_lines = (data_dir / "nodes.tsv").read_text().splitlines(keepends=True)
+    bound_lines = (dump / "boundaries.tsv").read_text().splitlines(keepends=True)
+    at = next(i for i, l in enumerate(bound_lines) if l.startswith("bid_price\t"))
+    if damage == "bad numeric value":
+        kw = next(i for i, l in enumerate(node_lines) if "\tbid_price=" in l)
+        node_id = node_lines[kw].split("\t")[1]
+        node_lines[kw] = re.sub(r"\tbid_price=[^\t\n]*", "\tbid_price=abc", node_lines[kw])
+        named = f"bad numeric value 'abc' for bid_price on keyword:{node_id}"
+    elif damage == "too many boundaries":
+        bound_lines[at] = "bid_price\t" + " ".join(str(v) for v in range(39)) + "\n"
+        named = "39 boundaries for 'bid_price', which has 16 buckets"
+    else:
+        bound_lines[at] = "bid_price\t3 2 1 nan\n"
+        named = f"{bounds}:{at + 1}: boundaries of bid_price must be finite and increasing"
+    nodes.write_text("".join(node_lines))
+    bounds.write_text("".join(bound_lines))
+    emb = tmp_path / "emb.tsv"
+    rc = main(["embed", "--checkpoint", str(dump / "model.ckpt"),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(nodes),
+               "--features", str(data_dir / "features.tsv"),
+               "--boundaries", str(bounds), "--out", str(emb)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
     assert not emb.exists() and not (tmp_path / "emb.tsv.manifest").exists()

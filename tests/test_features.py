@@ -119,9 +119,9 @@ def test_encoder_oov_and_missing(tiny_dataset):
     n_ads = graph.num_nodes(NodeType.AD)
     for spec in ad_layout.specs:
         if spec.kind == "terms":
-            slot = ad_layout.terms[spec.name]
-            assert len(slot.offsets) == n_ads + 1
-            assert np.all(slot.flat >= 0) and np.all(slot.flat < spec.size)
+            op = ad_layout.terms[spec.name]
+            assert op.n_out == len(op.counts) == n_ads
+            assert np.all(op.src_rows >= 0) and np.all(op.src_rows < spec.size)
         else:
             col = ad_layout.single[spec.name]
             assert col.shape == (n_ads,)
@@ -198,8 +198,8 @@ def test_shared_title_terms_identical_subvectors(tiny_dataset):
     g = ingest([], nodes)
     enc = FeatureEncoder(manifest, tiny_dataset.boundaries)
     layouts = enc.encode_graph(g)
-    ad_slot = layouts[NodeType.AD].terms["terms"]
-    item_slot = layouts[NodeType.ITEM].terms["terms"]
-    assert np.array_equal(ad_slot.flat, item_slot.flat)
+    ad_terms = layouts[NodeType.AD].terms["terms"].src_rows
+    item_terms = layouts[NodeType.ITEM].terms["terms"].src_rows
+    assert np.array_equal(ad_terms, item_terms)
     table = np.random.default_rng(0).normal(size=(manifest.tables["terms"].size, 8))
-    assert np.allclose(table[ad_slot.flat].mean(axis=0), table[item_slot.flat].mean(axis=0))
+    assert np.allclose(table[ad_terms].mean(axis=0), table[item_terms].mean(axis=0))
