@@ -2,8 +2,9 @@
 
 Only the handful of ops the matching model needs: matmul, broadcast
 add/mul/div, relu, exp/log, reductions, row gather (embedding lookup),
-segment sum, neighbor pooling and column concat/slice. Gradients
-accumulate into `.grad` of tensors created with requires_grad=True.
+segment sum, neighbor pooling, column concat/slice and `affine`, a whole
+dense layer as one tape node. Gradients accumulate into `.grad` of tensors
+created with requires_grad=True.
 Scatter-adds (segment_sum forward, gather backward) and neighbor pooling
 (`pool`, a gather and a segment_sum fused) are products with one-hot CSR
 matrices, not np.add.at. A `Pooling` is one such matrix, built with no
@@ -55,30 +56,34 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
     def backward(self, seed=None):
-        """Run reverse-mode accumulation from this tensor."""
+        """Run reverse-mode accumulation from this tensor. A first incoming
+        gradient may alias another (add's pass-through, concat_cols' slices,
+        affine's masked g), so only sums allocated here are added into."""
         if seed is None:
             seed = np.ones_like(self.data)
         order = _toposort(self)
         grads = {id(self): np.asarray(seed, dtype=np.float64)}
+        owned = set()  # keys of the sums allocated here
         for node in order:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
+            owned.discard(id(node))
             if node.requires_grad and node._backward is None:
-                node._accumulate(g)
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g
             if node._backward is not None:
                 for parent, pg in zip(node._parents, node._backward(g)):
                     if not parent.requires_grad or pg is None:
                         continue
                     key = id(parent)
-                    if key in grads:
+                    if key in owned:
+                        grads[key] += pg
+                    elif key in grads:
                         grads[key] = grads[key] + pg
+                        owned.add(key)
                     else:
                         grads[key] = pg
 
@@ -190,6 +195,27 @@ def matmul(a, b):
         return g @ b.data.T, a.data.T @ g
 
     return Tensor(out_data, parents=(a, b), backward=backward)
+
+
+def affine(x, W, b=None, relu=False, extra=None):
+    """relu(x @ W + b + extra), each of b, extra and relu optional, as one
+    tape node computed in place. Its parents come in the order (x, W, b,
+    extra), so values, gradients and their summation order are those of
+    the composed matmul, add and relu ops bit for bit."""
+    x, W = as_tensor(x), as_tensor(W)
+    terms = tuple(as_tensor(t) for t in (b, extra) if t is not None)
+    z = x.data @ W.data
+    for t in terms:
+        z += t.data
+    mask = z > 0.0 if relu else None
+    if relu:
+        z *= mask
+
+    def backward(g):
+        gm = g * mask if relu else g
+        return (gm @ W.data.T, x.data.T @ gm, *(_unbroadcast(gm, t.data.shape) for t in terms))
+
+    return Tensor(z, parents=(x, W, *terms), backward=backward)
 
 
 def relu(a):

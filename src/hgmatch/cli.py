@@ -49,13 +49,16 @@ from .trainer import build_training_pairs, grad_check
 
 
 class OutputTracker:
-    """Remembers files a subcommand intends to write; deletes them on failure."""
+    """Remembers files a subcommand intends to write and the directories made
+    for them; on failure deletes the files, then those directories if empty."""
 
     def __init__(self):
         self.paths = []
+        self.dirs = []
 
     def register(self, path) -> Path:
         path = Path(path)
+        self.dirs += [d for d in (path.parent, *path.parent.parents) if not d.exists()]
         path.parent.mkdir(parents=True, exist_ok=True)
         self.paths.append(path)
         return path
@@ -64,6 +67,9 @@ class OutputTracker:
         for p in self.paths:
             if p.exists() and p.is_file():
                 p.unlink()
+        for d in sorted(self.dirs, key=lambda d: len(d.parts), reverse=True):
+            if d.is_dir() and not any(d.iterdir()):
+                d.rmdir()
 
 
 def _gather_config(args, cls):
@@ -312,12 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="flat key=value config file")
-            p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                           help="config override (repeatable)")
-            p.add_argument("--seed", type=int, default=None)
+    def common(p):
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="config override (repeatable)")
+        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("synth-gen", help="generate a synthetic dataset")
     common(p)

@@ -12,7 +12,7 @@ node type: its entries are each node's term indices, node after node
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,7 @@ class FeatureManifest:
     """Ordered feature lists per node type; same-name specs must agree."""
 
     per_type: dict  # {NodeType: [FeatureSpec, ...]}
+    source: str = field(default="the feature manifest", compare=False)  # for messages
 
     def __post_init__(self):
         seen = {}
@@ -101,7 +102,7 @@ def load_manifest(path) -> FeatureManifest:
     per_type = {}
     for ntype, spec in iter_file_records(path, parse_manifest_line):
         per_type.setdefault(ntype, []).append(spec)
-    return FeatureManifest(per_type)
+    return FeatureManifest(per_type, source=str(path))
 
 
 # --- quantile discretization ---------------------------------------------

@@ -159,14 +159,6 @@ class HeteroGraph:
         idx += np.arange(len(idx))
         return nbrs[idx], parents, counts
 
-    def expand(self, node_type: NodeType, ids, relation: Relation, m=None):
-        """`expand_rows` over node ids: returns (neighbor ids, index into
-        `ids` of each neighbor's parent, neighbor count per entry of `ids`)."""
-        nbrs, parents, counts = self.expand_rows(
-            node_type, self.rows(node_type, ids), relation, m
-        )
-        return self.ids_of[other_endpoint(relation, node_type)][nbrs], parents, counts
-
     def neighbors(self, ref: NodeRef, relation: Relation, m=None):
         """Top-m neighbors of ref under relation, by descending edge weight.
 
@@ -304,11 +296,14 @@ def parse_node_line(line: str, location: str) -> NodeRecord:
 
 def iter_file_records(path, parser):
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield parser(line, f"{path}:{lineno}")
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                yield parser(line, f"{path}:{lineno}")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def load_graph(edge_path, node_path) -> HeteroGraph:

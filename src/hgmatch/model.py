@@ -237,6 +237,10 @@ class MatchingModel:
                 f"checkpoint dimensions d={params.meta.get('d')}, l={params.meta.get('l')} "
                 f"do not match config d={cfg.d}, l={cfg.l}"
             )
+        self.types = set(TOWER_TYPE.values())  # the node types a forward embeds
+        if variant.conv:
+            self.types.update(t for tower in TOWER_TYPE for tp in active_paths(tower, variant.groups)
+                              for t in tp.path.type_chain())
         # the term slots' poolings are built for tables of exactly this shape
         for name, spec in manifest.tables.items():
             key = f"table/{name}"
@@ -261,8 +265,8 @@ class MatchingModel:
                 slots.append(ad.gather(table, layout.single[spec.name]))
         x = ad.concat_cols(slots)
         t = ntype.value
-        hidden = ad.relu(x @ p[f"fusion/{t}/W1"] + p[f"fusion/{t}/b1"])
-        return hidden @ p[f"fusion/{t}/W2"] + p[f"fusion/{t}/b2"]
+        hidden = ad.affine(x, p[f"fusion/{t}/W1"], p[f"fusion/{t}/b1"], relu=True)
+        return ad.affine(hidden, p[f"fusion/{t}/W2"], p[f"fusion/{t}/b2"])
 
     def _conv_step(self, path_name, k, h_self, neigh_sum, counts):
         p = self.params
@@ -271,9 +275,9 @@ class MatchingModel:
             inv = 1.0 / np.maximum(counts, 1.0)
             mean = neigh_sum * inv[:, None]
             x = ad.concat_cols([h_self, mean])
-            return ad.relu(x @ p[f"{base}/Ws"] + p[f"{base}/b"])
-        pooled = ad.relu(neigh_sum @ p[f"{base}/V"]) @ p[f"{base}/U"]
-        return ad.relu(h_self @ p[f"{base}/W"] + p[f"{base}/b"] + pooled)
+            return ad.affine(x, p[f"{base}/Ws"], p[f"{base}/b"], relu=True)
+        pooled = ad.affine(neigh_sum, p[f"{base}/V"], relu=True) @ p[f"{base}/U"]
+        return ad.affine(h_self, p[f"{base}/W"], p[f"{base}/b"], relu=True, extra=pooled)
 
     def _rows(self, a: Tensor, rows) -> Tensor:
         """a[rows] as a gather; a constant (0, d) block when there are none."""
@@ -310,15 +314,11 @@ class MatchingModel:
     def _view_head(self, tower, view, z: Tensor) -> Tensor:
         p = self.params
         base = f"view/{tower}/{view}"
-        return ad.relu(z @ p[f"{base}/W1"] + p[f"{base}/b1"]) @ p[f"{base}/W2"] + p[f"{base}/b2"]
+        hidden = ad.affine(z, p[f"{base}/W1"], p[f"{base}/b1"], relu=True)
+        return ad.affine(hidden, p[f"{base}/W2"], p[f"{base}/b2"])
 
     def execute(self, plan: ForwardPlan) -> ForwardResult:
-        types_needed = set()
-        for tower, tp in plan.towers.items():
-            types_needed.add(TOWER_TYPE[tower])
-            for pp in tp.path_plans:
-                types_needed.update(pp.path.type_chain())
-        h0_by_type = {t: self.node_level_all(t) for t in sorted(types_needed, key=lambda t: t.value)}
+        h0_by_type = {t: self.node_level_all(t) for t in sorted(self.types, key=lambda t: t.value)}
 
         towers = {}
         for tower, tp in plan.towers.items():

@@ -69,7 +69,11 @@ def build_model(dataset: Dataset, cfg: TrainConfig, variant: VariantSpec,
         rng = np.random.default_rng((cfg.seed, 31))
         paths_by_tower = {t: active_paths(t, variant.groups) for t in ("ad", "kw")}
         params = init_params(dataset.manifest, cfg, variant, paths_by_tower, rng)
-    return MatchingModel(dataset.graph, dataset.layouts, dataset.manifest, params, cfg, variant)
+    model = MatchingModel(dataset.graph, dataset.layouts, dataset.manifest, params, cfg, variant)
+    missing = sorted(t.value for t in model.types - set(dataset.layouts))
+    if missing:
+        raise DataError(f"{dataset.manifest.source}: no features for node type {missing[0]!r}")
+    return model
 
 
 def train_variant(dataset: Dataset, cfg: TrainConfig, variant: VariantSpec,

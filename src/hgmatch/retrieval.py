@@ -25,7 +25,7 @@ from .config import ALL_VIEWS
 from .errors import DataError
 from .graph import HeteroGraph, NodeType, Relation, iter_file_records, lookup_rows
 from .model import AD_TOWER, KW_TOWER, MatchingModel
-from .sampling import CategoryIndex
+from .sampling import CategoryIndex, stable_smallest
 
 logger = logging.getLogger(__name__)
 
@@ -148,19 +148,10 @@ def _rank(cand_ids: np.ndarray, cand_mat: np.ndarray, z: np.ndarray, k: int) -> 
     a stable sort on -score: `cand_ids` ascend, so ties break by ascending
     id, and NaN scores come last.
 
-    Only candidates scoring at least the k-th largest are sorted; every
-    candidate tied with it stays in, so the stable order is kept.
+    Only candidates scoring at least the k-th largest are sorted
+    (`stable_smallest`).
     """
-    neg = -(cand_mat @ z)
-    if 0 < k < len(neg):
-        kth = np.partition(neg, k - 1)[k - 1]
-        # `not >` also keeps NaNs: all of them when kth is NaN, and after
-        # the sort they trail k non-NaN scores otherwise
-        keep = np.flatnonzero(~(neg > kth))
-        order = keep[np.argsort(neg[keep], kind="stable")[:k]]
-    else:
-        order = np.argsort(neg, kind="stable")[:k]
-    return cand_ids[order].tolist()
+    return cand_ids[stable_smallest(-(cand_mat @ z), k)].tolist()
 
 
 def topk_retrieve(store: EmbeddingStore, ad_id: int, view: str, k: int, candidate_ids):
@@ -229,7 +220,8 @@ def cold_start_split(graph: HeteroGraph, task: EvalTask) -> EvalTask:
 
     A task ad the graph does not hold is a DataError, not a cold-start ad.
     """
-    clicks = graph.expand(NodeType.AD, task.ads, Relation.AD_CLICK_KW)[2]
+    ad_rows = graph.rows(NodeType.AD, task.ads)
+    clicks = graph.expand_rows(NodeType.AD, ad_rows, Relation.AD_CLICK_KW)[2]
     sub = task.restrict(a for a, n in zip(task.ads, clicks) if n == 0)
     if not sub.ads:
         raise DataError("cold-start cohort is empty")

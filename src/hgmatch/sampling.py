@@ -13,6 +13,17 @@ import numpy as np
 from .graph import HeteroGraph, NodeType
 
 
+def stable_smallest(values, n):
+    """The first n entries of np.argsort(values, kind="stable"): only the
+    values not above the n-th smallest (ties and NaNs included) are sorted,
+    and a stable sort puts those in the same order."""
+    if 0 < n < len(values):
+        kth = np.partition(values, n - 1)[n - 1]
+        keep = np.flatnonzero(~(values > kth))
+        return keep[np.argsort(values[keep], kind="stable")[:n]]
+    return np.argsort(values, kind="stable")[:n]
+
+
 class CategoryTooSmall(Exception):
     """Raised when a category cannot supply n negatives; skip the training pair."""
 
@@ -72,5 +83,5 @@ class CategoryIndex:
         rng = np.random.default_rng(rng_seed)
         # key = u^(1/w); the n largest keys are a weighted draw w/o replacement
         keys = rng.random(len(pool_ids)) ** (1.0 / pool_w)
-        top = np.argsort(-keys, kind="stable")[:n]
+        top = stable_smallest(-keys, n)
         return [int(i) for i in pool_ids[top]]

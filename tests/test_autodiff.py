@@ -245,3 +245,73 @@ def test_no_grad_restores_the_mode_after_an_exception():
             raise RuntimeError("inside")
     (x * 3.0).sum().backward()
     assert np.allclose(x.grad, 3.0)
+
+
+AFFINE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-1.0, 1.0),
+    st.floats(-1e15, 1e15),
+)
+
+
+@st.composite
+def affine_cases(draw):
+    """(x, W, b, extra, relu, g_wide): b and extra may be absent; g_wide is
+    (n, 2d), and the output's gradient is its non-contiguous left half."""
+    n, k, d = draw(st.integers(0, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+
+    def block(*shape):
+        size = int(np.prod(shape))
+        flat = draw(st.lists(AFFINE_FLOATS, min_size=size, max_size=size))
+        return np.array(flat, dtype=np.float64).reshape(shape)
+
+    b = block(d) if draw(st.booleans()) else None
+    extra = block(n, d) if draw(st.booleans()) else None
+    return block(n, k), block(k, d), b, extra, draw(st.booleans()), block(n, 2 * d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_cases())
+def test_affine_equals_composed_ops_bitwise(case):
+    x, W, b, extra, relu, g_wide = case
+    d = W.shape[1]
+
+    def leaves():
+        return [None if a is None else ad.Tensor(a, requires_grad=True) for a in (x, W, b, extra)]
+
+    fused_leaves, composed_leaves = leaves(), leaves()
+    fx, fW, fb, fe = fused_leaves
+    fused = ad.affine(fx, fW, fb, relu=relu, extra=fe)
+    cx, cW, cb, ce = composed_leaves
+    composed = ad.matmul(cx, cW)
+    for term in (cb, ce):
+        if term is not None:
+            composed = ad.add(composed, term)
+    if relu:
+        composed = ad.relu(composed)
+    assert fused.data.tobytes() == composed.data.tobytes()
+    for out in (fused, composed):
+        ad.concat_cols([out, np.zeros((len(x), d))]).backward(g_wide)
+    for f, c in zip(fused_leaves, composed_leaves):
+        if f is not None:
+            assert f.grad.tobytes() == c.grad.tobytes()
+
+
+def test_gradient_from_many_paths_sums_without_mutating_upstream():
+    # x reaches the root four ways: a concat_cols slice, an add pass-through
+    # (whose gradient is itself a slice of the seed), a mul and affine's
+    # extra; small integers keep every sum exact
+    rng = np.random.default_rng(6)
+    x = ad.Tensor(rng.integers(-3, 4, size=(3, 2)).astype(float), requires_grad=True)
+    c = rng.integers(-3, 4, size=(3, 2)).astype(float)
+    W = np.eye(2)
+    h = ad.add(x, c)
+    lin = ad.affine(c, W, extra=x)
+    root = ad.concat_cols([x, h, x * 2.0, lin])
+    seed = rng.integers(-5, 6, size=(3, 8)).astype(float)
+    before = seed.copy()
+    root.backward(seed)
+    assert np.array_equal(seed, before)
+    expect = seed[:, 0:2] + seed[:, 2:4] + 2.0 * seed[:, 4:6] + seed[:, 6:8]
+    assert np.array_equal(x.grad, expect)

@@ -477,3 +477,51 @@ def test_bad_numeric_feature_or_boundaries_exits_3(data_dir, dump, tmp_path, cap
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not emb.exists() and not (tmp_path / "emb.tsv.manifest").exists()
+
+
+def test_non_utf8_input_exits_3_naming_the_file(data_dir, tmp_path, capsys):
+    edges = tmp_path / "edges.tsv"
+    edges.write_bytes(np.random.default_rng(0).bytes(3000))
+    out = tmp_path / "stats.txt"
+    rc = main(["build-graph", "--edges", str(edges), "--nodes", str(data_dir / "nodes.tsv"),
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{edges}: not UTF-8 text" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_manifest_without_a_needed_node_type_exits_3(data_dir, tmp_path, capsys):
+    features = tmp_path / "features.tsv"
+    features.write_text("")
+    out = tmp_path / "run"
+    rc = main(["train", *dataset_args(data_dir), "--features", str(features),
+               "--out-dir", str(out), "--epochs", "1", "--seed", "1",
+               "--set", "d=8", "--set", "l=4"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{features}: no features for node type 'ad'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_failed_train_removes_the_directories_it_made(data_dir, tmp_path):
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("")
+    out = tmp_path / "new" / "run"
+    rc = main(["train", *dataset_args(data_dir), "--labels", str(labels),
+               "--out-dir", str(out), "--epochs", "1", "--seed", "1",
+               "--set", "d=8", "--set", "l=4"])
+    assert rc == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.tsv"]
+
+
+def test_output_tracker_removes_only_the_empty_directories_it_made(tmp_path):
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    tracker = cli.OutputTracker()
+    tracker.register(kept / "a" / "b" / "out.txt").write_text("partial\n")
+    tracker.register(kept / "c" / "out.txt")
+    (kept / "c" / "other.txt").write_text("not ours\n")
+    tracker.cleanup()
+    assert sorted(p.name for p in kept.iterdir()) == ["c"]
+    assert sorted(p.name for p in (kept / "c").iterdir()) == ["other.txt"]

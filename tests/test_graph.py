@@ -18,6 +18,7 @@ from hgmatch.graph import (
     RELATION_SCHEMA,
     ingest,
     load_graph,
+    other_endpoint,
     parse_edge_line,
     parse_node_line,
 )
@@ -34,12 +35,19 @@ def edge(rel, sid, did, w, loc="t:1"):
     return EdgeRecord(st_, sid, rel, dt, did, w, loc)
 
 
+def expand(g, ntype, ids, rel, m=None):
+    """`expand_rows` over node ids: (neighbor ids, index into `ids` of each
+    neighbor's parent, neighbor count per entry of `ids`)."""
+    nbrs, parents, counts = g.expand_rows(ntype, g.rows(ntype, ids), rel, m)
+    return g.ids_of[other_endpoint(rel, ntype)][nbrs], parents, counts
+
+
 def metapath_hops(g, root, path, m):
     """Neighbor ids per hop of a walk along `path` from `root`, one entry per
-    branch, expanded hop by hop with `graph.expand` as `build_plan` does."""
+    branch, expanded hop by hop with `expand_rows` as `build_plan` does."""
     ids, hops = [root.node_id], []
     for ntype, rel in zip(path.type_chain(), path.steps):
-        ids = g.expand(ntype, ids, rel, m)[0].tolist()
+        ids = expand(g, ntype, ids, rel, m)[0].tolist()
         hops.append(ids)
     return hops
 
@@ -333,7 +341,7 @@ def test_expand_equals_per_node_neighbors(edges, m, data):
                 ids, ws = g.neighbors(NodeRef(t, i), rel)
                 assert list(zip(ids.tolist(), ws.tolist())) == want.get((rel, t, i), [])
             ids = data.draw(st.lists(st.sampled_from(SMALL_IDS[t]), max_size=6))
-            nbrs, parents, counts = g.expand(t, ids, rel, m)
+            nbrs, parents, counts = expand(g, t, ids, rel, m)
             per_node = [g.neighbors(NodeRef(t, i), rel, m)[0].tolist() for i in ids]
             assert nbrs.tolist() == [n for p in per_node for n in p]
             assert parents.tolist() == [r for r, p in enumerate(per_node) for _ in p]

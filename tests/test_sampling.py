@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgmatch.graph import NodeRecord, NodeType, ingest
-from hgmatch.sampling import CategoryIndex, CategoryTooSmall
+from hgmatch.sampling import CategoryIndex, CategoryTooSmall, stable_smallest
 
 
 def kw(nid, cat, searched):
@@ -120,3 +120,28 @@ def test_categories_partition_keywords(tiny_dataset):
     for cat, (ids, _) in idx.categories.items():
         seen.update(ids.tolist())
     assert max(seen.values()) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, float("nan")]),
+                       st.floats(-2.0, 2.0)), max_size=40),
+    st.integers(0, 45),
+)
+def test_stable_smallest_is_the_head_of_a_stable_argsort(values, n):
+    values = np.array(values, dtype=np.float64)
+    want = np.argsort(values, kind="stable")[:n]
+    assert np.array_equal(stable_smallest(values, n), want)
+
+
+def test_sampled_negatives_equal_a_full_stable_sort_under_heavy_ties():
+    # searched counts near 1e-300 give weights whose keys u ** (1 / w) are 0,
+    # so all but three keys tie at the n-th largest
+    records = [kw(i, 0, 1e-300 if i % 20 else float(i + 1)) for i in range(60)]
+    idx = build_index(records)
+    ids, weights = idx.categories[0]
+    for seed in range(50):
+        pool = ids != 7
+        keys = np.random.default_rng((seed, 3)).random(pool.sum()) ** (1.0 / weights[pool])
+        want = ids[pool][np.argsort(-keys, kind="stable")[:5]].tolist()
+        assert idx.sample_negatives(7, 5, rng_seed=(seed, 3)) == want
