@@ -278,9 +278,9 @@ def cmd_ablate(args, tracker: OutputTracker) -> int:
     if dataset.task is None:
         raise DataError("ablate requires --task")
     out_dir = Path(args.out_dir)
-    tracker.register(out_dir / "report.txt")
-    tracker.register(out_dir / "report.tsv")
-    tracker.register(out_dir / "manifest.txt")
+    variant_files = [f"{v}/{f}" for v in ABLATION_ORDER for f in ("model.ckpt", "boundaries.tsv")]
+    for name in ("report.txt", "report.tsv", "manifest.txt", *variant_files):
+        tracker.register(out_dir / name)
     report = run_ablation(dataset, cfg, args.ks, variants=ABLATION_ORDER,
                           out_dir=out_dir, log=print)
     text = render_text(report)

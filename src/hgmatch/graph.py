@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,7 @@ RELATION_SCHEMA = {
     Relation.ITEM_CLICK_KW: (NodeType.ITEM, NodeType.KEYWORD),
     Relation.AD_COCLICK_ITEM: (NodeType.AD, NodeType.ITEM),
 }
+NODE_TYPES, RELATIONS = tuple(NodeType), tuple(Relation)
 
 
 @dataclass(frozen=True)
@@ -53,15 +55,17 @@ class NodeRecord:
     features: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    src_type: NodeType
-    src_id: int
-    relation: Relation
-    dst_type: NodeType
-    dst_id: int
-    weight: float
-    location: str = ""
+class EdgeColumns(NamedTuple):
+    """An edge file as columns, one entry per edge line in file order. A
+    type or relation is its index in NODE_TYPES or RELATIONS."""
+    path: str
+    line: np.ndarray  # line number of each edge
+    src_type: np.ndarray
+    src_id: np.ndarray  # int64, or object if an id does not fit
+    relation: np.ndarray
+    dst_type: np.ndarray
+    dst_id: np.ndarray
+    weight: np.ndarray
 
 
 def other_endpoint(relation: Relation, node_type: NodeType) -> NodeType:
@@ -104,12 +108,18 @@ def lookup_rows(known: np.ndarray, ids, missing: str) -> np.ndarray:
     """Rows of `ids` in the ascending id array `known`; an id not there is a
     DataError that reads `{missing} {id}`."""
     ids = np.asarray(ids, dtype=np.int64)
-    rows = np.searchsorted(known, ids)
-    found = rows < len(known)
-    found[found] = known[rows[found]] == ids[found]
+    rows, found = _find(known, ids)
     if not found.all():
         raise DataError(f"{missing} {int(ids[~found][0])}")
     return rows
+
+
+def _find(known: np.ndarray, ids: np.ndarray) -> tuple:
+    """(rows, found): where each of `ids` sorts into `known`, and whether it is there."""
+    rows = np.searchsorted(known, ids)
+    found = rows < len(known)
+    found[found] = known[rows[found]] == ids[found]
+    return rows, found
 
 
 class HeteroGraph:
@@ -195,80 +205,95 @@ def _csr_table(n_rows, rows, nbr_rows, weights):
     return table
 
 
-def ingest(edge_records, node_records) -> HeteroGraph:
-    """Build a frozen HeteroGraph; duplicate (src, dst, rel) edges merge by weight sum."""
+def ingest(edges: EdgeColumns, node_records) -> HeteroGraph:
+    """Build a frozen HeteroGraph; duplicate (src, dst, rel) edges merge by
+    weight sum in file order. A bad edge is a DataError at the first line
+    that fails a check, naming the first check it fails."""
     nodes = {t: {} for t in NodeType}
     for rec in node_records:
         if rec.node_id in nodes[rec.node_type]:
-            raise DataError(
-                f"duplicate node record {rec.node_type.value}:{rec.node_id}"
-            )
+            raise DataError(f"duplicate node record {rec.node_type.value}:{rec.node_id}")
         nodes[rec.node_type][rec.node_id] = rec
-
-    columns = {rel: ([], [], []) for rel in Relation}  # src ids, dst ids, weights
-    for e in edge_records:
-        schema = RELATION_SCHEMA[e.relation]
-        if (e.src_type, e.dst_type) != schema:
-            raise DataError(
-                f"{e.location}: relation {e.relation.value} expects "
-                f"{schema[0].value}->{schema[1].value}, got "
-                f"{e.src_type.value}->{e.dst_type.value}"
-            )
-        if not math.isfinite(e.weight):
-            raise DataError(f"{e.location}: non-finite edge weight {e.weight}")
-        if e.weight < 0:
-            raise DataError(f"{e.location}: negative edge weight {e.weight}")
-        if e.src_id not in nodes[e.src_type]:
-            raise DataError(
-                f"{e.location}: dangling endpoint {e.src_type.value}:{e.src_id}"
-            )
-        if e.dst_id not in nodes[e.dst_type]:
-            raise DataError(
-                f"{e.location}: dangling endpoint {e.dst_type.value}:{e.dst_id}"
-            )
-        src, dst, weights = columns[e.relation]
-        src.append(e.src_id)
-        dst.append(e.dst_id)
-        weights.append(e.weight)
-
     graph = HeteroGraph(nodes)
-    for rel, (src, dst, weights) in columns.items():
+
+    # each endpoint's row among the nodes of its type: [0] sources, [1] destinations
+    rows, found = np.zeros((2, len(edges.line)), np.int64), np.zeros((2, len(edges.line)), bool)
+    for end, types, ids in ((0, edges.src_type, edges.src_id), (1, edges.dst_type, edges.dst_id)):
+        for code, t in enumerate(NODE_TYPES):
+            sel = types == code
+            rows[end, sel], found[end, sel] = _find(graph.ids_of[t], ids[sel])
+    want = _SCHEMA_CODES[edges.relation]
+    bad = np.stack([  # one row per check, in the order a line is checked
+        (edges.src_type != want[:, 0]) | (edges.dst_type != want[:, 1]),
+        ~np.isfinite(edges.weight), edges.weight < 0, ~found[0], ~found[1],
+    ])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        rel, w = RELATIONS[edges.relation[i]], float(edges.weight[i])
+        src_t, dst_t = (t.value for t in RELATION_SCHEMA[rel])
+        st, dt = NODE_TYPES[edges.src_type[i]].value, NODE_TYPES[edges.dst_type[i]].value
+        message = (
+            f"relation {rel.value} expects {src_t}->{dst_t}, got {st}->{dt}",
+            f"non-finite edge weight {w}",
+            f"negative edge weight {w}",
+            f"dangling endpoint {st}:{int(edges.src_id[i])}",
+            f"dangling endpoint {dt}:{int(edges.dst_id[i])}",
+        )[int(np.argmax(bad[:, i]))]
+        raise DataError(f"{edges.path}:{edges.line[i]}: {message}")
+
+    for code, rel in enumerate(RELATIONS):
+        sel = edges.relation == code
         src_t, dst_t = RELATION_SCHEMA[rel]
-        src_rows, dst_rows = graph.rows(src_t, src), graph.rows(dst_t, dst)
         # one key per (src, dst) pair; duplicate weights sum in file order
         n_dst = graph.num_nodes(dst_t)
-        keys, inverse = np.unique(src_rows * n_dst + dst_rows, return_inverse=True)
+        keys, inverse = np.unique(rows[0, sel] * n_dst + rows[1, sel], return_inverse=True)
         merged = np.zeros(len(keys))
-        np.add.at(merged, inverse, np.asarray(weights, dtype=np.float64))
-        src_rows, dst_rows = keys // n_dst, keys % n_dst
-        graph._csr[(rel, src_t)] = _csr_table(graph.num_nodes(src_t), src_rows, dst_rows, merged)
-        graph._csr[(rel, dst_t)] = _csr_table(graph.num_nodes(dst_t), dst_rows, src_rows, merged)
+        np.add.at(merged, inverse, edges.weight[sel])
+        src, dst = keys // n_dst, keys % n_dst
+        graph._csr[(rel, src_t)] = _csr_table(graph.num_nodes(src_t), src, dst, merged)
+        graph._csr[(rel, dst_t)] = _csr_table(graph.num_nodes(dst_t), dst, src, merged)
     return graph
 
 
-_NODE_TYPE_BY_TOKEN = {t.value: t for t in NodeType}
-_RELATION_BY_TOKEN = {r.value: r for r in Relation}
+TYPE_CODE = {t.value: code for code, t in enumerate(NODE_TYPES)}  # token -> index
+_RELATION_CODE = {r.value: code for code, r in enumerate(RELATIONS)}
+_SCHEMA_CODES = np.array([[NODE_TYPES.index(t) for t in RELATION_SCHEMA[r]] for r in RELATIONS])
+# how each of an edge line's six fields parses, in the order a line is checked
+_EDGE_FIELDS = (TYPE_CODE.__getitem__, int, _RELATION_CODE.__getitem__,
+                TYPE_CODE.__getitem__, int, float)
 
 
-def parse_edge_line(line: str, location: str) -> EdgeRecord:
-    parts = line.split()
-    if len(parts) != 6:
-        raise DataError(f"{location}: expected 6 fields, got {len(parts)}")
-    st, sid, rel, dt, did, w = parts
+def _column(parse, tokens) -> np.ndarray:
+    values = list(map(parse, tokens))
     try:
-        return EdgeRecord(
-            src_type=_NODE_TYPE_BY_TOKEN[st],
-            src_id=int(sid),
-            relation=_RELATION_BY_TOKEN[rel],
-            dst_type=_NODE_TYPE_BY_TOKEN[dt],
-            dst_id=int(did),
-            weight=float(w),
-            location=location,
-        )
-    except KeyError as exc:
-        raise DataError(f"{location}: unknown token {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise DataError(f"{location}: {exc}") from exc
+        return np.array(values, dtype=np.float64 if parse is float else np.int64)
+    except OverflowError:  # an id no node can have: ingest reports it dangling
+        return np.array(values, dtype=object)
+
+
+def read_edges(path) -> EdgeColumns:
+    """An edge file (`src_type src_id relation dst_type dst_id weight` per
+    line) as columns. A line that does not parse is a DataError at its
+    path:line; ids and weights parse as Python's int and float parse them."""
+    numbered = list(_numbered_lines(path))
+    if all(len(line.split()) == 6 for _, line in numbered):
+        tokens = " ".join([line for _, line in numbered]).split()
+        try:
+            return EdgeColumns(str(path), np.array([n for n, _ in numbered], dtype=np.int64), *(
+                _column(parse, tokens[k::6]) for k, parse in enumerate(_EDGE_FIELDS)))
+        except (KeyError, ValueError):
+            pass  # a token that does not parse: named below
+    for n, line in numbered:  # only a bad file gets here
+        parts = line.split()
+        if len(parts) != 6:
+            raise DataError(f"{path}:{n}: expected 6 fields, got {len(parts)}")
+        for token, parse in zip(parts, _EDGE_FIELDS):
+            try:
+                parse(token)
+            except KeyError:
+                raise DataError(f"{path}:{n}: unknown token {token!r}") from None
+            except ValueError as exc:
+                raise DataError(f"{path}:{n}: {exc}") from exc
 
 
 def parse_node_line(line: str, location: str) -> NodeRecord:
@@ -277,7 +302,7 @@ def parse_node_line(line: str, location: str) -> NodeRecord:
         raise DataError(f"{location}: expected at least 4 fields, got {len(parts)}")
     ttok, nid, cat, searched = parts[:4]
     try:
-        ntype = _NODE_TYPE_BY_TOKEN[ttok]
+        ntype = NODE_TYPES[TYPE_CODE[ttok]]
         node_id = int(nid)
         category = int(cat)
         searched_count = float(searched)
@@ -294,19 +319,24 @@ def parse_node_line(line: str, location: str) -> NodeRecord:
     return NodeRecord(ntype, node_id, category, searched_count, features)
 
 
-def iter_file_records(path, parser):
+def _numbered_lines(path):
+    """(line number, stripped line) of each line of a UTF-8 text file that is
+    neither blank nor a `#` comment."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                yield parser(line, f"{path}:{lineno}")
+                if line and not line.startswith("#"):
+                    yield lineno, line
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+def iter_file_records(path, parser):
+    for lineno, line in _numbered_lines(path):
+        yield parser(line, f"{path}:{lineno}")
+
+
 def load_graph(edge_path, node_path) -> HeteroGraph:
     nodes = list(iter_file_records(node_path, parse_node_line))
-    edges = list(iter_file_records(edge_path, parse_edge_line))
-    return ingest(edges, nodes)
+    return ingest(read_edges(edge_path), nodes)

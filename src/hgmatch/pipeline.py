@@ -90,13 +90,18 @@ def train_variant(dataset: Dataset, cfg: TrainConfig, variant: VariantSpec,
     return model, result
 
 
-def evaluate_variant(model: MatchingModel, dataset: Dataset, ks) -> tuple:
-    """Recall at each K over the task and over its cold-start cohort, as two
-    {k: RecallResult} maps, from one export and one top-max(ks) pass: the
-    ranking sort is stable, so a smaller K's lists are prefixes of the longest."""
+def task_cohorts(dataset: Dataset) -> tuple:
+    """The dataset's task and its cold-start cohort."""
     if dataset.task is None:
         raise DataError("dataset has no evaluation task")
-    cohorts = (dataset.task, cold_start_split(dataset.graph, dataset.task))
+    return dataset.task, cold_start_split(dataset.graph, dataset.task)
+
+
+def evaluate_variant(model: MatchingModel, dataset: Dataset, ks, cohorts=None) -> tuple:
+    """Recall at each K over `cohorts` (default `task_cohorts`), as two {k:
+    RecallResult} maps, from one export and one top-max(ks) pass: the ranking
+    sort is stable, so a smaller K's lists are prefixes of the longest."""
+    cohorts = cohorts or task_cohorts(dataset)
     store = export_embeddings(model)
     longest = retrieve_all(store, dataset.graph, dataset.cat_index, dataset.task, max(ks))
     results = ({}, {})
@@ -123,11 +128,12 @@ def run_ablation(dataset: Dataset, base_cfg: TrainConfig, ks,
 
     sections = [SECTION_OVERALL] + [view_section(v) for v in ALL_VIEWS] + [SECTION_COLD]
     report = AblationReport(ks=list(ks), sections=sections, variants=list(variants), values={})
+    cohorts = task_cohorts(dataset)  # a bad task fails before any variant trains
     for name in variants:
         variant = VARIANTS[name]
         vdir = None if out_dir is None else Path(out_dir) / name
         model, fit_result = train_variant(dataset, base_cfg, variant, out_dir=vdir, log=log)
-        results, cold_results = evaluate_variant(model, dataset, ks)
+        results, cold_results = evaluate_variant(model, dataset, ks, cohorts)
         for k in ks:
             r: RecallResult = results[k]
             report.values[(name, SECTION_OVERALL, k)] = r.overall

@@ -23,7 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from .config import ALL_VIEWS
 from .errors import DataError
-from .graph import HeteroGraph, NodeType, Relation, iter_file_records, lookup_rows
+from .graph import (NODE_TYPES, TYPE_CODE, HeteroGraph, NodeType, Relation, iter_file_records,
+                    lookup_rows)
 from .model import AD_TOWER, KW_TOWER, MatchingModel
 from .sampling import CategoryIndex, stable_smallest
 
@@ -96,9 +97,6 @@ def save_embeddings(store: EmbeddingStore, path):
                     fh.write(f"{ntype.value}\t{node_id}\t{view}\t{text}\n")
 
 
-_NODE_TYPES = {t.value: t for t in NodeType}
-
-
 def _parse_embedding_line(line: str, location: str) -> tuple:
     """One `node_type node_id view values...` record of an embedding dump."""
     parts = line.split("\t")
@@ -108,7 +106,7 @@ def _parse_embedding_line(line: str, location: str) -> tuple:
     if view not in ALL_VIEWS:
         raise DataError(f"{location}: unknown view {view!r}")
     try:
-        ntype, node_id = _NODE_TYPES[ttok], int(nid)
+        ntype, node_id = NODE_TYPES[TYPE_CODE[ttok]], int(nid)
         vec = np.array(vals.split(), dtype=np.float64)
     except (KeyError, ValueError) as exc:
         raise DataError(f"{location}: {exc}") from exc
@@ -118,23 +116,25 @@ def _parse_embedding_line(line: str, location: str) -> tuple:
 
 
 def load_embeddings(path) -> EmbeddingStore:
-    rows = {}
+    rows = {}  # {(view, NodeType): {node id: vector}}
     d = None
     for ntype, node_id, view, vec, location in iter_file_records(path, _parse_embedding_line):
         if d is None:
             d = len(vec)
         elif len(vec) != d:
             raise DataError(f"{location}: inconsistent vector length")
-        rows.setdefault((view, ntype), []).append((node_id, vec))
+        group = rows.setdefault((view, ntype), {})
+        if node_id in group:
+            raise DataError(f"{location}: duplicate {view} row for {ntype.value}:{node_id}")
+        group[node_id] = vec
     if not rows:
         raise DataError(f"{path}: embedding dump has no rows")
     views = tuple(sorted({v for v, _ in rows}, key=lambda v: ALL_VIEWS.index(v)))
     vectors = {}
-    for (view, ntype), entries in rows.items():
-        entries.sort(key=lambda e: e[0])
-        ids = np.array([e[0] for e in entries], dtype=np.int64)
-        mat = np.stack([e[1] for e in entries])
-        vectors.setdefault(view, {})[ntype] = (ids, mat)
+    for (view, ntype), group in rows.items():
+        ids = sorted(group)
+        vectors.setdefault(view, {})[ntype] = (np.array(ids, dtype=np.int64),
+                                               np.stack([group[i] for i in ids]))
     return EmbeddingStore(d, views, vectors)
 
 

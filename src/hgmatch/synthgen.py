@@ -20,7 +20,7 @@ import numpy as np
 from .config import SynthConfig, VIEW_AD_BID, VIEW_AD_CLICK, VIEW_ITEM_CLICK
 from .features import (DEFAULT_BUCKETS, DEFAULT_WIDTH, KIND_ID, KIND_NUMERIC, KIND_TERMS,
                        FeatureManifest, FeatureSpec, save_manifest)
-from .graph import NodeType, Relation
+from .graph import NodeType, RELATION_SCHEMA, RELATIONS
 
 BRANDS_PER_CLUSTER = 3
 SHOP_VOCAB = 200
@@ -45,46 +45,40 @@ def _assign_clusters(rng, n, clusters):
     return base[rng.permutation(n)]
 
 
-def _sample_relation(rng, cfg, density, src_clusters, dst_clusters, stats_key, stats):
+def _sample_relation(rng, cfg, rel, src_clusters, dst_clusters, stats):
     """Distinct (src, dst) pairs: intra-cluster quota plus uniform noise."""
     n_src, n_dst = len(src_clusters), len(dst_clusters)
-    total_pairs = n_src * n_dst
-    n_edges = int(round(density * total_pairs))  # density <= 1, so at most every pair
+    density = getattr(cfg, f"density_{rel.value}")  # <= 1, so at most every pair
+    n_edges = int(round(density * (n_src * n_dst)))
     n_noise = int(round(n_edges * cfg.noise_edge_frac))
     n_intra = n_edges - n_noise
 
     by_cluster_src = {c: np.flatnonzero(src_clusters == c) for c in range(cfg.clusters)}
     by_cluster_dst = {c: np.flatnonzero(dst_clusters == c) for c in range(cfg.clusters)}
-    capacities = np.array(
-        [len(by_cluster_src[c]) * len(by_cluster_dst[c]) for c in range(cfg.clusters)],
-        dtype=np.int64,
-    )
+    capacities = (np.bincount(src_clusters, minlength=cfg.clusters)
+                  * np.bincount(dst_clusters, minlength=cfg.clusters))
     cap_total = capacities.sum()
     n_intra = min(n_intra, int(cap_total))
     quotas = np.floor(n_intra * capacities / max(cap_total, 1)).astype(np.int64)
     remainder = n_intra - quotas.sum()
     order = np.argsort(-(n_intra * capacities / max(cap_total, 1) - quotas), kind="stable")
-    for c in order[:remainder]:
-        quotas[c] += 1
+    quotas[order[:remainder]] += 1
     quotas = np.minimum(quotas, capacities)
 
-    pairs = {}
+    keys = []  # a pair is the key src * n_dst + dst, so keys sort as pairs do
     for c in range(cfg.clusters):
         srcs, dsts = by_cluster_src[c], by_cluster_dst[c]
         if quotas[c] == 0 or len(srcs) == 0 or len(dsts) == 0:
             continue
         flat = rng.choice(len(srcs) * len(dsts), size=quotas[c], replace=False)
-        for f in flat:
-            pairs[(int(srcs[f // len(dsts)]), int(dsts[f % len(dsts)]))] = True
-    for _ in range(n_noise):
-        s = int(rng.integers(n_src))
-        d = int(rng.integers(n_dst))
-        pairs[(s, d)] = True
-
-    keys = sorted(pairs)
+        keys.append(srcs[flat // len(dsts)] * n_dst + dsts[flat % len(dsts)])
+    # noise: one scalar draw at a time, src before dst
+    keys.append(np.array([rng.integers(n_src) * n_dst + rng.integers(n_dst)
+                          for _ in range(n_noise)], dtype=np.int64))
+    keys = np.unique(np.concatenate(keys))
     weights = _heavy_counts(rng, len(keys))
-    stats.generated_edges[stats_key] = len(keys)
-    return {k: int(w) for k, w in zip(keys, weights)}
+    stats.generated_edges[rel.value] = len(keys)
+    return dict(zip(zip((keys // n_dst).tolist(), (keys % n_dst).tolist()), weights.tolist()))
 
 
 def _holdout(rng, edges: dict, frac: float, exclude_src=()):
@@ -121,18 +115,10 @@ def generate(cfg: SynthConfig, out_dir) -> tuple:
     for a, i in enumerate(item_of_ad):
         ads_of_item.setdefault(int(i), []).append(a)
 
-    click = _sample_relation(
-        rng, cfg, cfg.density_ad_click_kw, ad_cluster, kw_cluster, "ad_click_kw", stats
-    )
-    bid = _sample_relation(
-        rng, cfg, cfg.density_ad_bid_kw, ad_cluster, kw_cluster, "ad_bid_kw", stats
-    )
-    iclick = _sample_relation(
-        rng, cfg, cfg.density_item_click_kw, item_cluster, kw_cluster, "item_click_kw", stats
-    )
-    coclick = _sample_relation(
-        rng, cfg, cfg.density_ad_coclick_item, ad_cluster, item_cluster, "ad_coclick_item", stats
-    )
+    clusters = {NodeType.AD: ad_cluster, NodeType.KEYWORD: kw_cluster, NodeType.ITEM: item_cluster}
+    click, bid, iclick, coclick = [  # one relation after another, in RELATIONS order
+        _sample_relation(rng, cfg, rel, *(clusters[t] for t in RELATION_SCHEMA[rel]), stats)
+        for rel in RELATIONS]
 
     n_cold = int(round(cfg.cold_start_frac * cfg.ads))
     cold = sorted(int(a) for a in rng.choice(cfg.ads, size=n_cold, replace=False))
@@ -162,17 +148,11 @@ def generate(cfg: SynthConfig, out_dir) -> tuple:
     item_view_targets = sorted(
         {(a, q) for (i, q) in iclick_held for a in ads_of_item.get(i, [])}
     )
-    stats.targets = {
-        VIEW_AD_CLICK: len(click_targets),
-        VIEW_AD_BID: len(bid_targets),
-        VIEW_ITEM_CLICK: len(item_view_targets),
-    }
-    stats.graph_edges = {
-        "ad_click_kw": len(click),
-        "ad_bid_kw": len(bid),
-        "item_click_kw": len(iclick),
-        "ad_coclick_item": len(coclick),
-    }
+    targets = {VIEW_AD_CLICK: click_targets, VIEW_AD_BID: bid_targets,
+               VIEW_ITEM_CLICK: item_view_targets}
+    stats.targets = {v: len(pairs) for v, pairs in targets.items()}
+    graph_edges = dict(zip(RELATIONS, (click, bid, iclick, coclick)))
+    stats.graph_edges = {rel.value: len(edges) for rel, edges in graph_edges.items()}
 
     def _label_sample(pairs, quota):
         pairs = sorted(pairs)
@@ -206,6 +186,12 @@ def generate(cfg: SynthConfig, out_dir) -> tuple:
             return int(rng.integers(BRANDS_PER_CLUSTER * cfg.clusters))
         return int(cluster * BRANDS_PER_CLUSTER + rng.integers(BRANDS_PER_CLUSTER))
 
+    def _listing(kind, i, cluster, cat):
+        """The node line of an ad or an item: both carry the same features."""
+        feats = (f"{kind}_id={i} terms={_terms(cluster)} category_path={cat} "
+                 f"brand={_brand(cluster)} shop={int(rng.integers(SHOP_VOCAB))}")
+        return f"{kind}\t{i}\t{cat}\t0\t" + feats.replace(" ", "\t") + "\n"
+
     paths = {
         "edges": out_dir / "edges.tsv",
         "nodes": out_dir / "nodes.tsv",
@@ -217,11 +203,7 @@ def generate(cfg: SynthConfig, out_dir) -> tuple:
     with open(paths["nodes"], "w", encoding="utf-8") as fh:
         fh.write("# node_type\tnode_id\tcategory_id\tsearched_count\tfeatures...\n")
         for a in range(cfg.ads):
-            feats = (
-                f"ad_id={a} terms={_terms(ad_cluster[a])} category_path={ad_cat[a]} "
-                f"brand={_brand(ad_cluster[a])} shop={int(rng.integers(SHOP_VOCAB))}"
-            )
-            fh.write(f"ad\t{a}\t{ad_cat[a]}\t0\t" + feats.replace(" ", "\t") + "\n")
+            fh.write(_listing("ad", a, ad_cluster[a], ad_cat[a]))
         for q in range(cfg.keywords):
             searched = int(min(10000, np.floor(rng.random() ** (-1.0 / 1.1))))
             feats = (
@@ -232,39 +214,20 @@ def generate(cfg: SynthConfig, out_dir) -> tuple:
             )
             fh.write(f"keyword\t{q}\t{kw_cat[q]}\t{searched}\t" + feats.replace(" ", "\t") + "\n")
         for i in range(cfg.items):
-            feats = (
-                f"item_id={i} terms={_terms(item_cluster[i])} category_path={item_cat[i]} "
-                f"brand={_brand(item_cluster[i])} shop={int(rng.integers(SHOP_VOCAB))}"
-            )
-            fh.write(f"item\t{i}\t{item_cat[i]}\t0\t" + feats.replace(" ", "\t") + "\n")
+            fh.write(_listing("item", i, item_cluster[i], item_cat[i]))
 
-    rel_rows = [
-        (Relation.AD_CLICK_KW, NodeType.AD, NodeType.KEYWORD, click),
-        (Relation.AD_BID_KW, NodeType.AD, NodeType.KEYWORD, bid),
-        (Relation.ITEM_CLICK_KW, NodeType.ITEM, NodeType.KEYWORD, iclick),
-        (Relation.AD_COCLICK_ITEM, NodeType.AD, NodeType.ITEM, coclick),
-    ]
     with open(paths["edges"], "w", encoding="utf-8") as fh:
         fh.write("# src_type\tsrc_id\trelation\tdst_type\tdst_id\tweight\n")
-        for rel, st, dt, edges in rel_rows:
-            for (s, d) in sorted(edges):
-                fh.write(f"{st.value}\t{s}\t{rel.value}\t{dt.value}\t{d}\t{edges[(s, d)]}\n")
+        for rel, edges in graph_edges.items():
+            st, dt = RELATION_SCHEMA[rel]
+            head, mid = f"{st.value}\t", f"\t{rel.value}\t{dt.value}\t"
+            fh.write("".join(f"{head}{s}{mid}{d}\t{w}\n" for (s, d), w in sorted(edges.items())))
 
-    with open(paths["labels"], "w", encoding="utf-8") as fh:
-        fh.write("# view\tad_id\tkeyword_id\n")
-        for view in (VIEW_AD_CLICK, VIEW_AD_BID, VIEW_ITEM_CLICK):
-            for a, q in labels[view]:
-                fh.write(f"{view}\t{a}\t{q}\n")
-
-    with open(paths["task"], "w", encoding="utf-8") as fh:
-        fh.write("# view\tad_id\tkeyword_id\n")
-        for view, pairs in (
-            (VIEW_AD_CLICK, click_targets),
-            (VIEW_AD_BID, bid_targets),
-            (VIEW_ITEM_CLICK, item_view_targets),
-        ):
-            for a, q in pairs:
-                fh.write(f"{view}\t{a}\t{q}\n")
+    for name, pairs_by_view in (("labels", labels), ("task", targets)):
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write("# view\tad_id\tkeyword_id\n")
+            fh.write("".join(f"{view}\t{a}\t{q}\n"
+                             for view, pairs in pairs_by_view.items() for a, q in pairs))
 
     w, b = DEFAULT_WIDTH, DEFAULT_BUCKETS
     brand = FeatureSpec("brand", KIND_ID, BRANDS_PER_CLUSTER * cfg.clusters, w)

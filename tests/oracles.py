@@ -6,7 +6,9 @@ contrastive `posterior` and the `influential_neighbors` query live here,
 next to `naive_node_embedding`, which chains them over per-node neighbor
 queries for one node's full forward pass. `node_embedding` reads one
 root's intermediate embeddings off a batched forward result, so tests can
-compare the two node by node.
+compare the two node by node. The edge file's reader as it was before it
+read columns, one `EdgeRecord` per line checked and merged one at a time,
+is `reference_load_graph`.
 
 Almost everything here recomputes results without touching the batched
 executor or its plans; `naive_plan` fills the plan containers from
@@ -15,13 +17,17 @@ it runs a plan with the executor's layer helpers, pooling in two ops, as a
 bitwise reference for the fused pooling.
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from hgmatch import autodiff as ad
 from hgmatch.autodiff import Pooling, Tensor
 from hgmatch.features import KIND_TERMS
+from hgmatch import graph as hg
+from hgmatch.errors import DataError
 from hgmatch.graph import NodeRef, NodeType, Relation, other_endpoint
 from hgmatch.model import (
     AD_TOWER,
@@ -449,3 +455,114 @@ def gather_segment_sum_execute(model, plan):
         fwd.z = z
         fwd.per_view = {v: model._view_head(tower, v, z) for v in model.variant.views}
     return ForwardResult(towers, plan.cache)
+
+
+
+# --- the edge file, one line at a time ---------------------------------------
+
+class EdgeRecord(NamedTuple):
+    src_type: NodeType
+    src_id: int
+    relation: Relation
+    dst_type: NodeType
+    dst_id: int
+    weight: float
+    location: str = ""
+
+
+_NODE_TYPE_BY_TOKEN = {t.value: t for t in NodeType}
+_RELATION_BY_TOKEN = {r.value: r for r in Relation}
+
+
+def parse_edge_line(line: str, location: str) -> EdgeRecord:
+    parts = line.split()
+    if len(parts) != 6:
+        raise DataError(f"{location}: expected 6 fields, got {len(parts)}")
+    st, sid, rel, dt, did, w = parts
+    try:
+        return EdgeRecord(
+            src_type=_NODE_TYPE_BY_TOKEN[st],
+            src_id=int(sid),
+            relation=_RELATION_BY_TOKEN[rel],
+            dst_type=_NODE_TYPE_BY_TOKEN[dt],
+            dst_id=int(did),
+            weight=float(w),
+            location=location,
+        )
+    except KeyError as exc:
+        raise DataError(f"{location}: unknown token {exc.args[0]!r}") from exc
+    except ValueError as exc:
+        raise DataError(f"{location}: {exc}") from exc
+
+
+def edge_columns(records) -> hg.EdgeColumns:
+    """EdgeRecords as the columns `graph.ingest` takes; every location is
+    `path:line` with one path, or empty."""
+    path = {r.location.rpartition(":")[0] for r in records}
+    assert len(path) <= 1, "records from more than one file"
+    return hg.EdgeColumns(
+        path.pop() if path else "",
+        np.array([int(r.location.rpartition(":")[2] or 0) for r in records], dtype=np.int64),
+        np.array([hg.NODE_TYPES.index(r.src_type) for r in records], dtype=np.int64),
+        np.array([r.src_id for r in records], dtype=np.int64),
+        np.array([hg.RELATIONS.index(r.relation) for r in records], dtype=np.int64),
+        np.array([hg.NODE_TYPES.index(r.dst_type) for r in records], dtype=np.int64),
+        np.array([r.dst_id for r in records], dtype=np.int64),
+        np.array([r.weight for r in records], dtype=np.float64),
+    )
+
+
+def ingest(records, node_records) -> hg.HeteroGraph:
+    """`graph.ingest` over EdgeRecords."""
+    return hg.ingest(edge_columns(records), node_records)
+
+
+def reference_ingest(records, node_records) -> hg.HeteroGraph:
+    """`graph.ingest` checking and collecting one EdgeRecord at a time."""
+    nodes = {t: {} for t in NodeType}
+    for rec in node_records:
+        if rec.node_id in nodes[rec.node_type]:
+            raise DataError(f"duplicate node record {rec.node_type.value}:{rec.node_id}")
+        nodes[rec.node_type][rec.node_id] = rec
+
+    columns = {rel: ([], [], []) for rel in Relation}  # src ids, dst ids, weights
+    for e in records:
+        schema = hg.RELATION_SCHEMA[e.relation]
+        if (e.src_type, e.dst_type) != schema:
+            raise DataError(
+                f"{e.location}: relation {e.relation.value} expects "
+                f"{schema[0].value}->{schema[1].value}, got "
+                f"{e.src_type.value}->{e.dst_type.value}"
+            )
+        if not math.isfinite(e.weight):
+            raise DataError(f"{e.location}: non-finite edge weight {e.weight}")
+        if e.weight < 0:
+            raise DataError(f"{e.location}: negative edge weight {e.weight}")
+        if e.src_id not in nodes[e.src_type]:
+            raise DataError(f"{e.location}: dangling endpoint {e.src_type.value}:{e.src_id}")
+        if e.dst_id not in nodes[e.dst_type]:
+            raise DataError(f"{e.location}: dangling endpoint {e.dst_type.value}:{e.dst_id}")
+        src, dst, weights = columns[e.relation]
+        src.append(e.src_id)
+        dst.append(e.dst_id)
+        weights.append(e.weight)
+
+    graph = hg.HeteroGraph(nodes)
+    for rel, (src, dst, weights) in columns.items():
+        src_t, dst_t = hg.RELATION_SCHEMA[rel]
+        src_rows, dst_rows = graph.rows(src_t, src), graph.rows(dst_t, dst)
+        n_dst = graph.num_nodes(dst_t)
+        keys, inverse = np.unique(src_rows * n_dst + dst_rows, return_inverse=True)
+        merged = np.zeros(len(keys))
+        np.add.at(merged, inverse, np.asarray(weights, dtype=np.float64))
+        src_rows, dst_rows = keys // n_dst, keys % n_dst
+        graph._csr[(rel, src_t)] = hg._csr_table(graph.num_nodes(src_t), src_rows, dst_rows, merged)
+        graph._csr[(rel, dst_t)] = hg._csr_table(graph.num_nodes(dst_t), dst_rows, src_rows, merged)
+    return graph
+
+
+def reference_load_graph(edge_path, node_path) -> hg.HeteroGraph:
+    """`graph.load_graph` parsing the edge file one line at a time."""
+    nodes = list(hg.iter_file_records(node_path, hg.parse_node_line))
+    edges = list(hg.iter_file_records(edge_path, parse_edge_line))
+    return reference_ingest(edges, nodes)

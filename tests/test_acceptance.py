@@ -234,7 +234,8 @@ def test_criterion_5_recall_arithmetic():
 
 
 def test_criterion_6_negative_sampler_distribution():
-    from hgmatch.graph import NodeRecord, ingest
+    from hgmatch.graph import NodeRecord
+    from oracles import ingest
 
     records = [
         NodeRecord(NodeType.KEYWORD, 1, 0, 4.0, {}),

@@ -525,3 +525,37 @@ def test_output_tracker_removes_only_the_empty_directories_it_made(tmp_path):
     tracker.cleanup()
     assert sorted(p.name for p in kept.iterdir()) == ["c"]
     assert sorted(p.name for p in (kept / "c").iterdir()) == ["other.txt"]
+
+
+def test_failed_ablate_removes_the_variant_outputs(data_dir, tmp_path, capsys):
+    # every ad in the task has clicks, so the cold-start cohort is empty
+    clicked = sorted({line.split("\t")[1] for line in (data_dir / "edges.tsv").read_text().splitlines()
+                      if "\tad_click_kw\t" in line})
+    task = tmp_path / "task.tsv"
+    task.write_text("".join(f"ad_click\t{a}\t0\n" for a in clicked))
+    out = tmp_path / "ablate"
+    rc = main(["ablate", *dataset_args(data_dir), "--task", str(task),
+               "--out-dir", str(out), "--ks", "5", "--seed", "1",
+               "--set", "d=8", "--set", "l=4", "--set", "epochs=1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "cold-start cohort is empty" in err and "Traceback" not in err
+    assert not (out / "full").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["task.tsv"]
+
+
+@pytest.mark.parametrize("field", ["size", "width"])
+def test_zero_size_or_width_in_a_manifest_exits_3_with_location(data_dir, tmp_path, capsys, field):
+    lines = (data_dir / "features.tsv").read_text().splitlines(keepends=True)
+    row = lines[2].split("\t")
+    row[3 if field == "size" else 4] = "0\n" if field == "width" else "0"
+    lines[2] = "\t".join(row)
+    features = tmp_path / "features.tsv"
+    features.write_text("".join(lines))
+    out = tmp_path / "run"
+    rc = main(["train", *dataset_args(data_dir), "--features", str(features),
+               "--out-dir", str(out), "--epochs", "0", "--set", "d=8", "--set", "l=4"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{features}:3:" in err and "Traceback" not in err
+    assert not out.exists()

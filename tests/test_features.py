@@ -141,7 +141,8 @@ def test_encoder_out_of_vocab_hashes_in_range():
 
 def test_node_fusion_hand_evaluated_toy():
     # d=4 with hand-set tables and identity fusion: h = concat(slots) exactly
-    from hgmatch.graph import NodeRecord, ingest
+    from hgmatch.graph import NodeRecord
+    from oracles import ingest
     from hgmatch.params import ModelParams
     from hgmatch.model import MatchingModel
     from hgmatch.config import TrainConfig, VARIANTS
@@ -188,7 +189,8 @@ def test_zero_tables_zero_biases_give_zero_embedding(tiny_dataset, tmp_path):
 def test_shared_title_terms_identical_subvectors(tiny_dataset):
     # an ad and an item with the same term tokens resolve to the same table
     # rows, so their pooled term sub-vectors are identical before fusion
-    from hgmatch.graph import NodeRecord, ingest
+    from hgmatch.graph import NodeRecord
+    from oracles import ingest
 
     manifest = tiny_dataset.manifest
     nodes = [

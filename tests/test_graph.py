@@ -1,5 +1,7 @@
 import collections
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,21 +11,19 @@ from hypothesis import strategies as st
 from hgmatch.config import TrainConfig, VARIANTS
 from hgmatch.errors import DataError
 from hgmatch.graph import (
-    EdgeRecord,
     Metapath,
     NodeRecord,
     NodeRef,
     NodeType,
     Relation,
     RELATION_SCHEMA,
-    ingest,
     load_graph,
     other_endpoint,
-    parse_edge_line,
     parse_node_line,
 )
 from hgmatch.model import build_plan
-from oracles import influential_neighbors, naive_plan
+from oracles import (EdgeRecord, influential_neighbors, ingest, naive_plan, parse_edge_line,
+                     reference_load_graph)
 
 
 def node(ntype, nid, cat=0, searched=1.0):
@@ -386,3 +386,95 @@ def test_build_plan_rejects_unknown_ids():
             build_plan(g, [3, 4], [1], cfg, VARIANTS[variant])
         with pytest.raises(DataError, match="unknown keyword id 3"):
             build_plan(g, [3], [3], cfg, VARIANTS[variant])
+
+
+# --- the columnar edge reader against the line-by-line reference -------------
+
+# how a valid id or weight may be written: Python's int() and float() accept
+# signs, leading zeros, underscores and non-ASCII digits
+ID_TEXTS = (str, lambda i: f"+{i}", lambda i: f"0{i}", lambda i: f"0_{i}",
+            lambda i: chr(0x0660 + i) if i < 10 else str(i))
+WEIGHTS = ("0", "1", "2.5", "0.1", "1e2", "-0", "+3", "1_0", "7.", ".5", "١.٥", "0.7")
+BAD_TOKENS = {
+    "fields": None,  # drop or add a field
+    "type": ("Ad", "kw", "ad_click_kw", ""),
+    "relation": ("ad_click", "AD_BID_KW", "keyword"),
+    "id": ("x1", "1.0", "0x10", "1__0", "99", "-1", str(2 ** 70), "٣x"),
+    "weight": ("nan", "NaN", "inf", "-inf", "1e400", "-1", "-0.5", "abc", "1,5"),
+    "schema": None,  # src and dst types swapped, or one replaced
+}
+
+
+@st.composite
+def edge_file(draw):
+    """(bytes of an edge file, how it was mutated): valid lines over SMALL_IDS
+    among comments and blank lines, then zero to three mutations."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        filler = draw(st.sampled_from([None, None, None, "", "   ", "# comment", "  #x 1 2"]))
+        if filler is not None:
+            lines.append(filler)
+            continue
+        rel = draw(st.sampled_from(list(Relation)))
+        src_t, dst_t = RELATION_SCHEMA[rel]
+        sid = draw(st.sampled_from(ID_TEXTS))(draw(st.sampled_from(SMALL_IDS[src_t])))
+        did = draw(st.sampled_from(ID_TEXTS))(draw(st.sampled_from(SMALL_IDS[dst_t])))
+        # str.split() splits at \x0b, \x85 and \u2028 too; a file's lines do not end there
+        sep = draw(st.sampled_from(["\t", " ", "\t \t", "\x0b", "\x85", "\u2028"]))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(lead + sep.join([src_t.value, sid, rel.value, dst_t.value, did,
+                                      draw(st.sampled_from(WEIGHTS))]))
+    applied = []
+    edge_rows = [i for i, line in enumerate(lines) if line.strip() and not line.strip().startswith("#")]
+    for _ in range(draw(st.integers(0, 3)) if edge_rows else 0):
+        i = draw(st.sampled_from(edge_rows))
+        parts = lines[i].split()
+        kind = draw(st.sampled_from(sorted(BAD_TOKENS)))
+        if kind == "fields":
+            if draw(st.booleans()):
+                del parts[draw(st.integers(0, len(parts) - 1))]
+            else:
+                parts.insert(draw(st.integers(0, len(parts))), "7")
+        elif kind == "schema":
+            if draw(st.booleans()):
+                parts[0], parts[3] = parts[3], parts[0]
+            else:
+                parts[draw(st.sampled_from([0, 3]))] = draw(st.sampled_from([t.value for t in NodeType]))
+        elif len(parts) == 6:
+            col = {"type": [0, 3], "relation": [2], "id": [1, 4], "weight": [5]}[kind]
+            parts[draw(st.sampled_from(col))] = draw(st.sampled_from(BAD_TOKENS[kind]))
+        lines[i] = "\t".join(parts)
+        applied.append(kind)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = newline.join(lines).encode("utf-8") + draw(st.sampled_from([b"", newline.encode()]))
+    if draw(st.integers(0, 9)) == 0:  # a byte that starts no UTF-8 sequence
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+        applied.append("non-utf8")
+    return data, applied
+
+
+def load_outcome(load, edge_path, node_path):
+    """The DataError text of a load, or every CSR table's dtypes and bytes."""
+    try:
+        g = load(edge_path, node_path)
+    except DataError as exc:
+        return str(exc)
+    return {key: [(a.dtype.str, a.tobytes()) for a in table] for key, table in g._csr.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_file())
+def test_columnar_edge_reader_matches_the_line_by_line_reference(case):
+    # the files stay under the 8 KiB the reference decodes before its first
+    # line, so both readers meet a non-UTF-8 byte before any line check
+    data, applied = case
+    with tempfile.TemporaryDirectory() as d:
+        node_path, edge_path = Path(d) / "nodes.tsv", Path(d) / "edges.tsv"
+        node_path.write_text("".join(f"{t.value}\t{i}\t0\t1\n"
+                                     for t, ids in SMALL_IDS.items() for i in ids))
+        edge_path.write_bytes(data)
+        got = load_outcome(load_graph, edge_path, node_path)
+        assert got == load_outcome(reference_load_graph, edge_path, node_path), applied
+    if not applied:
+        assert isinstance(got, dict)

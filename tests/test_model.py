@@ -189,7 +189,8 @@ def test_cache_hits_when_ads_share_neighbors(tiny_model):
 def test_cache_hits_count_shared_pairs():
     # two ads with identical keyword neighborhood: every expanded (path, node)
     # under the shared keywords is a hit for the second ad
-    from hgmatch.graph import EdgeRecord, NodeRecord, RELATION_SCHEMA, Relation, ingest
+    from hgmatch.graph import NodeRecord, RELATION_SCHEMA, Relation
+    from oracles import EdgeRecord, ingest
     from hgmatch.features import FeatureManifest, FeatureSpec, FeatureEncoder
     from hgmatch.params import init_params
     from hgmatch.model import MatchingModel
@@ -282,7 +283,8 @@ def test_group_variants_restrict_paths(tiny_dataset):
 
 def test_isolated_node_tower_collapses_to_nested_self(tiny_dataset):
     # a node with no edges: h^p = relu(W2 (relu(W1 h + b1)) + b2) per path
-    from hgmatch.graph import NodeRecord, ingest
+    from hgmatch.graph import NodeRecord
+    from oracles import ingest
     from hgmatch.features import FeatureEncoder
     from hgmatch.params import init_params
     from hgmatch.model import MatchingModel
@@ -313,7 +315,8 @@ def test_isolated_node_tower_collapses_to_nested_self(tiny_dataset):
 def test_tower_symmetry_mirrored_parameters():
     # one ad and one keyword with identical features and symmetric edges;
     # mirror the kw-tower parameters onto the ad tower -> z vectors match
-    from hgmatch.graph import EdgeRecord, NodeRecord, RELATION_SCHEMA, Relation, ingest
+    from hgmatch.graph import NodeRecord, RELATION_SCHEMA, Relation
+    from oracles import EdgeRecord, ingest
     from hgmatch.features import FeatureManifest, FeatureSpec, FeatureEncoder
     from hgmatch.params import init_params
     from hgmatch.model import MatchingModel

@@ -308,6 +308,7 @@ def test_export_round_trip_bit_identical(tiny_model, tmp_path):
     ("ad\t1\tad_click\t0.5 nan", "non-finite"),
     ("ad\t1\tad_click\t0.5", "inconsistent vector length"),
     ("ad\t1\tad_click", "expected 4 tab-separated fields"),
+    ("keyword\t1\tad_click\t0.5 0.5", "duplicate ad_click row for keyword:1"),
 ])
 def test_load_embeddings_rejects_a_bad_row_with_its_location(tmp_path, row, message):
     path = tmp_path / "emb.tsv"

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgmatch.graph import NodeRecord, NodeType, ingest
+from hgmatch.graph import NodeRecord, NodeType
 from hgmatch.sampling import CategoryIndex, CategoryTooSmall, stable_smallest
+from oracles import ingest
 
 
 def kw(nid, cat, searched):

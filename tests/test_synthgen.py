@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 from hgmatch.config import SynthConfig
 from hgmatch.graph import NodeRef, NodeType, Relation, load_graph
 from hgmatch.pipeline import load_labels
@@ -18,6 +21,23 @@ def test_same_seed_byte_identical(tmp_path):
     p2, _ = generate(SynthConfig(**SMALL, seed=5), tmp_path / "b")
     for key in p1:
         assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
+
+
+# sha256 of each output of SMALL at seed 5, as the generator wrote it when
+# it built its pairs in a dict and wrote them one line at a time
+SMALL_SEED5_SHA256 = {
+    "edges": "89f432c35cf438b4b00259f195f4a6878f8cecaec6858193550f9856081a9551",
+    "features": "dcff2f010d1cb3f219e36eee2f2111b6f1c28bc2bc2bc11e98f417699f30e812",
+    "labels": "acbe240975f41d413cead31160c950a77a7e6331b0a5d5e2ab5bef857a9f06a5",
+    "nodes": "e153cdeb847ae0cb098349b8cab35ee4cf935abcacb4e42435b6ff0bc3bd15f1",
+    "task": "d956ccbcd3e4474a065e941c683cb1fae50228d8d147aa7ad11ef425de156c71",
+}
+
+
+def test_outputs_keep_their_bytes(tmp_path):
+    paths, _ = generate(SynthConfig(**SMALL, seed=5), tmp_path)
+    got = {k: hashlib.sha256(Path(p).read_bytes()).hexdigest() for k, p in paths.items()}
+    assert got == SMALL_SEED5_SHA256
 
 
 def test_different_seed_differs(tmp_path):

@@ -10,7 +10,7 @@ from hgmatch.autodiff import Tensor
 from hgmatch.config import TrainConfig, VARIANTS
 from hgmatch.errors import DataError, NumericError
 from hgmatch.features import FeatureEncoder
-from hgmatch.graph import NodeRef, NodeType, Relation, ingest, iter_file_records, parse_edge_line
+from hgmatch.graph import NodeRef, NodeType, Relation, iter_file_records
 from hgmatch.model import AD_TOWER, KW_TOWER, MatchingModel, active_paths, build_plan
 from hgmatch.params import ModelParams, init_params
 from hgmatch.pipeline import build_model, train_variant
@@ -25,7 +25,7 @@ from hgmatch.trainer import (
     loss_from_forward,
     relative_error,
 )
-from oracles import gather_segment_sum_execute, node_embedding, posterior
+from oracles import gather_segment_sum_execute, ingest, node_embedding, parse_edge_line, posterior
 
 
 def test_posterior_equal_scores_is_uniform():
