@@ -296,6 +296,14 @@ def read_edges(path) -> EdgeColumns:
                 raise DataError(f"{path}:{n}: {exc}") from exc
 
 
+def parse_id(token: str) -> int:
+    """A node id as `int` parses it; ValueError unless it fits in int64."""
+    node_id = int(token)
+    if not -2 ** 63 <= node_id < 2 ** 63:
+        raise ValueError(f"id {token} does not fit in 64 bits")
+    return node_id
+
+
 def parse_node_line(line: str, location: str) -> NodeRecord:
     parts = line.split()
     if len(parts) < 4:
@@ -303,7 +311,7 @@ def parse_node_line(line: str, location: str) -> NodeRecord:
     ttok, nid, cat, searched = parts[:4]
     try:
         ntype = NODE_TYPES[TYPE_CODE[ttok]]
-        node_id = int(nid)
+        node_id = parse_id(nid)
         category = int(cat)
         searched_count = float(searched)
     except (KeyError, ValueError) as exc:

@@ -146,8 +146,10 @@ def load_checkpoint(path) -> ModelParams:
             for member in zf.namelist():
                 if not member.startswith("t:"):
                     continue
-                arr = np.load(io.BytesIO(zf.read(member)))
-                tensors[member[2:-len(".npy")]] = Tensor(arr, requires_grad=True)
+                name, arr = member[2:-len(".npy")], np.load(io.BytesIO(zf.read(member)))
+                if not np.isfinite(arr).all():
+                    raise DataError(f"{path}: non-finite value in tensor {name}")
+                tensors[name] = Tensor(arr, requires_grad=True)
     except (zipfile.BadZipFile, EOFError, ValueError) as exc:  # truncated or corrupt bytes
         raise DataError(f"{path}: unreadable checkpoint: {exc}") from exc
     return ModelParams(tensors, meta)

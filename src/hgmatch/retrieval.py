@@ -7,10 +7,10 @@ candidate matrix once per view, through a checked id lookup, and scores
 each ad by one matrix-vector product; a partition at the K-th largest
 score leaves only the candidates that can make the list (every tie with
 the K-th among them) to a stable sort, so lists equal those of a full
-stable sort. Export runs the forward without a tape and renders each row
-to the dump's 9-significant-digit text once: the exported values are that
-text read back, and the store keeps the text for the dump, so
-export -> dump -> reload -> score is reproducible bit for bit.
+stable sort. Export runs the forward without a tape, then one set of array
+passes (`_quantize`) writes each matrix's 9-significant-digit dump text and
+computes the values that text reads back as, without parsing it; the store
+keeps both, so export -> dump -> reload -> score is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .config import ALL_VIEWS
 from .errors import DataError
 from .graph import (NODE_TYPES, TYPE_CODE, HeteroGraph, NodeType, Relation, iter_file_records,
-                    lookup_rows)
+                    lookup_rows, parse_id)
 from .model import AD_TOWER, KW_TOWER, MatchingModel
 from .sampling import CategoryIndex, stable_smallest
 
@@ -51,18 +51,68 @@ class EmbeddingStore:
         return self.gather(view, ntype, [node_id])[0]
 
 
-def _render(matrix: np.ndarray) -> list:
-    """The dump text of each row: its values as 9-significant-digit
-    decimals joined by spaces (`"%.9g"`, the same text as `"{:.9g}"`)."""
-    fmt = " ".join(["%.9g"] * matrix.shape[1])
-    return [fmt % tuple(row) for row in matrix.tolist()]
+# Four ASCII digits of 0..9999 as one little-endian word; the twin writes the
+# entry's trailing zeros as NUL, and the dump text drops every NUL.
+_DIGITS4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), "<u4").astype(np.uint64)
+_TRIMMED4 = np.frombuffer(b"".join((b"%04d" % i).rstrip(b"0").ljust(4, b"\0")
+                                   for i in range(10000)), "<u4").astype(np.uint64)
+_POW10 = np.array([10 ** k for k in range(23)], dtype=np.float64)  # each one exact
+# Indexed by X + 4 for the exponents X = -4..8 of fixed notation: the digits
+# 1..X of a word of digits 1-8, the point after digit X, and "0." and zeros.
+_FIXED = range(-4, 9)
+_INTEGER = np.array([(1 << 8 * max(x, 0)) - 1 for x in _FIXED], np.uint64)
+_DOT = np.array([46 << 8 * x if 0 <= x < 8 else 0 for x in _FIXED], np.uint64)
+_LEAD = np.array([int.from_bytes(b"\x000." + b"0" * (-1 - x), "little") if x < 0 else 0
+                  for x in _FIXED], np.uint64)
+_BLOCK = 8192  # values per pass: 64 KiB arrays, in cache and below malloc's mmap threshold
 
 
 def _quantize(matrix: np.ndarray) -> tuple:
-    """(rows, values): the dump text of `matrix` and the matrix it reads
-    back as, parsed in one pass with no Python float per value."""
-    rows = _render(matrix)
-    return rows, np.fromstring(" ".join(rows), sep=" ").reshape(matrix.shape)
+    """(rows, values): each row of `matrix` as the dump writes it, its values
+    in 9-significant-digit `%g` text joined by spaces, and the matrix that
+    text reads back as, bit for bit, with no Python float or str per value.
+
+    A value x of decimal exponent X in [-4, 8] has the nine digits
+    r = round(|x| * 10^(8-X)) and reads back as r / 10^(8-X): both numbers
+    are exact, so that one division is the correctly rounded decimal. The
+    product carries one rounding (<= 6e-8), so a value is formatted one at a
+    time if its scaled fraction lies within 1e-6 of one half, and also if it
+    is zero or not finite, if `%g` writes it in exponent notation, or if
+    log10 or the rounding move it out of nine digits. Each value's text is
+    laid into 24 bytes, NUL where it has no character, separator last.
+    """
+    rows, values, step = [], np.empty(matrix.shape), max(1, _BLOCK // matrix.shape[1])
+    for start in range(0, len(matrix), step):
+        x = np.asarray(matrix[start:start + step], dtype=np.float64).ravel()
+        a = np.abs(x)
+        one_at_a_time = ~(np.isfinite(a) & (a > 0))
+        a[one_at_a_time] = 1.0
+        row = np.clip(np.floor(np.log10(a)), -4, 8).astype(np.intp) + 4  # X + 4
+        p = a * _POW10[12 - row]
+        r = np.rint(p)
+        one_at_a_time |= (p < 1e8) | (r >= 1e9) | (np.abs(p - r) > 0.5 - 1e-6)
+        r[one_at_a_time] = 1e8
+        block = np.copysign(r / _POW10[12 - row], x)
+        q, lo = np.divmod(r.astype(np.uint64), 10000)
+        first, hi = np.divmod(q, 10000)
+        integer, dot = _INTEGER[row], _DOT[row]
+        trimmed = np.where(lo != 0, _DIGITS4[hi], _TRIMMED4[hi]) | _TRIMMED4[lo] << 32
+        # ASCII digits are "0" | d: "0" restores the trimmed zeros, and "." shares a bit with each
+        low, high = (trimmed | 0x3030303030303030) & integer, trimmed & ~integer
+        body = low | high << 8 | dot * (trimmed & dot != 0)
+        cells = np.full((len(x), 3), 32 << 56, "<u8")
+        cells[:, 0] = (x < 0) * np.uint64(45) | _LEAD[row] | first + 48 << 48 | body << 56
+        cells[:, 1] = body >> 8 | high >> 56 << 56
+        cells.reshape(-1, matrix.shape[1], 3)[:, -1, 2] = 10 << 56
+
+        idx = np.flatnonzero(one_at_a_time)
+        texts = ["%.9g" % v for v in x[idx].tolist()]
+        padded = np.frombuffer("".join(t.ljust(23, "\0") for t in texts).encode(), np.uint8)
+        cells.view(np.uint8)[idx, :-1] = padded.reshape(-1, 23)
+        block[idx] = [float(t) for t in texts]
+        values[start:start + step] = block.reshape(-1, matrix.shape[1])
+        rows += cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    return rows, values
 
 
 def export_embeddings(model: MatchingModel, path=None) -> EmbeddingStore:
@@ -91,7 +141,7 @@ def save_embeddings(store: EmbeddingStore, path):
         for ntype in (NodeType.AD, NodeType.KEYWORD):
             ids = store.vectors[store.views[0]][ntype][0].tolist()
             texts = [store.rendered[view][ntype] if store.rendered is not None
-                     else _render(store.vectors[view][ntype][1]) for view in store.views]
+                     else _quantize(store.vectors[view][ntype][1])[0] for view in store.views]
             for node_id, *row_texts in zip(ids, *texts):
                 for view, text in zip(store.views, row_texts):
                     fh.write(f"{ntype.value}\t{node_id}\t{view}\t{text}\n")
@@ -106,7 +156,7 @@ def _parse_embedding_line(line: str, location: str) -> tuple:
     if view not in ALL_VIEWS:
         raise DataError(f"{location}: unknown view {view!r}")
     try:
-        ntype, node_id = NODE_TYPES[TYPE_CODE[ttok]], int(nid)
+        ntype, node_id = NODE_TYPES[TYPE_CODE[ttok]], parse_id(nid)
         vec = np.array(vals.split(), dtype=np.float64)
     except (KeyError, ValueError) as exc:
         raise DataError(f"{location}: {exc}") from exc
@@ -202,7 +252,7 @@ def parse_view_line(line: str, location: str) -> tuple:
     if view not in ALL_VIEWS:
         raise DataError(f"{location}: unknown view {view!r}")
     try:
-        return view, int(ad_id), int(kw_id)
+        return view, parse_id(ad_id), parse_id(kw_id)
     except ValueError as exc:
         raise DataError(f"{location}: {exc}") from exc
 

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import zipfile
@@ -398,6 +399,58 @@ def test_non_finite_searched_count_exits_3(data_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{nodes}:{at + 1}: non-finite searched count 'nan'" in err
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("where", ["nodes", "task", "dump"])
+def test_id_beyond_int64_exits_3_with_location(data_dir, dump, tmp_path, capsys, where):
+    big = "99999999999999999999"
+    src = {"nodes": data_dir / "nodes.tsv", "task": data_dir / "task.tsv",
+           "dump": dump / "emb.tsv"}[where]
+    lines = src.read_text().splitlines(keepends=True)
+    at = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    fields = lines[at].split("\t")
+    fields[1] = big
+    lines[at] = "\t".join(fields)
+    bad = tmp_path / src.name
+    bad.write_text("".join(lines))
+    files = {"nodes": data_dir / "nodes.tsv", "task": data_dir / "task.tsv",
+             "dump": dump / "emb.tsv", where: bad}
+    out = tmp_path / "out.tsv"
+    if where == "nodes":
+        argv = ["build-graph", "--edges", str(data_dir / "edges.tsv"),
+                "--nodes", str(files["nodes"]), "--out", str(out)]
+    else:
+        argv = ["retrieve", "--embeddings", str(files["dump"]),
+                "--edges", str(data_dir / "edges.tsv"), "--nodes", str(files["nodes"]),
+                "--task", str(files["task"]), "--k", "5", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}:{at + 1}: id {big} does not fit in 64 bits" in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "out.tsv.manifest").exists()
+
+
+def test_checkpoint_with_a_non_finite_tensor_exits_3(data_dir, dump, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    member = "t:view/ad/ad_bid/W1.npy"
+    with zipfile.ZipFile(dump / "model.ckpt") as src, zipfile.ZipFile(ckpt, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            if info.filename == member:
+                arr = np.load(io.BytesIO(data))
+                arr[0, 0] = np.nan
+                buf = io.BytesIO()
+                np.save(buf, arr)
+                data = buf.getvalue()
+            dst.writestr(info, data)
+    emb = tmp_path / "emb.tsv"
+    rc = main(["embed", "--checkpoint", str(ckpt),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+               "--features", str(data_dir / "features.tsv"),
+               "--boundaries", str(dump / "boundaries.tsv"), "--out", str(emb)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{ckpt}: non-finite value in tensor view/ad/ad_bid/W1" in err and "Traceback" not in err
+    assert not emb.exists() and not (tmp_path / "emb.tsv.manifest").exists()
 
 
 def test_unexpected_exception_removes_outputs_and_propagates(monkeypatch, tmp_path):

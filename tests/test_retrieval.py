@@ -1,9 +1,12 @@
+import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from hgmatch.config import TrainConfig, VARIANTS
 from hgmatch.errors import DataError
 from hgmatch.graph import NodeType
@@ -257,6 +260,43 @@ def test_quantize_equals_per_element_rendering(rows):
     text, values = _quantize(m)
     assert values.tobytes() == naive_quantize(m).tobytes()
     assert text == [" ".join(f"{x:.9g}" for x in row) for row in rows]
+
+
+def _powers_of_ten_and_neighbours():
+    powers = 10.0 ** np.arange(-7, 11)
+    near = np.stack([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)], axis=1)
+    return np.hstack([near, -near])
+
+
+# mantissa x 10^e: ten significant digits reach the nine-digit ties, e covers
+# every fixed-notation exponent and the exponent notation on either side
+_SCALED = st.builds(lambda m, e: m * 10.0 ** e,
+                    st.one_of(st.integers(-10 ** 10, 10 ** 10).map(lambda n: n / 1e9),
+                              st.floats(-10, 10)),
+                    st.integers(-7, 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 50), st.integers(1, 64)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=_SCALED)))
+@example(_powers_of_ten_and_neighbours())
+@example(np.array([[9.9999999995e-5, 999999999.5, 123456788.5, 12345678.25]]))  # carries and ties
+@example(np.arange(-8224.0, 8224.0).reshape(257, 64) / 7)  # three passes of 8,192 values
+@example(np.array([[0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                    float("inf"), float("-inf"), float("nan")]]))
+def test_quantize_array_path_equals_per_element_rendering(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text, values = _quantize(m)
+    assert values.tobytes() == naive_quantize(m).tobytes()
+    assert text == [" ".join(f"{x:.9g}" for x in row) for row in m.tolist()]
+
+
+def test_dump_keeps_its_bytes(tiny_model, tmp_path):
+    path = tmp_path / "emb.tsv"
+    export_embeddings(tiny_model, path=path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "01870a9c03aaf2d69d47348df6b636c1ab2965464f440cfe68d74ce20a0c91cf")
 
 
 def test_save_writes_the_same_bytes_with_or_without_kept_rows(tiny_model, tmp_path):
