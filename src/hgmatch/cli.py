@@ -8,6 +8,7 @@ Partial output files are removed when a run fails.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -303,6 +304,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def _positive_ints(text: str) -> list:
     """One or more comma-separated positive integers."""
     values = [_positive_int(k) for k in text.split(",") if k]
@@ -371,11 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--d", type=int, default=8)
-    p.add_argument("--l", type=int, default=4)
-    p.add_argument("--probes", type=int, default=200)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--pairs", type=int, default=16)
+    p.add_argument("--d", type=_positive_int, default=8)
+    p.add_argument("--l", type=_positive_int, default=4)
+    p.add_argument("--probes", type=_positive_int, default=200)
+    p.add_argument("--eps", type=_positive_float, default=1e-4)
+    p.add_argument("--pairs", type=_positive_int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -180,12 +180,16 @@ def fit_graph_quantiles(graph: HeteroGraph, manifest: FeatureManifest) -> dict:
 
 
 def _numeric(raw, spec: FeatureSpec, rec) -> float:
-    """float(raw), or a DataError naming the feature and the node."""
+    """float(raw), or a DataError naming the feature and the node. NaN is a
+    value (the reserved bucket); an infinity is not."""
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise DataError(f"bad numeric value {raw!r} for {spec.name} on "
-                        f"{rec.node_type.value}:{rec.node_id}") from exc
+        x = float(raw)
+        if not math.isinf(x):
+            return x
+    except ValueError:
+        pass
+    raise DataError(f"bad numeric value {raw!r} for {spec.name} on "
+                    f"{rec.node_type.value}:{rec.node_id}")
 
 
 # --- encoded layout --------------------------------------------------------

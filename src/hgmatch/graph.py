@@ -169,25 +169,6 @@ class HeteroGraph:
         idx += np.arange(len(idx))
         return nbrs[idx], parents, counts
 
-    def neighbors(self, ref: NodeRef, relation: Relation, m=None):
-        """Top-m neighbors of ref under relation, by descending edge weight.
-
-        m=None means the full neighborhood. Returns read-only (ids, weights)
-        arrays; a node the relation does not touch has none.
-        """
-        table = self._csr.get((relation, ref.node_type))
-        known = self.ids_of[ref.node_type]
-        row = int(np.searchsorted(known, ref.node_id))
-        if table is None or row == len(known) or known[row] != ref.node_id:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        indptr, nbrs, weights = table
-        lo, hi = indptr[row], indptr[row + 1]
-        if m is not None:
-            hi = min(hi, lo + m)
-        ids = self.ids_of[other_endpoint(relation, ref.node_type)][nbrs[lo:hi]]
-        ids.flags.writeable = False
-        return ids, weights[lo:hi]
-
     def edge_count(self, relation: Relation) -> int:
         """Distinct edges of one relation (counted from the source side)."""
         return len(self._csr[(relation, RELATION_SCHEMA[relation][0])][1])

@@ -2,18 +2,21 @@
 
 A forward call is split into a plan (pure graph walking: which nodes sit
 at which depth of which metapath, with child linkage) and an execution
-(vectorized autodiff ops over the plan's index arrays). The plan builder
-keeps a per-call cache keyed by (metapath, depth, node), so every distinct
-intermediate embedding is computed exactly once no matter how many tree
-branches reach it. A plan walks graph rows, never ids, and deduplicates
-each level without a sort, so it is cheap enough to build for every
-training batch from that batch's own roots. Every neighbor sum (a
-metapath hop's children, the influential neighbors, and the term
-embeddings of the feature layout) is an `ad.Pooling` built once with its
-plan: one sparse product per pass, with no gathered copy of the neighbor
-rows. `graph.expand_rows` emits neighbors row after row, so each pooling
-is bucket-major as built and needs no sort, and its `counts` are the only
-record of how many children, neighbors or terms each mean divides by.
+(vectorized autodiff ops over the plan's index arrays). Only a plan's
+roots, level 0 of each metapath, depend on the call. Every deeper level is
+the whole node type at that depth in ids_of order, since a batch's
+neighborhoods reach nearly every node of each type anyway: each
+intermediate embedding is computed once per node however many tree
+branches reach it, and each pool reads the next level's rows straight
+from the node-level table of their type. A plan walks graph rows, never
+ids, so it is cheap enough to build for every training batch from that
+batch's own roots. Every neighbor sum (a metapath hop's children, the
+influential neighbors, and the term embeddings of the feature layout) is
+an `ad.Pooling` built once with its plan: one sparse product per pass,
+with no gathered copy of the neighbor rows. `graph.expand_rows` emits
+neighbors row after row, so each pooling is bucket-major as built and
+needs no sort, and its `counts` are the only record of how many children,
+neighbors or terms each mean divides by.
 
 Per metapath of length K, a node at depth j carries hidden states for
 layers 0..K-j: layer k of node u combines u's own layer k-1 state with
@@ -90,12 +93,9 @@ class CacheStats:
 @dataclass
 class PathPlan:
     path: Metapath
-    level_ids: list          # np arrays of node ids, depth 0..K
-    level_rows: list         # depth j: rows of level_ids[j] in the graph's ids_of
-    child_pools: list        # depth j: Pooling of each row's children (see below)
-    # child_pools[j] sums level j+1 rows into level j, except the deepest:
-    # child_pools[K-1] reads the deepest children's h0 rows straight from
-    # the node-level table of their type, so level K is never gathered.
+    level_ids: list          # depth 0: the roots' ids; depth j >= 1: ids_of[chain[j]]
+    child_pools: list        # depth j: Pooling of each level-j row's top-m children,
+                             # read as rows of the whole type chain[j + 1]
 
 
 @dataclass
@@ -115,42 +115,25 @@ class ForwardPlan:
     cache: CacheStats
 
 
-def _first_seen(rows, n):
-    """The distinct entries of `rows` (each in [0, n)) in first-seen order,
-    and each entry's index among them; no sort of `rows`."""
-    first = np.full(n, len(rows))
-    np.minimum.at(first, rows, np.arange(len(rows)))
-    distinct = rows[first[rows] == np.arange(len(rows))]
-    rank = np.empty(n, dtype=np.int64)
-    rank[distinct] = np.arange(len(distinct))
-    return distinct, rank[rows]
-
-
 def _build_path_plan(graph, roots, path, m, stats: CacheStats) -> PathPlan:
-    """Each level holds its distinct nodes in first-seen order; `roots` and
-    every hop are rows of the graph's ids_of."""
+    """Level 0 is `roots` (rows of the graph's ids_of); every deeper level is
+    the whole node type, so each pool reads the next type's rows as they are.
+
+    Per pool, the first entry that reads a source row is a miss and every
+    later entry reading it is a hit; the roots are misses."""
     chain = path.type_chain()
-    level_rows = [roots]
-    child_flat, child_segs = [], []
     stats.misses += len(roots)
+    rows, pools = roots, []
     for depth, rel in enumerate(path.steps):
-        nbrs, segs, _ = graph.expand_rows(chain[depth], level_rows[depth], rel, m)
-        distinct, flat = _first_seen(nbrs, len(graph.ids_of[chain[depth + 1]]))
-        stats.misses += len(distinct)
-        stats.hits += len(nbrs) - len(distinct)
-        level_rows.append(distinct)
-        child_flat.append(flat)
-        child_segs.append(segs)
-    level_ids = [graph.ids_of[t][rows] for t, rows in zip(chain, level_rows)]
-    K = len(path.steps)
-    pools = []
-    for j in range(K):
-        if j < K - 1:
-            src, n_in = child_flat[j], len(level_rows[j + 1])
-        else:  # the deepest pool reads h0 rows (see PathPlan)
-            src, n_in = level_rows[K][child_flat[j]], len(graph.ids_of[chain[K]])
-        pools.append(ad.Pooling(src, child_segs[j], len(level_rows[j]), n_in))
-    return PathPlan(path, level_ids, level_rows, pools)
+        n_in = len(graph.ids_of[chain[depth + 1]])
+        nbrs, segs, _ = graph.expand_rows(chain[depth], rows, rel, m)
+        distinct = np.count_nonzero(np.bincount(nbrs, minlength=n_in))
+        stats.misses += distinct
+        stats.hits += len(nbrs) - distinct
+        pools.append(ad.Pooling(nbrs, segs, len(rows), n_in))
+        rows = np.arange(n_in)
+    level_ids = [graph.ids_of[chain[0]][roots], *(graph.ids_of[t] for t in chain[1:])]
+    return PathPlan(path, level_ids, pools)
 
 
 def build_plan(
@@ -162,8 +145,8 @@ def build_plan(
 ) -> ForwardPlan:
     """Plan a forward pass for the given roots; DataError for an id not in the graph.
 
-    The walk runs on graph rows, so its cost follows the roots and their
-    neighborhoods, not the size of the graph.
+    The walk runs on graph rows. Its first hop follows the roots; every
+    deeper hop expands a whole node type.
     """
     stats = CacheStats()
     other = {AD_TOWER: KW_TOWER, KW_TOWER: AD_TOWER}
@@ -283,21 +266,17 @@ class MatchingModel:
         """a[rows] as a gather; a constant (0, d) block when there are none."""
         return ad.gather(a, rows) if len(rows) else Tensor(np.zeros((0, self.cfg.d)))
 
-    def _execute_path(self, plan: PathPlan, h0_by_type: dict) -> Tensor:
-        chain = plan.path.type_chain()
+    def _execute_path(self, plan: PathPlan, h0_roots: Tensor, h0_by_type: dict) -> Tensor:
+        """One metapath's output for the plan's roots, whose h0 rows are `h0_roots`."""
         K = len(plan.path.steps)
-        states = [self._rows(h0_by_type[chain[j]], plan.level_rows[j]) for j in range(K)]
-        states.append(h0_by_type[chain[K]])  # the deepest pool reads h0 rows
+        states = [h0_roots, *(h0_by_type[t] for t in plan.path.type_chain()[1:])]
         for k in range(1, K + 1):
-            nxt = []
-            for j in range(0, K - k + 1):
-                neigh = ad.pool(states[j + 1], plan.child_pools[j])
-                nxt.append(
-                    self._conv_step(
-                        plan.path.name, k, states[j], neigh, plan.child_pools[j].counts
-                    )
-                )
-            states = nxt
+            states = [
+                self._conv_step(plan.path.name, k, states[j],
+                                ad.pool(states[j + 1], plan.child_pools[j]),
+                                plan.child_pools[j].counts)
+                for j in range(K - k + 1)
+            ]
         return states[0]
 
     def _fuse(self, tower, path_outputs):
@@ -329,7 +308,7 @@ class MatchingModel:
             )
             if self.variant.conv and tp.path_plans:
                 for pp in tp.path_plans:
-                    fwd.per_path[pp.path.name] = self._execute_path(pp, h0_by_type)
+                    fwd.per_path[pp.path.name] = self._execute_path(pp, h0, h0_by_type)
                 fwd.path_names = list(fwd.per_path)
                 fwd.h_tilde, w = self._fuse(tower, list(fwd.per_path.values()))
                 fwd.att_weights = w.data

@@ -8,9 +8,8 @@ scatter-adds done as one-hot CSR products that add in source order (not
 np.add.at, whose order they keep), so a (seed, data, config) triple fixes
 the loss trajectory bit for bit. Each step runs on a plan built from its
 batch's own roots (`batch_plan`: the distinct ads and the positive and
-negative keywords, plus what `build_plan` adds for them), so a step
-computes only the rows its loss reads and their neighborhoods, and its
-cost follows the batch rather than the graph. `grad_check` evaluates its
+negative keywords, plus what `build_plan` adds for them); the metapath
+levels below those roots are whole node types. `grad_check` evaluates its
 loss on the same plan; its finite-difference loss evaluations run under
 `autodiff.no_grad()`, so they record no tape.
 """
@@ -216,7 +215,6 @@ def grad_check(model: MatchingModel, pairs, probe_count=200, eps=1e-4, seed=0) -
     picks = rng.integers(0, cum[-1], size=probe_count)
 
     probes = []
-    max_err = 0.0
     for flat in picks:
         ti = int(np.searchsorted(cum, flat, side="right"))
         name = names[ti]
@@ -232,5 +230,5 @@ def grad_check(model: MatchingModel, pairs, probe_count=200, eps=1e-4, seed=0) -
         analytic = float(grads[name].flat[offset])
         err = relative_error(analytic, numeric)
         probes.append((name, offset, analytic, numeric, err))
-        max_err = max(max_err, err)
-    return GradCheckReport(max_err, probes)
+    # np.max, unlike max(), keeps a NaN error
+    return GradCheckReport(float(np.max([p[4] for p in probes], initial=0.0)), probes)

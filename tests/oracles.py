@@ -2,9 +2,10 @@
 
 The model's layers written node by node in plain numpy (`conv_layer`,
 `sage_layer`, `semantic_fuse`, `siamese_embed`, `view_transform`), the
-contrastive `posterior` and the `influential_neighbors` query live here,
-next to `naive_node_embedding`, which chains them over per-node neighbor
-queries for one node's full forward pass. `node_embedding` reads one
+contrastive `posterior`, the per-node `neighbors` query read off the CSR
+tables and the `influential_neighbors` query live here, next to
+`naive_node_embedding`, which chains them over per-node neighbor queries
+for one node's full forward pass. `node_embedding` reads one
 root's intermediate embeddings off a batched forward result, so tests can
 compare the two node by node. The edge file's reader as it was before it
 read columns, one `EdgeRecord` per line checked and merged one at a time,
@@ -96,11 +97,30 @@ def posterior(score_pos: float, score_negs, gamma: float) -> float:
     return float(e[0] / e.sum())
 
 
+def neighbors(graph, ref, relation, m=None):
+    """Top-m neighbors of ref under relation, by descending edge weight, read
+    off the graph's CSR table one node at a time.
+
+    m=None means the full neighborhood. Returns (ids, weights) arrays; a
+    node the relation does not touch has none.
+    """
+    table = graph._csr.get((relation, ref.node_type))
+    known = graph.ids_of[ref.node_type]
+    row = int(np.searchsorted(known, ref.node_id))
+    if table is None or row == len(known) or known[row] != ref.node_id:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    indptr, nbrs, weights = table
+    lo, hi = indptr[row], indptr[row + 1]
+    if m is not None:
+        hi = min(hi, lo + m)
+    return graph.ids_of[other_endpoint(relation, ref.node_type)][nbrs[lo:hi]], weights[lo:hi]
+
+
 def influential_neighbors(graph, ref, kappa):
     """Top-kappa cross-type neighbors by bid-edge weight (ads <-> keywords);
     ValueError for an item."""
     other = other_endpoint(Relation.AD_BID_KW, ref.node_type)
-    ids, _ = graph.neighbors(ref, Relation.AD_BID_KW, kappa)
+    ids, _ = neighbors(graph, ref, Relation.AD_BID_KW, kappa)
     return [NodeRef(other, int(i)) for i in ids]
 
 
@@ -174,7 +194,7 @@ def naive_path_embedding(model, ref, tower_path):
         if k == 0:
             return naive_h0(model, chain[depth], node_id)
         self_prev = emb(node_id, depth, k - 1)
-        ids, _ = graph.neighbors(NodeRef(chain[depth], node_id), steps[depth], model.cfg.m)
+        ids, _ = neighbors(graph, NodeRef(chain[depth], node_id), steps[depth], model.cfg.m)
         child_vecs = [emb(int(c), depth + 1, k - 1) for c in ids]
         base = f"conv/{path.name}/k{k}"
         if model.variant.aggregator == "sage":
@@ -234,44 +254,30 @@ def _dense_rows(graph, ntype, ids):
 
 
 def naive_path_plan(graph, roots, path, m, stats) -> PathPlan:
-    """Node-by-node metapath walk; each level numbers its nodes in first-seen order."""
+    """Node-by-node metapath walk: level 0 is `roots`, every deeper level the
+    whole node type in ids_of order. An entry of a pool is a hit when an
+    earlier entry of the same pool read the same child, else a miss."""
     chain = path.type_chain()
-    level_ids = [np.asarray(roots, dtype=np.int64)]
-    child_flat, child_segs = [], []
+    level_ids = [np.asarray(roots, dtype=np.int64), *(graph.ids_of[t] for t in chain[1:])]
     stats.misses += len(roots)
+    pools = []
     for depth, rel in enumerate(path.steps):
-        ptype = chain[depth]
-        next_rows = {}
-        next_ids = []
-        flat, segs = [], []
+        child_row = {int(c): r for r, c in enumerate(level_ids[depth + 1])}
+        seen, flat, segs = set(), [], []
         for row, pid in enumerate(level_ids[depth]):
-            ids, _ = graph.neighbors(NodeRef(ptype, int(pid)), rel, m)
+            ids, _ = neighbors(graph, NodeRef(chain[depth], int(pid)), rel, m)
             for cid in ids:
-                cid = int(cid)
-                crow = next_rows.get(cid)
-                if crow is None:
-                    crow = len(next_ids)
-                    next_rows[cid] = crow
-                    next_ids.append(cid)
-                    stats.misses += 1
-                else:
+                crow = child_row[int(cid)]
+                if crow in seen:
                     stats.hits += 1
+                else:
+                    seen.add(crow)
+                    stats.misses += 1
                 flat.append(crow)
                 segs.append(row)
-        level_ids.append(np.array(next_ids, dtype=np.int64))
-        child_flat.append(np.array(flat, dtype=np.int64))
-        child_segs.append(np.array(segs, dtype=np.int64))
-    level_rows = [_dense_rows(graph, t, ids) for t, ids in zip(chain, level_ids)]
-    pools = [
-        Pooling(child_flat[j], child_segs[j], len(level_ids[j]), len(level_ids[j + 1]))
-        for j in range(len(path.steps) - 1)
-    ]
-    # the deepest children are pooled from their h0 rows
-    pools.append(Pooling(
-        level_rows[-1][child_flat[-1]], child_segs[-1],
-        len(level_ids[-2]), len(graph.ids_of[chain[-1]]),
-    ))
-    return PathPlan(path, level_ids, level_rows, pools)
+        pools.append(Pooling(np.array(flat, dtype=np.int64), np.array(segs, dtype=np.int64),
+                             len(level_ids[depth]), len(level_ids[depth + 1])))
+    return PathPlan(path, level_ids, pools)
 
 
 def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
@@ -385,8 +391,7 @@ def _gather_segment_sum(a, src_rows, dst_rows, n_out):
 
 def gather_segment_sum_execute(model, plan):
     """model.execute(plan) with every neighbor pooling done as a gather and
-    a segment_sum, and every metapath level (the deepest too) gathered from
-    h0 first: a bitwise reference for `ad.pool` inside the whole forward."""
+    a segment_sum: a bitwise reference for `ad.pool` inside the whole forward."""
     p = model.params
 
     def node_level_all(ntype):
@@ -405,24 +410,17 @@ def gather_segment_sum_execute(model, plan):
         hidden = ad.relu(x @ p[f"fusion/{t}/W1"] + p[f"fusion/{t}/b1"])
         return hidden @ p[f"fusion/{t}/W2"] + p[f"fusion/{t}/b2"]
 
-    def execute_path(pp, h0_by_type):
-        chain = pp.path.type_chain()
+    def execute_path(pp, h0_roots, h0_by_type):
         K = len(pp.path.steps)
-        states = [model._rows(h0_by_type[t], rows) for t, rows in zip(chain, pp.level_rows)]
-        # the deepest pool indexes h0 rows; map them back to level-K rows
-        level_of = np.zeros(len(model.graph.ids_of[chain[K]]), dtype=np.int64)
-        level_of[pp.level_rows[K]] = np.arange(len(pp.level_rows[K]))
-        children = [pl.src_rows for pl in pp.child_pools[:-1]]
-        children.append(level_of[pp.child_pools[-1].src_rows])
+        states = [h0_roots, *(h0_by_type[t] for t in pp.path.type_chain()[1:])]
         for k in range(1, K + 1):
             states = [
                 model._conv_step(
                     pp.path.name, k, states[j],
-                    _gather_segment_sum(states[j + 1], children[j],
-                                        pp.child_pools[j].dst_rows, len(pp.level_ids[j])),
-                    pp.child_pools[j].counts,
+                    _gather_segment_sum(states[j + 1], pl.src_rows, pl.dst_rows, pl.n_out),
+                    pl.counts,
                 )
-                for j in range(K - k + 1)
+                for j, pl in zip(range(K - k + 1), pp.child_pools)
             ]
         return states[0]
 
@@ -438,7 +436,7 @@ def gather_segment_sum_execute(model, plan):
         h0 = model._rows(h0_by_type[TOWER_TYPE[tower]], tp.all_rows)
         per_path, names, att_weights, h_tilde = {}, [], None, h0
         if model.variant.conv and tp.path_plans:
-            outputs = [execute_path(pp, h0_by_type) for pp in tp.path_plans]
+            outputs = [execute_path(pp, h0, h0_by_type) for pp in tp.path_plans]
             names = [pp.path.name for pp in tp.path_plans]
             per_path = dict(zip(names, outputs))
             h_tilde, w = model._fuse(tower, outputs)

@@ -134,6 +134,26 @@ def test_gradcheck_subcommand(capsys):
     assert err <= 1e-4
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "0"), ("--eps", "-1e-4"), ("--eps", "nan"), ("--eps", "inf"), ("--eps", "x"),
+    ("--probes", "-1"), ("--probes", "0"), ("--pairs", "0"), ("--d", "0"), ("--l", "-2"),
+])
+def test_gradcheck_rejects_bad_sizes_and_steps(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert "expected a positive" in capsys.readouterr().err
+
+
+def test_gradcheck_nan_probe_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr("hgmatch.trainer.relative_error", lambda a, n: float("nan"))
+    rc = main(["gradcheck", "--d", "8", "--l", "4", "--probes", "3", "--pairs", "8"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert "max relative error: nan" in captured.out
+    assert "numeric failure" in captured.err
+
+
 def test_unknown_flag_exits_2(data_dir):
     with pytest.raises(SystemExit) as exc:
         main(["build-graph", "--edges", str(data_dir / "edges.tsv"),
@@ -530,6 +550,25 @@ def test_bad_numeric_feature_or_boundaries_exits_3(data_dir, dump, tmp_path, cap
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not emb.exists() and not (tmp_path / "emb.tsv.manifest").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e999"])
+def test_infinite_numeric_feature_exits_3_naming_the_node(data_dir, tmp_path, capsys, value):
+    nodes = tmp_path / "nodes.tsv"
+    node_lines = (data_dir / "nodes.tsv").read_text().splitlines(keepends=True)
+    kw = next(i for i, l in enumerate(node_lines) if "\tbid_price=" in l)
+    node_id = node_lines[kw].split("\t")[1]
+    node_lines[kw] = re.sub(r"\tbid_price=[^\t\n]*", f"\tbid_price={value}", node_lines[kw])
+    nodes.write_text("".join(node_lines))
+    out = tmp_path / "run"
+    rc = main(["train", *dataset_args(data_dir), "--nodes", str(nodes),
+               "--out-dir", str(out), "--epochs", "1", "--seed", "1",
+               "--set", "d=8", "--set", "l=4"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"bad numeric value '{value}' for bid_price on keyword:{node_id}" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.tsv"]
 
 
 def test_non_utf8_input_exits_3_naming_the_file(data_dir, tmp_path, capsys):

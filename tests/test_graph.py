@@ -22,8 +22,8 @@ from hgmatch.graph import (
     parse_node_line,
 )
 from hgmatch.model import build_plan
-from oracles import (EdgeRecord, influential_neighbors, ingest, naive_plan, parse_edge_line,
-                     reference_load_graph)
+from oracles import (EdgeRecord, influential_neighbors, ingest, naive_plan, neighbors,
+                     parse_edge_line, reference_load_graph)
 
 
 def node(ntype, nid, cat=0, searched=1.0):
@@ -57,7 +57,7 @@ def adjacency(g):
     for rel in Relation:
         for t in RELATION_SCHEMA[rel]:
             for nid in g.ids_of[t]:
-                ids, ws = g.neighbors(NodeRef(t, int(nid)), rel)
+                ids, ws = neighbors(g, NodeRef(t, int(nid)), rel)
                 if len(ids):
                     yield (rel, t), int(nid), ids, ws
 
@@ -75,7 +75,7 @@ def test_duplicate_edges_merge_by_weight_sum():
         [edge(Relation.AD_CLICK_KW, 1, 1, 2.0), edge(Relation.AD_CLICK_KW, 1, 1, 3.0)],
         basic_nodes(),
     )
-    ids, ws = g.neighbors(NodeRef(NodeType.AD, 1), Relation.AD_CLICK_KW)
+    ids, ws = neighbors(g, NodeRef(NodeType.AD, 1), Relation.AD_CLICK_KW)
     assert list(ids) == [1]
     assert list(ws) == [5.0]
 
@@ -85,7 +85,7 @@ def test_empty_edge_stream_gives_isolated_nodes():
     for t in NodeType:
         for nid in g.ids_of[t]:
             for rel in Relation:
-                ids, _ = g.neighbors(NodeRef(t, int(nid)), rel)
+                ids, _ = neighbors(g, NodeRef(t, int(nid)), rel)
                 assert len(ids) == 0
 
 
@@ -103,7 +103,7 @@ def test_degree_counts_match_brute_force_tally():
         tally[(e.relation, e.src_type, e.src_id)] += 1
         tally[(e.relation, e.dst_type, e.dst_id)] += 1
     for (rel, t, nid), want in tally.items():
-        assert len(g.neighbors(NodeRef(t, nid), rel)[0]) == want
+        assert len(neighbors(g, NodeRef(t, nid), rel)[0]) == want
 
 
 def test_adjacency_sorted_by_weight_then_id():
@@ -113,7 +113,7 @@ def test_adjacency_sorted_by_weight_then_id():
         edge(Relation.AD_CLICK_KW, 1, 3, 5.0),
     ]
     g = ingest(edges, basic_nodes())
-    ids, ws = g.neighbors(NodeRef(NodeType.AD, 1), Relation.AD_CLICK_KW)
+    ids, ws = neighbors(g, NodeRef(NodeType.AD, 1), Relation.AD_CLICK_KW)
     assert list(ids) == [2, 3, 1]
     assert list(ws) == [5.0, 5.0, 1.0]
 
@@ -249,7 +249,7 @@ def test_ingestion_idempotent_from_files(tiny_dataset):
     g2 = load_graph(paths["edges"], paths["nodes"])
     seen = 0
     for (rel, ntype), nid, ids, ws in adjacency(g1):
-        ids2, ws2 = g2.neighbors(NodeRef(ntype, nid), rel)
+        ids2, ws2 = neighbors(g2, NodeRef(ntype, nid), rel)
         assert np.array_equal(ids, ids2) and np.array_equal(ws, ws2)
         seen += 1
     assert seen > 0
@@ -283,7 +283,7 @@ def test_ingest_merge_property(pairs):
     for a, q, w in pairs:
         merged[(a, q)] += w
     for a in range(6):
-        ids, ws = g.neighbors(NodeRef(NodeType.AD, a), Relation.AD_CLICK_KW)
+        ids, ws = neighbors(g, NodeRef(NodeType.AD, a), Relation.AD_CLICK_KW)
         got = dict(zip(ids.tolist(), ws.tolist()))
         want = {q: w for (aa, q), w in merged.items() if aa == a}
         assert got == pytest.approx(want)
@@ -338,11 +338,11 @@ def test_expand_equals_per_node_neighbors(edges, m, data):
     for rel in Relation:
         for t in RELATION_SCHEMA[rel]:
             for i in SMALL_IDS[t]:
-                ids, ws = g.neighbors(NodeRef(t, i), rel)
+                ids, ws = neighbors(g, NodeRef(t, i), rel)
                 assert list(zip(ids.tolist(), ws.tolist())) == want.get((rel, t, i), [])
             ids = data.draw(st.lists(st.sampled_from(SMALL_IDS[t]), max_size=6))
             nbrs, parents, counts = expand(g, t, ids, rel, m)
-            per_node = [g.neighbors(NodeRef(t, i), rel, m)[0].tolist() for i in ids]
+            per_node = [neighbors(g, NodeRef(t, i), rel, m)[0].tolist() for i in ids]
             assert nbrs.tolist() == [n for p in per_node for n in p]
             assert parents.tolist() == [r for r, p in enumerate(per_node) for _ in p]
             assert counts.tolist() == [len(p) for p in per_node]

@@ -25,7 +25,7 @@ from hgmatch.retrieval import (
     topk_retrieve,
 )
 
-from oracles import naive_evaluate, naive_quantize, naive_rank, naive_recall
+from oracles import naive_evaluate, naive_quantize, naive_rank, naive_recall, neighbors
 
 
 def make_store(rng, n_ads=5, n_kws=40, d=8, views=("ad_click",)):
@@ -222,7 +222,7 @@ def test_cold_start_split(tiny_dataset):
 
     assert cohort.ads
     for a in cohort.ads:
-        ids, _ = tiny_dataset.graph.neighbors(NodeRef(NodeType.AD, a), Relation.AD_CLICK_KW)
+        ids, _ = neighbors(tiny_dataset.graph, NodeRef(NodeType.AD, a), Relation.AD_CLICK_KW)
         assert len(ids) == 0
     # cohort = all ads reduces to the global task
     same = task.restrict(task.ads)

@@ -6,6 +6,7 @@ from hgmatch.graph import NodeRef, NodeType, Relation, load_graph
 from hgmatch.pipeline import load_labels
 from hgmatch.retrieval import load_task
 from hgmatch.synthgen import generate
+from oracles import neighbors
 
 
 SMALL = dict(
@@ -65,10 +66,10 @@ def test_no_leakage_targets_not_in_graph(tmp_path):
     g = load_graph(paths["edges"], paths["nodes"])
     task = load_task(paths["task"])
     for ad_id, kws in task.targets.items():
-        ids, _ = g.neighbors(NodeRef(NodeType.AD, ad_id), Relation.AD_CLICK_KW)
+        ids, _ = neighbors(g, NodeRef(NodeType.AD, ad_id), Relation.AD_CLICK_KW)
         assert not (set(ids.tolist()) & kws)
     for ad_id, kws in task.view_targets.get("ad_bid", {}).items():
-        ids, _ = g.neighbors(NodeRef(NodeType.AD, ad_id), Relation.AD_BID_KW)
+        ids, _ = neighbors(g, NodeRef(NodeType.AD, ad_id), Relation.AD_BID_KW)
         assert not (set(ids.tolist()) & kws)
 
 
@@ -78,9 +79,9 @@ def test_cold_ads_have_bids_but_no_clicks(tmp_path):
     assert stats.cold_ads
     for a in stats.cold_ads:
         ref = NodeRef(NodeType.AD, a)
-        assert len(g.neighbors(ref, Relation.AD_CLICK_KW)[0]) == 0
-        assert len(g.neighbors(ref, Relation.AD_COCLICK_ITEM)[0]) == 0
-        assert len(g.neighbors(ref, Relation.AD_BID_KW)[0]) > 0
+        assert len(neighbors(g, ref, Relation.AD_CLICK_KW)[0]) == 0
+        assert len(neighbors(g, ref, Relation.AD_COCLICK_ITEM)[0]) == 0
+        assert len(neighbors(g, ref, Relation.AD_BID_KW)[0]) > 0
 
 
 def test_cold_ads_have_click_targets(tmp_path):

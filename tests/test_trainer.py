@@ -25,7 +25,8 @@ from hgmatch.trainer import (
     loss_from_forward,
     relative_error,
 )
-from oracles import gather_segment_sum_execute, ingest, node_embedding, parse_edge_line, posterior
+from oracles import (gather_segment_sum_execute, ingest, neighbors, node_embedding, parse_edge_line,
+                     posterior)
 
 
 def test_posterior_equal_scores_is_uniform():
@@ -315,6 +316,36 @@ def test_batch_plan_equals_full_plan(tiny_dataset, variant):
         trainer.step(batch)
 
 
+def test_levels_below_the_roots_are_whole_types(tiny_dataset):
+    """Two batches with different roots and the full plan share every pool
+    below the roots: each reads and writes whole node types in ids_of order."""
+    cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
+    model = build_model(tiny_dataset, cfg, VARIANTS["full"])
+    trainer = Trainer(model, tiny_dataset.cat_index, tiny_dataset.labels)
+    pairs, _ = build_training_pairs(trainer.labels, tiny_dataset.cat_index, cfg.negatives,
+                                    (cfg.seed, 101, 0))
+    plans = [batch_plan(model, pairs[b0:b0 + 16]) for b0 in (0, 16)]
+    assert not np.array_equal(plans[0].towers[AD_TOWER].all_ids, plans[1].towers[AD_TOWER].all_ids)
+
+    def deeper(plan):
+        out = []
+        for tower in plan.towers.values():
+            for pp in tower.path_plans:
+                for t, ids in zip(pp.path.type_chain()[1:], pp.level_ids[1:]):
+                    assert np.array_equal(ids, model.graph.ids_of[t])
+                out += [(pool.src_rows, pool.dst_rows, pool.counts) for pool in pp.child_pools[1:]]
+        return out
+
+    want = deeper(full_plan(model))
+    assert len(want) == 6  # one deeper pool per two-hop metapath of each tower
+    for plan in plans:
+        got = deeper(plan)
+        assert len(got) == len(want)
+        for got_arrays, want_arrays in zip(got, want):
+            for a, b in zip(got_arrays, want_arrays):
+                assert np.array_equal(a, b)
+
+
 def test_batch_plan_edge_cases_and_step_roots(tiny_dataset, monkeypatch):
     """An ad with no edges in any relation and a keyword with no influential
     neighbors train like any other node; a step plans exactly its batch."""
@@ -328,8 +359,8 @@ def test_batch_plan_edge_cases_and_step_roots(tiny_dataset, monkeypatch):
     records = [r for table in base.graph.nodes.values() for r in table.values()]
     g = ingest(kept, records)
     for rel in Relation:
-        assert not len(g.neighbors(NodeRef(NodeType.AD, lonely_ad), rel)[0])
-    assert not len(g.neighbors(NodeRef(NodeType.KEYWORD, bidless_kw), Relation.AD_BID_KW)[0])
+        assert not len(neighbors(g, NodeRef(NodeType.AD, lonely_ad), rel)[0])
+    assert not len(neighbors(g, NodeRef(NodeType.KEYWORD, bidless_kw), Relation.AD_BID_KW)[0])
 
     cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
     variant = VARIANTS["full"]
