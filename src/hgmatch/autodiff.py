@@ -5,13 +5,15 @@ add/mul/div, relu, exp/log, reductions, row gather (embedding lookup),
 segment sum, neighbor pooling, column concat/slice and `affine`, a whole
 dense layer as one tape node. Gradients accumulate into `.grad` of tensors
 created with requires_grad=True.
-Scatter-adds (segment_sum forward, gather backward) and neighbor pooling
-(`pool`, a gather and a segment_sum fused) are products with one-hot CSR
-matrices, not np.add.at. A `Pooling` is one such matrix, built with no
-sort from bucket-major index arrays; forward multiplies by it, backward by
-its transpose. Either product adds each entry into its bucket in ascending
-entry order, starting from zero: np.add.at's order, so the sums are the
-same bit for bit and reproducible run to run.
+Every row index is a `Pooling`, a one-hot CSR matrix built with no sort
+from bucket-major index arrays before the op that reads it runs; no
+backward builds one. `pool` (neighbor pooling: a gather and a
+segment_sum fused) multiplies by it, and a row lookup `gather` takes a
+selection (`select`: one entry per bucket) and indexes by it;
+`segment_sum`, which nothing in the package calls, selects in its forward.
+Both backwards multiply by its transpose, which adds each entry into its
+source row in ascending entry order, starting from zero: np.add.at's
+order, so the sums are the same bit for bit and reproducible run to run.
 Inference runs inside `no_grad()`: there every op returns a plain
 constant Tensor (no parents, no backward closure), so no tape is recorded
 and the arrays a backward would read are freed as soon as the forward
@@ -278,36 +280,6 @@ def _rows(idx, n):
     return idx
 
 
-def _scatter_add(idx, values, n):
-    """Rows of `values` summed into n buckets by idx, for any order of idx:
-    the transpose of the gather a[idx] as a pooling (row k selects idx[k])."""
-    return Pooling(idx, np.arange(len(idx)), len(idx), n)._fwd.T @ values
-
-
-def gather(a, idx):
-    """Row lookup a[idx]; backward scatter-adds into the source rows."""
-    a = as_tensor(a)
-    idx = _rows(idx, len(a.data))
-    out_data = a.data[idx]
-
-    def backward(g):
-        return (_scatter_add(idx, g, len(a.data)),)
-
-    return Tensor(out_data, parents=(a,), backward=backward)
-
-
-def segment_sum(a, segment_ids, num_segments):
-    """Sum rows of a into num_segments buckets given per-row segment ids."""
-    a = as_tensor(a)
-    segment_ids = _rows(segment_ids, num_segments)
-    out_data = _scatter_add(segment_ids, a.data, num_segments)
-
-    def backward(g):
-        return (g[segment_ids],)
-
-    return Tensor(out_data, parents=(a,), backward=backward)
-
-
 @dataclass(eq=False)
 class Pooling:
     """Neighbor pooling out[dst_rows[k]] += a[src_rows[k]] over k, as a plan
@@ -356,6 +328,37 @@ def pool(a, op: Pooling):
         return (op._fwd.T @ g,)
 
     return Tensor(op._fwd @ a.data, parents=(a,), backward=backward)
+
+
+def select(rows, n) -> Pooling:
+    """The row lookup a[rows] of an n-row `a` as a Pooling with one entry
+    per bucket: bucket k reads row rows[k]."""
+    return Pooling(rows, np.arange(len(rows)), len(rows), n)
+
+
+def gather(a, op: Pooling):
+    """Row lookup a[op.src_rows] through a selection (`select`). The forward
+    indexes rather than multiplies, so a -0.0 stays -0.0; backward adds each
+    row's gradient into its source row, as `pool`'s does."""
+    a = as_tensor(a)
+    if len(a.data) != op.n_in:
+        raise ValueError(f"gather expects {op.n_in} input rows, got {len(a.data)}")
+
+    def backward(g):
+        return (op._fwd.T @ g,)
+
+    return Tensor(a.data[op.src_rows], parents=(a,), backward=backward)
+
+
+def segment_sum(a, segment_ids, num_segments):
+    """Sum rows of a into num_segments buckets given per-row segment ids."""
+    a = as_tensor(a)
+    op = select(segment_ids, num_segments)
+
+    def backward(g):
+        return (g[op.src_rows],)
+
+    return Tensor(op._fwd.T @ a.data, parents=(a,), backward=backward)
 
 
 def concat_cols(tensors):

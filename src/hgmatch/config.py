@@ -105,6 +105,10 @@ class SynthConfig:
                 "cold_start_frac", "term_noise",
             ),
         )
+        for name in ("keywords", "items"):  # every cluster draws from its own
+            if getattr(self, name) < self.clusters:
+                raise DataError(f"config field {name} ({getattr(self, name)}) must be at least "
+                                f"clusters ({self.clusters})")
 
 
 _CONFIG_KEYS = {f.name for cls in (SynthConfig, TrainConfig) for f in fields(cls)}

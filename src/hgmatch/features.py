@@ -4,9 +4,10 @@ Numeric features are quantile-discretized (type-7 linear interpolation),
 id/term features are vocabulary indices with stable-hash fallback for
 out-of-range values. Features with the same name share one lookup table
 across node types. Bucket/index 0 doubles as the reserved slot for
-missing or NaN values. A terms feature is encoded as one `Pooling` per
-node type: its entries are each node's term indices, node after node
-(bucket-major), and its `counts` are the term-list lengths.
+missing or NaN values. Each feature of a node type is one `Pooling` into
+its table, built once per dataset: a `select` of one row per node, or for
+a terms feature each node's term indices, node after node (bucket-major),
+with the term-list lengths as its `counts`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Pooling
+from .autodiff import Pooling, select
 from .errors import DataError
 from .graph import HeteroGraph, NodeType, iter_file_records
 
@@ -198,7 +199,7 @@ def _numeric(raw, spec: FeatureSpec, rec) -> float:
 class TypeLayout:
     node_type: NodeType
     specs: list
-    single: dict  # {feature_name: (n_nodes,) int array}
+    single: dict  # {feature_name: `select` of each node's row of the table}
     terms: dict   # {feature_name: Pooling of each node's term rows of the table}
 
 
@@ -265,12 +266,9 @@ class FeatureEncoder:
                             self.stats.nan += 1
                             continue
                         col[row] = discretize(x, q)
-                    single[spec.name] = col
+                    single[spec.name] = select(col, spec.size)
                 else:  # id
-                    col = np.array(
-                        [self._index_value(spec, rec.features.get(spec.name)) for rec in records],
-                        dtype=np.int64,
-                    )
-                    single[spec.name] = col
+                    col = [self._index_value(spec, rec.features.get(spec.name)) for rec in records]
+                    single[spec.name] = select(col, spec.size)
             layouts[ntype] = TypeLayout(ntype, list(specs), single, terms)
         return layouts

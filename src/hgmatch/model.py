@@ -10,10 +10,12 @@ intermediate embedding is computed once per node however many tree
 branches reach it, and each pool reads the next level's rows straight
 from the node-level table of their type. A plan walks graph rows, never
 ids, so it is cheap enough to build for every training batch from that
-batch's own roots. Every neighbor sum (a metapath hop's children, the
-influential neighbors, and the term embeddings of the feature layout) is
-an `ad.Pooling` built once with its plan: one sparse product per pass,
-with no gathered copy of the neighbor rows. `graph.expand_rows` emits
+batch's own roots. Every row index an execution reads is an `ad.Pooling`
+built before it runs: the plan builds the neighbor sums (a metapath hop's
+children, the influential neighbors) and the roots' selections
+(`all_rows`, `req_rows`); the feature layout, once per dataset, builds
+each feature slot's. A neighbor sum is one sparse product per pass, with
+no gathered copy of the neighbor rows. `graph.expand_rows` emits
 neighbors row after row, so each pooling is bucket-major as built and
 needs no sort, and its `counts` are the only record of how many children,
 neighbors or terms each mean divides by.
@@ -43,6 +45,7 @@ from .config import TrainConfig, VariantSpec
 from .errors import DataError
 from .features import KIND_TERMS
 from .graph import HeteroGraph, Metapath, NodeType, Relation
+from .params import param_shapes
 
 AD_TOWER = "ad"
 KW_TOWER = "kw"
@@ -102,9 +105,9 @@ class PathPlan:
 class TowerPlan:
     tower: str
     all_ids: np.ndarray      # roots incl. influential extras, sorted
-    all_rows: np.ndarray     # rows of all_ids in the graph's ids_of
+    all_rows: ad.Pooling     # selects all_ids' rows of the type's node-level table
     req_ids: np.ndarray
-    req_rows: np.ndarray     # rows of req_ids within all_ids
+    req_rows: ad.Pooling     # selects req_ids' rows of all_ids
     path_plans: list
     infl_pool: ad.Pooling    # the *other* tower's all_ids rows into req_ids rows
 
@@ -170,12 +173,13 @@ def build_plan(
             for tp in active_paths(tower, variant.groups):
                 plans.append(_build_path_plan(graph, rows, tp.path, cfg.m, stats))
         nbrs, segs, _ = infl[tower]
+        ids = graph.ids_of[TOWER_TYPE[tower]]
         towers[tower] = TowerPlan(
             tower=tower,
-            all_ids=graph.ids_of[TOWER_TYPE[tower]][rows],
-            all_rows=rows,
+            all_ids=ids[rows],
+            all_rows=ad.select(rows, len(ids)),
             req_ids=req_ids[tower],
-            req_rows=np.searchsorted(rows, req_rows[tower]),
+            req_rows=ad.select(np.searchsorted(rows, req_rows[tower]), len(rows)),
             path_plans=plans,
             infl_pool=ad.Pooling(
                 np.searchsorted(all_rows[other[tower]], nbrs), segs,
@@ -220,19 +224,16 @@ class MatchingModel:
                 f"checkpoint dimensions d={params.meta.get('d')}, l={params.meta.get('l')} "
                 f"do not match config d={cfg.d}, l={cfg.l}"
             )
+        paths = {tower: active_paths(tower, variant.groups) for tower in TOWER_TYPE}
         self.types = set(TOWER_TYPE.values())  # the node types a forward embeds
         if variant.conv:
-            self.types.update(t for tower in TOWER_TYPE for tp in active_paths(tower, variant.groups)
-                              for t in tp.path.type_chain())
-        # the term slots' poolings are built for tables of exactly this shape
-        for name, spec in manifest.tables.items():
-            key = f"table/{name}"
+            self.types.update(t for tps in paths.values() for tp in tps for t in tp.path.type_chain())
+        # the layouts' poolings and every layer are built for exactly these shapes
+        for key, want in param_shapes(manifest, cfg, variant, paths).items():
             shape = params[key].shape if key in params else None
-            if shape != (spec.size, spec.width):
-                raise DataError(
-                    f"checkpoint {key} has shape {shape}; the feature manifest "
-                    f"needs ({spec.size}, {spec.width})"
-                )
+            if shape != want:
+                raise DataError(f"checkpoint {key} has shape {shape}; the feature manifest, "
+                                f"config and variant need {want}")
 
     # node-level fusion, vectorized over every node of a type
     def node_level_all(self, ntype: NodeType) -> Tensor:
@@ -261,10 +262,6 @@ class MatchingModel:
             return ad.affine(x, p[f"{base}/Ws"], p[f"{base}/b"], relu=True)
         pooled = ad.affine(neigh_sum, p[f"{base}/V"], relu=True) @ p[f"{base}/U"]
         return ad.affine(h_self, p[f"{base}/W"], p[f"{base}/b"], relu=True, extra=pooled)
-
-    def _rows(self, a: Tensor, rows) -> Tensor:
-        """a[rows] as a gather; a constant (0, d) block when there are none."""
-        return ad.gather(a, rows) if len(rows) else Tensor(np.zeros((0, self.cfg.d)))
 
     def _execute_path(self, plan: PathPlan, h0_roots: Tensor, h0_by_type: dict) -> Tensor:
         """One metapath's output for the plan's roots, whose h0 rows are `h0_roots`."""
@@ -301,7 +298,7 @@ class MatchingModel:
 
         towers = {}
         for tower, tp in plan.towers.items():
-            h0 = self._rows(h0_by_type[TOWER_TYPE[tower]], tp.all_rows)
+            h0 = ad.gather(h0_by_type[TOWER_TYPE[tower]], tp.all_rows)
             fwd = towers[tower] = TowerForward(
                 plan=tp, h0=h0, per_path={}, att_weights=None, path_names=[],
                 h_tilde=h0, z=None, per_view={},
@@ -315,8 +312,8 @@ class MatchingModel:
 
         for tower, fwd in towers.items():
             tp = fwd.plan
-            z = self._rows(fwd.h_tilde, tp.req_rows)
-            if self.variant.siamese and len(tp.req_rows):
+            z = ad.gather(fwd.h_tilde, tp.req_rows)
+            if self.variant.siamese:
                 other = towers[KW_TOWER if tower == AD_TOWER else AD_TOWER]
                 s = ad.pool(other.h_tilde, tp.infl_pool)
                 z = z + s * (1.0 / np.maximum(tp.infl_pool.counts, 1.0))[:, None]

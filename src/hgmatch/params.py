@@ -54,6 +54,36 @@ def _table_init(rng, vocab, width):
     return rng.uniform(-limit, limit, size=(vocab, width))
 
 
+def param_shapes(manifest: FeatureManifest, cfg: TrainConfig, variant: VariantSpec,
+                 paths_by_tower: dict) -> dict:
+    """{name: shape} of every tensor a model of this manifest, config and
+    variant reads, in the order `init_params` draws them."""
+    d, l = cfg.d, cfg.l
+    shapes = {f"table/{name}": (spec.size, spec.width)
+              for name, spec in sorted(manifest.tables.items())}
+
+    def layer(base, **named):
+        shapes.update({f"{base}/{key}": shape for key, shape in named.items()})
+
+    for ntype in NodeType:
+        if manifest.per_type.get(ntype):
+            layer(f"fusion/{ntype.value}", W1=(manifest.concat_width(ntype), d), b1=(d,),
+                  W2=(d, d), b2=(d,))
+    if variant.conv:
+        for tower in ("ad", "kw"):
+            for tp in paths_by_tower[tower]:
+                for k in range(1, len(tp.path.steps) + 1):
+                    if variant.aggregator == "sage":
+                        layer(f"conv/{tp.path.name}/k{k}", Ws=(2 * d, d), b=(d,))
+                    else:
+                        layer(f"conv/{tp.path.name}/k{k}", W=(d, d), b=(d,), V=(d, l), U=(l, d))
+            shapes[f"att/{tower}"] = (d, 1)
+    for tower in ("ad", "kw"):
+        for view in variant.views:
+            layer(f"view/{tower}/{view}", W1=(d, d), b1=(d,), W2=(d, d), b2=(d,))
+    return shapes
+
+
 def init_params(
     manifest: FeatureManifest,
     cfg: TrainConfig,
@@ -61,48 +91,15 @@ def init_params(
     paths_by_tower: dict,
     rng,
 ) -> ModelParams:
+    """Tables uniform, weights Glorot, biases zero, drawn in `param_shapes` order."""
     d, l = cfg.d, cfg.l
     tensors = {}
-
-    def param(name, array):
-        tensors[name] = Tensor(array, requires_grad=True)
-
-    for name in sorted(manifest.tables):
-        spec = manifest.tables[name]
-        param(f"table/{name}", _table_init(rng, spec.size, spec.width))
-
-    for ntype in NodeType:
-        specs = manifest.per_type.get(ntype)
-        if not specs:
-            continue
-        cw = manifest.concat_width(ntype)
-        param(f"fusion/{ntype.value}/W1", _glorot(rng, (cw, d)))
-        param(f"fusion/{ntype.value}/b1", np.zeros(d))
-        param(f"fusion/{ntype.value}/W2", _glorot(rng, (d, d)))
-        param(f"fusion/{ntype.value}/b2", np.zeros(d))
-
-    if variant.conv:
-        for tower in ("ad", "kw"):
-            for tp in paths_by_tower[tower]:
-                for k in range(1, len(tp.path.steps) + 1):
-                    base = f"conv/{tp.path.name}/k{k}"
-                    if variant.aggregator == "sage":
-                        param(f"{base}/Ws", _glorot(rng, (2 * d, d)))
-                        param(f"{base}/b", np.zeros(d))
-                    else:
-                        param(f"{base}/W", _glorot(rng, (d, d)))
-                        param(f"{base}/b", np.zeros(d))
-                        param(f"{base}/V", _glorot(rng, (d, l)))
-                        param(f"{base}/U", _glorot(rng, (l, d)))
-            param(f"att/{tower}", _glorot(rng, (d, 1)))
-
-    for tower in ("ad", "kw"):
-        for view in variant.views:
-            base = f"view/{tower}/{view}"
-            param(f"{base}/W1", _glorot(rng, (d, d)))
-            param(f"{base}/b1", np.zeros(d))
-            param(f"{base}/W2", _glorot(rng, (d, d)))
-            param(f"{base}/b2", np.zeros(d))
+    for name, shape in param_shapes(manifest, cfg, variant, paths_by_tower).items():
+        if name.startswith("table/"):
+            data = _table_init(rng, *shape)
+        else:
+            data = _glorot(rng, shape) if len(shape) == 2 else np.zeros(shape)
+        tensors[name] = Tensor(data, requires_grad=True)
 
     meta = {
         "format_version": CHECKPOINT_VERSION,

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NumericError
-from .graph import NodeType
+from .graph import NodeType, lookup_rows
 from .model import AD_TOWER, KW_TOWER, ForwardPlan, MatchingModel, build_plan
 from .sampling import CategoryIndex, CategoryTooSmall
 
@@ -61,16 +61,15 @@ def loss_from_forward(model: MatchingModel, fwd, pairs) -> Tensor:
         group = [p for p in pairs if p.view == view]
         if not group:
             continue
-        a_rows = np.searchsorted(ad_ids, np.array([p.ad for p in group]))
-        pos_rows = np.searchsorted(kw_ids, np.array([p.positive_kw for p in group]))
-        neg_mat = np.array([p.negatives for p in group], dtype=np.int64)
-        Za = ad.gather(fwd.towers[AD_TOWER].per_view[view], a_rows)
+        a_rows = np.searchsorted(ad_ids, [p.ad for p in group])
+        Za = ad.gather(fwd.towers[AD_TOWER].per_view[view], ad.select(a_rows, len(ad_ids)))
         Zk = fwd.towers[KW_TOWER].per_view[view]
-        pos = (Za * ad.gather(Zk, pos_rows)).sum(axis=1, keepdims=True)
-        cols = [pos]
-        for j in range(neg_mat.shape[1]):
-            rows = np.searchsorted(kw_ids, neg_mat[:, j])
-            cols.append((Za * ad.gather(Zk, rows)).sum(axis=1, keepdims=True))
+        # one gather per keyword column, the positives and then each negative:
+        # a merged gather would re-associate the gradient sums
+        kw_cols = np.searchsorted(kw_ids, [(p.positive_kw, *p.negatives) for p in group]).T
+        cols = [(Za * ad.gather(Zk, ad.select(rows, len(kw_ids)))).sum(axis=1, keepdims=True)
+                for rows in kw_cols]
+        pos = cols[0]
         scores = ad.concat_cols(cols) * gamma
         contrib = (ad.logsumexp_rows(scores) - pos * gamma).sum()
         total = contrib if total is None else total + contrib
@@ -129,12 +128,10 @@ class Trainer:
         self.labels = [l for l in labels if l[0] in model.variant.views]
         if not self.labels:
             raise DataError("no training labels for the active views")
-        graph = model.graph
-        for view, ad_id, kw_id in self.labels:
-            if ad_id not in graph.nodes[NodeType.AD]:
-                raise DataError(f"label references unknown ad {ad_id}")
-            if kw_id not in graph.nodes[NodeType.KEYWORD]:
-                raise DataError(f"label references unknown keyword {kw_id}")
+        ids_of = model.graph.ids_of
+        lookup_rows(ids_of[NodeType.AD], [l[1] for l in self.labels], "label references unknown ad")
+        lookup_rows(ids_of[NodeType.KEYWORD], [l[2] for l in self.labels],
+                    "label references unknown keyword")
         self.optimizer = Adam(model.params, model.cfg.learning_rate)
 
     def step(self, pairs) -> float:

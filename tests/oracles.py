@@ -144,7 +144,7 @@ def node_embedding(fwd, ref) -> TowerEmbedding:
     row = int(np.searchsorted(f.plan.req_ids, ref.node_id))
     if row == len(f.plan.req_ids) or f.plan.req_ids[row] != ref.node_id:
         raise KeyError(f"{ref} is not a root of this forward pass")
-    all_row = int(f.plan.req_rows[row])
+    all_row = int(f.plan.req_rows.src_rows[row])
     att = {} if f.att_weights is None else dict(zip(f.path_names, f.att_weights[all_row]))
     return TowerEmbedding(
         ref=ref,
@@ -173,7 +173,7 @@ def naive_h0(model, ntype, node_id):
             else:
                 parts.append(np.zeros(spec.width))
         else:
-            parts.append(table[layout.single[spec.name][row]])
+            parts.append(table[layout.single[spec.name].src_rows[row]])
     x = np.concatenate(parts)
     t = ntype.value
     p = model.params
@@ -317,9 +317,10 @@ def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
         towers[tower] = TowerPlan(
             tower=tower,
             all_ids=ids,
-            all_rows=_dense_rows(graph, TOWER_TYPE[tower], ids),
+            all_rows=ad.select(_dense_rows(graph, TOWER_TYPE[tower], ids),
+                               len(graph.ids_of[TOWER_TYPE[tower]])),
             req_ids=req,
-            req_rows=np.array([row_of[int(i)] for i in req], dtype=np.int64),
+            req_rows=ad.select(np.array([row_of[int(i)] for i in req], dtype=np.int64), len(ids)),
             path_plans=plans,
             infl_pool=Pooling(
                 np.array(flat, dtype=np.int64), np.array(segs, dtype=np.int64),
@@ -381,12 +382,12 @@ def naive_quantize(matrix):
     return out
 
 
-def _gather_segment_sum(a, src_rows, dst_rows, n_out):
+def _gather_segment_sum(a, pl):
     """Neighbor pooling in two ops: copy the source rows out with a gather,
     then segment_sum them into their buckets."""
-    if not len(src_rows):
-        return Tensor(np.zeros((n_out, a.shape[1])))
-    return ad.segment_sum(ad.gather(a, src_rows), dst_rows, n_out)
+    if not len(pl.src_rows):
+        return Tensor(np.zeros((pl.n_out, a.shape[1])))
+    return ad.segment_sum(ad.gather(a, ad.select(pl.src_rows, pl.n_in)), pl.dst_rows, pl.n_out)
 
 
 def gather_segment_sum_execute(model, plan):
@@ -401,7 +402,7 @@ def gather_segment_sum_execute(model, plan):
             table = p[f"table/{spec.name}"]
             if spec.kind == KIND_TERMS:
                 pl = layout.terms[spec.name]
-                s = _gather_segment_sum(table, pl.src_rows, pl.dst_rows, pl.n_out)
+                s = _gather_segment_sum(table, pl)
                 slots.append(s * (1.0 / np.maximum(pl.counts, 1.0))[:, None])
             else:
                 slots.append(ad.gather(table, layout.single[spec.name]))
@@ -417,7 +418,7 @@ def gather_segment_sum_execute(model, plan):
             states = [
                 model._conv_step(
                     pp.path.name, k, states[j],
-                    _gather_segment_sum(states[j + 1], pl.src_rows, pl.dst_rows, pl.n_out),
+                    _gather_segment_sum(states[j + 1], pl),
                     pl.counts,
                 )
                 for j, pl in zip(range(K - k + 1), pp.child_pools)
@@ -433,7 +434,7 @@ def gather_segment_sum_execute(model, plan):
 
     towers = {}
     for tower, tp in plan.towers.items():
-        h0 = model._rows(h0_by_type[TOWER_TYPE[tower]], tp.all_rows)
+        h0 = ad.gather(h0_by_type[TOWER_TYPE[tower]], tp.all_rows)
         per_path, names, att_weights, h_tilde = {}, [], None, h0
         if model.variant.conv and tp.path_plans:
             outputs = [execute_path(pp, h0, h0_by_type) for pp in tp.path_plans]
@@ -444,11 +445,11 @@ def gather_segment_sum_execute(model, plan):
         towers[tower] = TowerForward(tp, h0, per_path, att_weights, names, h_tilde, None, {})
     for tower, fwd in towers.items():
         tp = fwd.plan
-        z = model._rows(fwd.h_tilde, tp.req_rows)
-        if model.variant.siamese and len(tp.req_rows):
+        z = ad.gather(fwd.h_tilde, tp.req_rows)
+        if model.variant.siamese:
             other = towers[KW_TOWER if tower == AD_TOWER else AD_TOWER].h_tilde
             pl = tp.infl_pool
-            s = _gather_segment_sum(other, pl.src_rows, pl.dst_rows, pl.n_out)
+            s = _gather_segment_sum(other, pl)
             z = z + s * (1.0 / np.maximum(pl.counts, 1.0))[:, None]
         fwd.z = z
         fwd.per_view = {v: model._view_head(tower, v, z) for v in model.variant.views}

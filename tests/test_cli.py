@@ -308,6 +308,21 @@ def test_invalid_synth_config_exits_3(tmp_path, capsys, override):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("sets, named", [
+    (["items=1", "clusters=2", "ads=4", "keywords=4"],
+     "config field items (1) must be at least clusters (2)"),
+    (["keywords=3", "clusters=4", "ads=40", "items=8"],
+     "config field keywords (3) must be at least clusters (4)"),
+])
+def test_synth_config_with_an_empty_cluster_exits_3(tmp_path, capsys, sets, named):
+    out = tmp_path / "data"
+    rc = main(["synth-gen", "--out-dir", str(out), *(a for kv in sets for a in ("--set", kv))])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_config_file_comments_and_blank_lines(tmp_path):
     conf = tmp_path / "run.cfg"
     conf.write_text("# a run\n\nd = 8   # hidden size\n  \nl=4\n# d = 16\nd = 12\n")
@@ -470,6 +485,34 @@ def test_checkpoint_with_a_non_finite_tensor_exits_3(data_dir, dump, tmp_path, c
     assert rc == 3
     err = capsys.readouterr().err
     assert f"{ckpt}: non-finite value in tensor view/ad/ad_bid/W1" in err and "Traceback" not in err
+    assert not emb.exists() and not (tmp_path / "emb.tsv.manifest").exists()
+
+
+@pytest.mark.parametrize("member, damage, named", [
+    ("view/ad/ad_click/W1", "missing", "checkpoint view/ad/ad_click/W1 has shape None"),
+    ("fusion/ad/W1", "one row short", "checkpoint fusion/ad/W1 has shape ("),
+])
+def test_checkpoint_missing_or_misshaping_a_tensor_exits_3(data_dir, dump, tmp_path, capsys,
+                                                            member, damage, named):
+    ckpt = tmp_path / "model.ckpt"
+    with zipfile.ZipFile(dump / "model.ckpt") as src, zipfile.ZipFile(ckpt, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            if info.filename == f"t:{member}.npy":
+                if damage == "missing":
+                    continue
+                buf = io.BytesIO()
+                np.save(buf, np.load(io.BytesIO(data))[:-1])
+                data = buf.getvalue()
+            dst.writestr(info, data)
+    emb = tmp_path / "emb.tsv"
+    rc = main(["embed", "--checkpoint", str(ckpt),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+               "--features", str(data_dir / "features.tsv"),
+               "--boundaries", str(dump / "boundaries.tsv"), "--out", str(emb)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
     assert not emb.exists() and not (tmp_path / "emb.tsv.manifest").exists()
 
 

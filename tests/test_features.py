@@ -123,7 +123,7 @@ def test_encoder_oov_and_missing(tiny_dataset):
             assert op.n_out == len(op.counts) == n_ads
             assert np.all(op.src_rows >= 0) and np.all(op.src_rows < spec.size)
         else:
-            col = ad_layout.single[spec.name]
+            col = ad_layout.single[spec.name].src_rows
             assert col.shape == (n_ads,)
             assert np.all(col >= 0) and np.all(col < spec.size)
 
@@ -143,7 +143,7 @@ def test_node_fusion_hand_evaluated_toy():
     # d=4 with hand-set tables and identity fusion: h = concat(slots) exactly
     from hgmatch.graph import NodeRecord
     from oracles import ingest
-    from hgmatch.params import ModelParams
+    from hgmatch.params import ModelParams, param_shapes
     from hgmatch.model import MatchingModel
     from hgmatch.config import TrainConfig, VARIANTS
     from hgmatch.autodiff import Tensor
@@ -156,16 +156,19 @@ def test_node_fusion_hand_evaluated_toy():
     })
     layouts = FeatureEncoder(manifest, {}).encode_graph(g)
     tok_table = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
-    tensors = {
+    cfg = TrainConfig(d=4, l=2, seed=0)
+    # every tensor the model checks for; the view heads stay zero and unread
+    tensors = {name: Tensor(np.zeros(shape), requires_grad=True)
+               for name, shape in param_shapes(manifest, cfg, VARIANTS["dssm"], {}).items()}
+    tensors.update({
         "table/tok": Tensor(tok_table.copy(), requires_grad=True),
         "table/terms": Tensor(tok_table.copy(), requires_grad=True),
         "fusion/ad/W1": Tensor(np.eye(4), requires_grad=True),
         "fusion/ad/b1": Tensor(np.zeros(4), requires_grad=True),
         "fusion/ad/W2": Tensor(np.eye(4), requires_grad=True),
         "fusion/ad/b2": Tensor(np.zeros(4), requires_grad=True),
-    }
+    })
     params = ModelParams(tensors, {"d": 4, "l": 2, "variant": "dssm"})
-    cfg = TrainConfig(d=4, l=2, seed=0)
     model = MatchingModel(g, layouts, manifest, params, cfg, VARIANTS["dssm"])
     h = model.node_level_all(NodeType.AD).data[0]
     # tok=1 -> [3,4]; terms mean of rows {0,2} -> [3,4]; identity fusion keeps it

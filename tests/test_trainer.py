@@ -210,6 +210,9 @@ def test_trainer_rejects_unknown_label_nodes(tiny_dataset):
     model = build_model(tiny_dataset, cfg, VARIANTS["full"])
     with pytest.raises(DataError, match="unknown ad"):
         Trainer(model, tiny_dataset.cat_index, [("ad_click", 10_000, 0)])
+    ad_id = int(tiny_dataset.graph.ids_of[NodeType.AD][0])
+    with pytest.raises(DataError, match="label references unknown keyword 10000"):
+        Trainer(model, tiny_dataset.cat_index, [("ad_click", ad_id, 10_000)])
 
 
 def test_trainer_requires_labels_for_active_views(tiny_dataset):
@@ -272,6 +275,27 @@ def test_gradients_equal_gather_segment_sum_reference(tiny_dataset, variant):
         got = loss_and_grads(MatchingModel.execute, batch)
         assert got == loss_and_grads(gather_segment_sum_execute, batch)
         trainer.step(batch)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_backward_builds_no_pooling(tiny_dataset, monkeypatch, variant):
+    """Every row index of a step is a Pooling built before its backward runs."""
+    cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
+    model = build_model(tiny_dataset, cfg, VARIANTS[variant])
+    pairs = make_pairs(tiny_dataset, cfg, n=16)
+    built = []
+    post_init = ad.Pooling.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ad.Pooling, "__post_init__", counting)
+    loss = loss_from_forward(model, model.execute(batch_plan(model, pairs)), pairs)
+    assert built  # the forward's plan and loss rows
+    built.clear()
+    loss.backward()
+    assert len(built) == 0
 
 
 def full_plan(model):
@@ -441,8 +465,11 @@ def test_grad_check_linear_only_tight():
     zk = Tensor(rng.normal(size=(9, 6)), requires_grad=True)
 
     def loss_fn():
-        pos = (ad.gather(za, [0, 1, 2, 3]) * ad.gather(zk, [0, 1, 2, 3])).sum(axis=1, keepdims=True)
-        n1 = (ad.gather(za, [0, 1, 2, 3]) * ad.gather(zk, [4, 5, 6, 7])).sum(axis=1, keepdims=True)
+        def rows(t, idx):
+            return ad.gather(t, ad.select(idx, len(t.data)))
+
+        pos = (rows(za, [0, 1, 2, 3]) * rows(zk, [0, 1, 2, 3])).sum(axis=1, keepdims=True)
+        n1 = (rows(za, [0, 1, 2, 3]) * rows(zk, [4, 5, 6, 7])).sum(axis=1, keepdims=True)
         scores = ad.concat_cols([pos, n1])
         return (ad.logsumexp_rows(scores) - pos).sum()
 
