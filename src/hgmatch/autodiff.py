@@ -1,16 +1,22 @@
-"""Minimal reverse-mode autodiff over float64 numpy arrays.
+"""Minimal reverse-mode autodiff over float32 or float64 numpy arrays.
 
 Only the handful of ops the matching model needs: matmul, broadcast
 add/mul/div, relu, exp/log, reductions, row gather (embedding lookup),
-segment sum, neighbor pooling, column concat/slice and `affine`, a whole
-dense layer as one tape node. Gradients accumulate into `.grad` of tensors
-created with requires_grad=True.
+segment sum, neighbor pooling, column concat/slice, `affine`, a whole
+dense layer as one tape node, and `cast`, a change of dtype. Gradients
+accumulate into `.grad` of tensors created with requires_grad=True.
+A Tensor keeps float32 or float64 data as given (anything else becomes
+float64). A non-Tensor constant beside a Tensor, and a backward seed, take
+that Tensor's dtype, so a float32 graph stays float32; only `cast` changes
+the dtype, and its backward casts the gradient back.
 Every row index is a `Pooling`, a one-hot CSR matrix built with no sort
 from bucket-major index arrays before the op that reads it runs; no
-backward builds one. `pool` (neighbor pooling: a gather and a
-segment_sum fused) multiplies by it, and a row lookup `gather` takes a
-selection (`select`: one entry per bucket) and indexes by it;
-`segment_sum`, which nothing in the package calls, selects in its forward.
+backward builds one. Its ones are float32, so a product keeps float32
+data float32 and gives float64 data float64 ones' bits. `pool` (neighbor
+pooling: a gather and a segment_sum fused) multiplies by it, and a row
+lookup `gather` takes a selection (`select`: one entry per bucket) and
+indexes by it; `segment_sum`, which nothing in the package calls, selects
+in its forward.
 Both backwards multiply by its transpose, which adds each entry into its
 source row in ascending entry order, starting from zero: np.add.at's
 order, so the sums are the same bit for bit and reproducible run to run.
@@ -48,7 +54,8 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         if parents and not _grad_enabled.get():
             parents, backward = (), None
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
@@ -65,7 +72,7 @@ class Tensor:
         if seed is None:
             seed = np.ones_like(self.data)
         order = _toposort(self)
-        grads = {id(self): np.asarray(seed, dtype=np.float64)}
+        grads = {id(self): np.asarray(seed, dtype=self.data.dtype)}
         owned = set()  # keys of the sums allocated here
         for node in order:
             g = grads.pop(id(node), None)
@@ -103,7 +110,7 @@ class Tensor:
         return mul(self, other)
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0))
+        return add(self, mul(_pair(self, other)[1], -1.0))
 
     def __truediv__(self, other):
         return div(self, other)
@@ -143,6 +150,16 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _pair(a, b):
+    """a and b as Tensors; a non-Tensor constant beside a Tensor is made in
+    that Tensor's dtype, so a float32 operand is not promoted to float64."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    elif isinstance(b, Tensor) and not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+    return as_tensor(a), as_tensor(b)
+
+
 def _unbroadcast(g, shape):
     """Reduce gradient g back to `shape` after numpy broadcasting."""
     while g.ndim > len(shape):
@@ -154,7 +171,7 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     out_data = a.data + b.data
 
     def backward(g):
@@ -164,7 +181,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     out_data = a.data * b.data
 
     def backward(g):
@@ -177,7 +194,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     out_data = a.data / b.data
 
     def backward(g):
@@ -190,7 +207,7 @@ def div(a, b):
 
 
 def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     out_data = a.data @ b.data
 
     def backward(g):
@@ -218,6 +235,16 @@ def affine(x, W, b=None, relu=False, extra=None):
         return (gm @ W.data.T, x.data.T @ gm, *(_unbroadcast(gm, t.data.shape) for t in terms))
 
     return Tensor(z, parents=(x, W, *terms), backward=backward)
+
+
+def cast(a, dtype):
+    """a's data as `dtype`; backward casts the gradient back to a's dtype."""
+    a = as_tensor(a)
+
+    def backward(g):
+        return (g.astype(a.data.dtype),)
+
+    return Tensor(a.data.astype(dtype), parents=(a,), backward=backward)
 
 
 def relu(a):
@@ -310,9 +337,8 @@ class Pooling:
         counts = np.bincount(self.dst_rows, minlength=self.n_out)
         indptr = np.concatenate(([0], np.cumsum(counts)))
         self.counts = counts.astype(np.float64)
-        self._fwd = sparse.csr_array(
-            (np.ones(len(self.src_rows)), self.src_rows, indptr), shape=(self.n_out, self.n_in)
-        )
+        ones = np.ones(len(self.src_rows), dtype=np.float32)
+        self._fwd = sparse.csr_array((ones, self.src_rows, indptr), shape=(self.n_out, self.n_in))
 
 
 def pool(a, op: Pooling):
@@ -322,7 +348,7 @@ def pool(a, op: Pooling):
     if len(a.data) != op.n_in:
         raise ValueError(f"pool expects {op.n_in} input rows, got {len(a.data)}")
     if not len(op.src_rows):
-        return Tensor(np.zeros((op.n_out,) + a.data.shape[1:]))
+        return Tensor(np.zeros((op.n_out,) + a.data.shape[1:], dtype=a.data.dtype))
 
     def backward(g):
         return (op._fwd.T @ g,)

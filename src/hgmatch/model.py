@@ -35,6 +35,7 @@ node by node, which the tests use as the reference for every output of
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +235,13 @@ class MatchingModel:
             if shape != want:
                 raise DataError(f"checkpoint {key} has shape {shape}; the feature manifest, "
                                 f"config and variant need {want}")
+
+    def with_params(self, params) -> "MatchingModel":
+        """This model over other tensors of the same names and shapes (a
+        training step's cast copy); this model is left as it is."""
+        model = copy.copy(self)
+        model.params = params
+        return model
 
     # node-level fusion, vectorized over every node of a type
     def node_level_all(self, ntype: NodeType) -> Tensor:

@@ -3,7 +3,8 @@
 Every tensor has a stable slash-separated name (table/..., fusion/...,
 conv/<path>/k<layer>/..., att/<tower>, view/<tower>/<view>/...) so the
 optimizer state, checkpoints and gradient checks can address parameters
-uniformly.
+uniformly. The tensors are float64 master weights, and a checkpoint holds
+float64 tensors only; a training step computes over a float32 `cast` copy.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import zipfile
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, cast
 from .config import TrainConfig, VariantSpec, VARIANTS, config_as_dict
 from .errors import DataError
 from .features import FeatureManifest
@@ -36,6 +37,11 @@ class ModelParams:
 
     def names(self):
         return sorted(self.tensors)
+
+    def cast(self, dtype) -> "ModelParams":
+        """A copy whose every tensor is a `cast` of this one's: a backward
+        through the copy leaves its gradients, cast back, on these tensors."""
+        return ModelParams({n: cast(t, dtype) for n, t in self.tensors.items()}, self.meta)
 
     def zero_grads(self):
         for t in self.tensors.values():
@@ -144,6 +150,8 @@ def load_checkpoint(path) -> ModelParams:
                 if not member.startswith("t:"):
                     continue
                 name, arr = member[2:-len(".npy")], np.load(io.BytesIO(zf.read(member)))
+                if arr.dtype != np.float64:
+                    raise DataError(f"{path}: tensor {name} has dtype {arr.dtype}, not float64")
                 if not np.isfinite(arr).all():
                     raise DataError(f"{path}: non-finite value in tensor {name}")
                 tensors[name] = Tensor(arr, requires_grad=True)

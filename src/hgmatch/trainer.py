@@ -9,9 +9,15 @@ np.add.at, whose order they keep), so a (seed, data, config) triple fixes
 the loss trajectory bit for bit. Each step runs on a plan built from its
 batch's own roots (`batch_plan`: the distinct ads and the positive and
 negative keywords, plus what `build_plan` adds for them); the metapath
-levels below those roots are whole node types. `grad_check` evaluates its
-loss on the same plan; its finite-difference loss evaluations run under
-`autodiff.no_grad()`, so they record no tape.
+levels below those roots are whole node types.
+
+Steps use mixed precision (Micikevicius et al., "Mixed Precision
+Training", ICLR 2018): `step_loss` runs `execute`, the loss and so the
+backward in float32 over a step-local cast of the float64 master
+parameters, whose gradients, Adam moments and updates stay float64.
+`grad_check` runs the same `execute` and loss in float64 on the masters,
+as central differences need; its finite-difference loss evaluations run
+under `autodiff.no_grad()`, so they record no tape.
 """
 
 from __future__ import annotations
@@ -78,6 +84,14 @@ def loss_from_forward(model: MatchingModel, fwd, pairs) -> Tensor:
     return total
 
 
+def step_loss(model: MatchingModel, plan: ForwardPlan, pairs) -> Tensor:
+    """A training step's float32 loss of `pairs` on `plan`, computed over a
+    float32 cast of the model's parameters; its backward() leaves float64
+    gradients on the model's own tensors."""
+    local = model.with_params(model.params.cast(np.float32))
+    return loss_from_forward(local, local.execute(plan), pairs)
+
+
 def batch_plan(model: MatchingModel, pairs) -> ForwardPlan:
     """The plan of a batch's roots: its distinct ads and its positive and
     negative keywords."""
@@ -135,14 +149,16 @@ class Trainer:
         self.optimizer = Adam(model.params, model.cfg.learning_rate)
 
     def step(self, pairs) -> float:
-        fwd = self.model.execute(batch_plan(self.model, pairs))
-        loss = loss_from_forward(self.model, fwd, pairs)
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise NumericError("non-finite loss value")
-        self.model.params.zero_grads()
-        loss.backward()
-        self.optimizer.step()
+        # an overflow ends as a non-finite loss, gradient or parameter, each
+        # a NumericError here or in Adam, so numpy's warnings would repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            loss = step_loss(self.model, batch_plan(self.model, pairs), pairs)
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise NumericError("non-finite loss value")
+            self.model.params.zero_grads()
+            loss.backward()
+            self.optimizer.step()
         self.model.params.zero_grads()
         return value
 
@@ -162,7 +178,10 @@ class Trainer:
             losses = []
             for b0 in range(0, len(order), cfg.batch_size):
                 batch = [pairs[i] for i in order[b0:b0 + cfg.batch_size]]
-                value = self.step(batch)
+                try:
+                    value = self.step(batch)
+                except NumericError as exc:
+                    raise NumericError(f"epoch {epoch}, batch {b0 // cfg.batch_size}: {exc}") from exc
                 losses.append(value)
                 result.batch_losses.append((epoch, b0 // cfg.batch_size, value))
             mean = float(np.mean(losses))

@@ -386,7 +386,7 @@ def _gather_segment_sum(a, pl):
     """Neighbor pooling in two ops: copy the source rows out with a gather,
     then segment_sum them into their buckets."""
     if not len(pl.src_rows):
-        return Tensor(np.zeros((pl.n_out, a.shape[1])))
+        return Tensor(np.zeros((pl.n_out, a.shape[1]), dtype=a.data.dtype))
     return ad.segment_sum(ad.gather(a, ad.select(pl.src_rows, pl.n_in)), pl.dst_rows, pl.n_out)
 
 

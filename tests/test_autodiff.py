@@ -319,3 +319,102 @@ def test_gradient_from_many_paths_sums_without_mutating_upstream():
     assert np.array_equal(seed, before)
     expect = seed[:, 0:2] + seed[:, 2:4] + 2.0 * seed[:, 4:6] + seed[:, 6:8]
     assert np.array_equal(x.grad, expect)
+
+
+def _pooling(rng, n_in):
+    """A random bucket-major pooling of n_in source rows; maybe empty."""
+    n_out, k = int(rng.integers(1, 6)), int(rng.integers(0, 9))
+    return ad.Pooling(rng.integers(0, n_in, k), np.sort(rng.integers(0, n_out, k)), n_out, n_in)
+
+
+# op -> (input shapes, as letters of the sizes n, k, d, the op over its inputs); the
+# constants are float64 and must not promote a float32 input
+DTYPE_OPS = {
+    "add": (("nd", "1d"), lambda rng, a, b: a + b),
+    "add_const": (("nd",), lambda rng, a: ad.add(np.full((1, a.shape[1]), 0.3), a)),
+    "sub": (("nd", "nd"), lambda rng, a, b: a - b),
+    "sub_const": (("nd",), lambda rng, a: a - 0.3),
+    "neg": (("nd",), lambda rng, a: -a),
+    "mul": (("nd", "n1"), lambda rng, a, b: a * b),
+    "mul_const": (("nd",), lambda rng, a: a * (1.0 / np.arange(1.0, len(a.data) + 1.0))[:, None]),
+    "div": (("nd", "1d"), lambda rng, a, b: a / b),
+    "div_const": (("nd",), lambda rng, a: ad.div(a, 3.0)),
+    "matmul": (("nk", "kd"), lambda rng, a, b: a @ b),
+    "matmul_const": (("nk",), lambda rng, a: a @ np.ones((a.shape[1], 2))),
+    "affine": (("nk", "kd", "d", "nd"),
+               lambda rng, x, W, b, e: ad.affine(x, W, b, relu=True, extra=e)),
+    # there and back: the float64 node between must get float64 gradients
+    "cast": (("nd",), lambda rng, a: ad.cast(ad.cast(a, np.float64) * 2.0, a.data.dtype)),
+    "relu": (("nd",), lambda rng, a: ad.relu(a)),
+    "exp": (("nd",), lambda rng, a: ad.exp(a)),
+    "log": (("nd",), lambda rng, a: ad.log(a)),
+    "sqrt": (("nd",), lambda rng, a: ad.sqrt(a)),
+    "tsum": (("nd",), lambda rng, a: a.sum()),
+    "tsum_rows": (("nd",), lambda rng, a: a.sum(axis=1, keepdims=True)),
+    "tsum_cols": (("nd",), lambda rng, a: a.sum(axis=0)),
+    "pool": (("nd",), lambda rng, a: ad.pool(a, _pooling(rng, len(a.data)))),
+    "gather": (("nd",), lambda rng, a: ad.gather(a, ad.select(rng.integers(0, len(a.data), 7),
+                                                              len(a.data)))),
+    "segment_sum": (("nd",), lambda rng, a: ad.segment_sum(a, rng.integers(0, 4, len(a.data)), 4)),
+    "concat_cols": (("nd", "nk"), lambda rng, a, b: ad.concat_cols([a, b])),
+    "slice_cols": (("nd",), lambda rng, a: ad.slice_cols(a, 0, (a.shape[1] + 1) // 2)),
+    "softmax_rows": (("nd",), lambda rng, a: ad.softmax_rows(a)),
+    "logsumexp_rows": (("nd",), lambda rng, a: ad.logsumexp_rows(a)),
+}
+POSITIVE_INPUTS = {"div", "log", "sqrt"}
+
+
+def _close_at_float32(got, want):
+    """Equal up to float32 rounding of inputs and results of magnitude <= ~50."""
+    assert np.all(np.abs(got - want) <= 1e-5 * (1.0 + np.abs(want))), np.abs(got - want).max()
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_OPS))
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(1, 5), d=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_ops_keep_float32_and_agree_with_float64(name, n, k, d, seed):
+    """Fed float32 casts of float64 leaves, an op's output and every node it
+    records are float32 (but the float64 node of the cast round trip), each
+    node's backward gets gradients in its own dtype, the leaves get float64
+    gradients, and all of it agrees with the op at float64."""
+    shapes, op = DTYPE_OPS[name]
+    sizes = {"n": n, "k": k, "d": d, "1": 1}
+    low = 0.5 if name in POSITIVE_INPUTS else -2.0
+    rng = np.random.default_rng(seed)
+    arrays = [rng.uniform(low, 2.0, tuple(sizes[c] for c in s)) for s in shapes]
+
+    def run(dtype):
+        leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        inputs = leaves if dtype == np.float64 else [ad.cast(t, np.float32) for t in leaves]
+        out = op(np.random.default_rng(seed), *inputs)
+        nodes = [t for t in ad._toposort(out) if all(t is not leaf for leaf in leaves)]
+        mismatched = []
+
+        def checked(t, inner):
+            def backward(g):
+                if g.dtype != t.data.dtype:
+                    mismatched.append(t)
+                return inner(g)
+            return backward
+
+        for t in nodes:
+            if t._backward is not None:
+                t._backward = checked(t, t._backward)
+        seed_grad = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, out.shape)
+        out.backward(seed_grad.astype(dtype))
+        assert not mismatched
+        return leaves, nodes, out
+
+    leaves64, _, out64 = run(np.float64)
+    leaves32, nodes32, out32 = run(np.float32)
+    assert out32.data.dtype == np.float32
+    want = {np.float32, np.float64} if name == "cast" else {np.float32}
+    assert {t.data.dtype.type for t in nodes32} == want
+    _close_at_float32(out32.data, out64.data)
+    for got, want in zip(leaves32, leaves64):
+        if want.grad is None:  # a pooling of no entries is a constant
+            assert got.grad is None
+            continue
+        assert got.grad.dtype == np.float64
+        _close_at_float32(got.grad, want.grad)

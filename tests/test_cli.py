@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import warnings
 import zipfile
 
 import numpy as np
@@ -486,6 +487,47 @@ def test_checkpoint_with_a_non_finite_tensor_exits_3(data_dir, dump, tmp_path, c
     err = capsys.readouterr().err
     assert f"{ckpt}: non-finite value in tensor view/ad/ad_bid/W1" in err and "Traceback" not in err
     assert not emb.exists() and not (tmp_path / "emb.tsv.manifest").exists()
+
+
+@pytest.mark.parametrize("dtype", ["<U1", "complex128", "float32", "int64", "bool"])
+def test_checkpoint_tensor_not_float64_exits_3(data_dir, dump, tmp_path, capsys, dtype):
+    ckpt = tmp_path / "model.ckpt"
+    member = "t:att/ad.npy"
+    with zipfile.ZipFile(dump / "model.ckpt") as src, zipfile.ZipFile(ckpt, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            if info.filename == member:
+                shape = np.load(io.BytesIO(data)).shape
+                buf = io.BytesIO()
+                np.save(buf, np.full(shape, "a") if dtype == "<U1" else np.ones(shape, dtype))
+                data = buf.getvalue()
+            dst.writestr(info, data)
+    emb = tmp_path / "emb.tsv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a dropped imaginary part warns
+        rc = main(["embed", "--checkpoint", str(ckpt),
+                   "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+                   "--features", str(data_dir / "features.tsv"),
+                   "--boundaries", str(dump / "boundaries.tsv"), "--out", str(emb)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{ckpt}: tensor att/ad has dtype {np.dtype(dtype)}, not float64" in err
+    assert "Traceback" not in err
+    assert not emb.exists() and not (tmp_path / "emb.tsv.manifest").exists()
+
+
+def test_diverging_training_exits_4_naming_the_step(data_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings
+        rc = main(["train", *dataset_args(data_dir), "--out-dir", str(out),
+                   "--set", "d=8", "--set", "l=4", "--set", "learning_rate=1e300",
+                   "--set", "epochs=2"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert re.search(r"numeric failure: epoch 1, batch \d+: non-finite loss value", err)
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("member, damage, named", [

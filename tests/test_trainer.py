@@ -24,6 +24,7 @@ from hgmatch.trainer import (
     grad_check,
     loss_from_forward,
     relative_error,
+    step_loss,
 )
 from oracles import (gather_segment_sum_execute, ingest, neighbors, node_embedding, parse_edge_line,
                      posterior)
@@ -252,29 +253,78 @@ def test_fit_reduces_loss_on_tiny_dataset(tiny_dataset):
     assert fit.epoch_losses[-1] < fit.epoch_losses[0]
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_gradients_equal_gather_segment_sum_reference(tiny_dataset, variant):
+@pytest.mark.parametrize("variant, dtype", [
+    *(pytest.param(v, np.float64, id=v) for v in sorted(VARIANTS)),
+    *(pytest.param(v, np.float32, id=f"{v}-float32") for v in sorted(VARIANTS)),
+])
+def test_gradients_equal_gather_segment_sum_reference(tiny_dataset, variant, dtype):
     """Before each of three Trainer steps, the loss and every parameter
-    gradient equal bit for bit those of the gather->segment_sum reference."""
+    gradient equal bit for bit those of the gather->segment_sum reference:
+    over the float64 masters, and over a float32 cast of them as a step
+    computes (where `step_loss` gives the same loss and gradients)."""
     cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11, learning_rate=0.01)
     model = build_model(tiny_dataset, cfg, VARIANTS[variant])
     trainer = Trainer(model, tiny_dataset.cat_index, tiny_dataset.labels)
     pairs, _ = build_training_pairs(trainer.labels, tiny_dataset.cat_index, cfg.negatives,
                                     (cfg.seed, 101, 0))
 
-    def loss_and_grads(execute, batch):
+    def loss_and_grads(loss_of, batch):
         model.params.zero_grads()
-        loss = loss_from_forward(model, execute(model, batch_plan(model, batch)), batch)
+        loss = loss_of(batch_plan(model, batch), batch)
         loss.backward()
         grads = {n: None if t.grad is None else t.grad.tobytes()
                  for n, t in model.params.tensors.items()}
-        return loss.data.tobytes(), grads
+        return loss.data.dtype, loss.data.tobytes(), grads
+
+    def with_execute(execute):
+        def loss_of(plan, batch):
+            local = model if dtype == np.float64 else model.with_params(model.params.cast(dtype))
+            return loss_from_forward(local, execute(local, plan), batch)
+        return loss_of
 
     for b0 in (0, 16, 32):
         batch = pairs[b0:b0 + 16]
-        got = loss_and_grads(MatchingModel.execute, batch)
-        assert got == loss_and_grads(gather_segment_sum_execute, batch)
+        got = loss_and_grads(with_execute(MatchingModel.execute), batch)
+        assert got[0] == dtype
+        assert got == loss_and_grads(with_execute(gather_segment_sum_execute), batch)
+        if dtype == np.float32:
+            assert got == loss_and_grads(lambda plan, b: step_loss(model, plan, b), batch)
         trainer.step(batch)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_step_tape_is_float32_over_float64_masters(tiny_dataset, variant):
+    """Every node a step's loss records, and every gradient its backward
+    passes between them, is float32; the masters, their gradients and
+    Adam's moments stay float64."""
+    cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
+    model = build_model(tiny_dataset, cfg, VARIANTS[variant])
+    trainer = Trainer(model, tiny_dataset.cat_index, tiny_dataset.labels)
+    pairs = make_pairs(tiny_dataset, cfg, n=16)
+    loss = step_loss(model, batch_plan(model, pairs), pairs)
+    masters = {id(t) for t in model.params.tensors.values()}
+    nodes = [t for t in ad._toposort(loss) if id(t) not in masters]
+    assert {t.data.dtype for t in nodes} == {np.dtype(np.float32)}
+    passed = []
+
+    def recording(inner):
+        def backward(g):
+            passed.append(g.dtype)
+            return inner(g)
+        return backward
+
+    for t in nodes:
+        if t._backward is not None:
+            t._backward = recording(t._backward)
+    loss.backward()
+    assert passed and set(passed) == {np.dtype(np.float32)}
+    grads = [t.grad for t in model.params.tensors.values() if t.grad is not None]
+    assert grads and {g.dtype for g in grads} == {np.dtype(np.float64)}
+    model.params.zero_grads()
+    trainer.step(pairs)
+    assert {t.data.dtype for t in model.params.tensors.values()} == {np.dtype(np.float64)}
+    for moments in (trainer.optimizer.m, trainer.optimizer.v):
+        assert {a.dtype for a in moments.values()} == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -400,7 +450,8 @@ def test_batch_plan_edge_cases_and_step_roots(tiny_dataset, monkeypatch):
         TrainingPair(lonely_ad, kws[5], "ad_bid", (bidless_kw, *kws[6:10])),
         *make_pairs(base, cfg, n=6),
     ]
-    want = assert_close_to_full_plan(model, batch)
+    assert_close_to_full_plan(model, batch)
+    want = float(step_loss(model, full_plan(model), batch).data)  # a float32 step's loss
 
     plans = []
 
