@@ -40,6 +40,7 @@ from .retrieval import (
     export_embeddings,
     load_embeddings,
     load_task,
+    parse_view_line,
     recall_at_k,
     retrieve_all,
     save_embeddings,
@@ -212,10 +213,8 @@ def _parse_retrieved_line(line: str, location: str) -> tuple:
     if len(parts) != 3:
         raise DataError(f"{location}: expected `ad_id view kw_id`")
     ad_id, view, kw = parts
-    try:
-        return int(ad_id), view, int(kw)
-    except ValueError as exc:
-        raise DataError(f"{location}: {exc}") from exc
+    view, ad_id, kw = parse_view_line(f"{view} {ad_id} {kw}", location)  # checks view and ids
+    return ad_id, view, kw
 
 
 def _load_retrieved(path) -> dict:

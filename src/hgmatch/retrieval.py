@@ -1,20 +1,24 @@
 """Embedding export, exact top-K retrieval, and recall evaluation.
 
 Retrieval is brute-force dot product over the ad's same-category candidate
-set: candidate pools at this scale are small enough that exactness is
-cheap, and tests stay deterministic. A pass gathers each category's
-candidate matrix once per view, through a checked id lookup, and scores
-each ad by one matrix-vector product; a partition at the K-th largest
-score leaves only the candidates that can make the list (every tie with
-the K-th among them) to a stable sort, so lists equal those of a full
-stable sort. Export runs the forward without a tape, then one set of array
-passes (`_quantize`) writes each matrix's 9-significant-digit dump text and
-computes the values that text reads back as, without parsing it; the store
-keeps both, so export -> dump -> reload -> score is reproducible bit for bit.
+set, ranked as a stable sort on -score ranks it (ties by ascending id, NaN
+last). A pass scores blocks of a category's ads by one GEMM. A GEMM score
+and a per-ad matrix-vector score each lie within B = gamma_d |a| max|c| of
+the exact dot product (Higham 2002, section 3.1; gamma_d = d u / (1 - d u)),
+so a row whose K + 1 best GEMM scores are finite and each more than 4B above
+the next has the list either gives; every other row is ranked alone
+(`_rank`). Export runs the forward without a tape, then array passes
+(`_quantize`) write each matrix's 9-significant-digit dump text and the
+values it reads back as; the store keeps both, so export -> dump -> reload
+-> score is reproducible bit for bit. The dump is read back in chunks, one
+`np.loadtxt` each (no `1_0`, no non-ASCII digits), fields checked as
+columns; a dump failing a check is re-read line by line to name the line.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -23,8 +27,8 @@ import numpy as np
 from . import autodiff as ad
 from .config import ALL_VIEWS
 from .errors import DataError
-from .graph import (NODE_TYPES, TYPE_CODE, HeteroGraph, NodeType, Relation, iter_file_records,
-                    lookup_rows, parse_id)
+from .graph import (NODE_TYPES, TYPE_CODE, HeteroGraph, NodeType, Relation, _numbered_lines,
+                    iter_file_records, lookup_rows, parse_id)
 from .model import AD_TOWER, KW_TOWER, MatchingModel
 from .sampling import CategoryIndex, stable_smallest
 
@@ -147,45 +151,60 @@ def save_embeddings(store: EmbeddingStore, path):
                     fh.write(f"{ntype.value}\t{node_id}\t{view}\t{text}\n")
 
 
-def _parse_embedding_line(line: str, location: str) -> tuple:
-    """One `node_type node_id view values...` record of an embedding dump."""
-    parts = line.split("\t")
-    if len(parts) != 4:
-        raise DataError(f"{location}: expected 4 tab-separated fields")
-    ttok, nid, view, vals = parts
-    if view not in ALL_VIEWS:
-        raise DataError(f"{location}: unknown view {view!r}")
-    try:
-        ntype, node_id = NODE_TYPES[TYPE_CODE[ttok]], parse_id(nid)
-        vec = np.array(vals.split(), dtype=np.float64)
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{location}: {exc}") from exc
-    if not np.isfinite(vec).all():
-        raise DataError(f"{location}: non-finite vector value")
-    return ntype, node_id, view, vec, location
+_CHUNK_LINES = 1024  # dump lines whose values one np.loadtxt call parses
+# float64 rows of whitespace-separated numbers as loadtxt reads them: no `1_0`, no non-ASCII digits
+_parse_values = functools.partial(np.loadtxt, dtype=np.float64, ndmin=2, comments=None)
+
+
+def _raise_first_bad_row(path):
+    """Raise the DataError of the dump's first bad line, checking one line at
+    a time what `load_embeddings` checks by the chunk."""
+    d, seen = None, set()
+    for lineno, line in _numbered_lines(path):
+        where, parts = f"{path}:{lineno}", line.split("\t")
+        if len(parts) != 4:
+            raise DataError(f"{where}: expected 4 tab-separated fields")
+        ttok, nid, view, vals = parts
+        if view not in ALL_VIEWS:
+            raise DataError(f"{where}: unknown view {view!r}")
+        try:
+            key, vec = (view, NODE_TYPES[TYPE_CODE[ttok]], parse_id(nid)), _parse_values([vals])[0]
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        d = len(vec) if d is None else d
+        problem = ("non-finite vector value" if not np.isfinite(vec).all() else
+                   "inconsistent vector length" if len(vec) != d else
+                   f"duplicate {view} row for {key[1].value}:{key[2]}" if key in seen else None)
+        if problem:
+            raise DataError(f"{where}: {problem}")
+        seen.add(key)
+    raise DataError(f"{path}: " + ("unreadable rows" if seen else "embedding dump has no rows"))
 
 
 def load_embeddings(path) -> EmbeddingStore:
-    rows = {}  # {(view, NodeType): {node id: vector}}
-    d = None
-    for ntype, node_id, view, vec, location in iter_file_records(path, _parse_embedding_line):
-        if d is None:
-            d = len(vec)
-        elif len(vec) != d:
-            raise DataError(f"{location}: inconsistent vector length")
-        group = rows.setdefault((view, ntype), {})
-        if node_id in group:
-            raise DataError(f"{location}: duplicate {view} row for {ntype.value}:{node_id}")
-        group[node_id] = vec
-    if not rows:
-        raise DataError(f"{path}: embedding dump has no rows")
-    views = tuple(sorted({v for v, _ in rows}, key=lambda v: ALL_VIEWS.index(v)))
+    chunks, lines = [], (line for _, line in _numbered_lines(path))
+    try:  # a ValueError also for a line without 4 fields, no rows or two widths
+        while chunk := [line.split("\t") for line in itertools.islice(lines, _CHUNK_LINES)]:
+            types, ids, views, vals = np.array(chunk, dtype=object).T
+            values = _parse_values(vals)
+            if len(values) != len(chunk) or not np.isfinite(values).all():
+                raise ValueError("a row of values that is not finite")
+            chunks.append((np.array([ALL_VIEWS.index(v) for v in views]),
+                           np.array([TYPE_CODE[t] for t in types]),
+                           np.array(list(map(parse_id, ids)), dtype=np.int64), values))
+        views, types, ids, mat = (np.concatenate([c[k] for c in chunks]) for k in range(4))
+    except (DataError, KeyError, ValueError):  # DataError: a file that is not UTF-8
+        _raise_first_bad_row(path)
+    del chunks
+    order = np.lexsort((ids, types, views))  # stable: a repeat follows its first row
+    key = np.stack([views, types, ids])[:, order]
+    if (key[:, 1:] == key[:, :-1]).all(axis=0).any():
+        _raise_first_bad_row(path)  # a duplicate row
     vectors = {}
-    for (view, ntype), group in rows.items():
-        ids = sorted(group)
-        vectors.setdefault(view, {})[ntype] = (np.array(ids, dtype=np.int64),
-                                               np.stack([group[i] for i in ids]))
-    return EmbeddingStore(d, views, vectors)
+    for rows in np.split(order, np.flatnonzero((key[:2, 1:] != key[:2, :-1]).any(axis=0)) + 1):
+        view, ntype = ALL_VIEWS[views[rows[0]]], NODE_TYPES[types[rows[0]]]
+        vectors.setdefault(view, {})[ntype] = (ids[rows], mat[rows])
+    return EmbeddingStore(mat.shape[1], tuple(v for v in ALL_VIEWS if v in vectors), vectors)
 
 
 def list_length(views, k: int) -> int:
@@ -286,16 +305,10 @@ class RecallResult:
 
 def recall_at_k(task: EvalTask, retrieved: dict) -> RecallResult:
     """retrieved: {ad: {view: [kw ids]}}; lists are already sized by the caller."""
-    hit = 0
-    total = 0
+    hit = total = 0
     for ad_id in task.ads:
         tset = task.targets.get(ad_id, set())
-        if not tset:
-            continue
-        union = set()
-        for lst in retrieved.get(ad_id, {}).values():
-            union.update(lst)
-        hit += len(union & tset)
+        hit += len(tset & set().union(*retrieved.get(ad_id, {}).values()))
         total += len(tset)
     if total == 0:
         raise DataError("recall undefined: no target relations")
@@ -303,24 +316,44 @@ def recall_at_k(task: EvalTask, retrieved: dict) -> RecallResult:
     for view, per_ad in task.view_targets.items():
         if not any(view in retrieved.get(a, {}) for a in task.ads):
             continue  # the model never retrieved this view; report no number
-        vhit, vtotal = 0, 0
+        vhit = vtotal = 0
         for ad_id in task.ads:
             tset = per_ad.get(ad_id, set())
-            if not tset:
-                continue
-            got = retrieved.get(ad_id, {}).get(view)
-            if got is not None:
-                vhit += len(set(got) & tset)
+            vhit += len(tset.intersection(retrieved.get(ad_id, {}).get(view, ())))
             vtotal += len(tset)
         if vtotal > 0:
             per_view[view] = vhit / vtotal
     return RecallResult(hit / total, per_view)
 
 
+_ADS_PER_BLOCK = 256  # ads scored by one GEMM: 256 x 2,500 scores take 5 MB
+
+
+def _certified_top(cand_ids: np.ndarray, cand_mat: np.ndarray, ad_mat: np.ndarray, k: int):
+    """(lists, certified): each ad row's k best candidates by one GEMM, and
+    whether that is certainly `_rank`'s list (module docstring). B is 1%
+    larger for the norms' rounding and d * tiny for underflow, which the
+    bound leaves out; |a| max|c| near overflow certifies nothing."""
+    scores = ad_mat @ cand_mat.T
+    (n, d), fp = cand_mat.shape, np.finfo(scores.dtype)
+    m = min(k + 1, n)
+    top = np.argpartition(scores, n - m, axis=1)[:, n - m:]
+    scores = np.take_along_axis(scores, top, axis=1)
+    order = np.argsort(-scores, axis=1, kind="stable")
+    top, scores = np.take_along_axis(top, order, 1), np.take_along_axis(scores, order, 1)
+    norm_a, norm_c = (np.sqrt(np.einsum("ij,ij->i", x, x) + d * fp.tiny)
+                      for x in (ad_mat, cand_mat))
+    reach, u = norm_a * norm_c.max(initial=0.0), fp.eps / 2
+    four_b = 4 * (1.01 * d * u / (1 - d * u) * reach + d * fp.tiny)
+    certified = (np.isfinite(scores).all(axis=1) & (reach < fp.max / 2)
+                 & (scores[:, :-1] - scores[:, 1:] > four_b[:, None]).all(axis=1))
+    return cand_ids[top[:, :k]].tolist(), certified
+
+
 def retrieve_all(store: EmbeddingStore, graph: HeteroGraph, cat_index: CategoryIndex,
                  task: EvalTask, k: int) -> dict:
     """Per-ad per-view lists, `list_length(store.views, k)` long, ranked as
-    topk_retrieve ranks them."""
+    topk_retrieve ranks them (by certified GEMM blocks, module docstring)."""
     kk = list_length(store.views, k)
     # candidate_keywords hands out one shared id array per category; holding
     # the array in its entry keeps its id() from being reused
@@ -331,9 +364,17 @@ def retrieve_all(store: EmbeddingStore, graph: HeteroGraph, cat_index: CategoryI
             logger.warning("ad %s has an empty candidate set", ad_id)
         groups.setdefault(id(cand_ids), (cand_ids, []))[1].append(ad_id)
     out = {ad_id: {} for ad_id in task.ads}
+    certified = 0
     for cand_ids, ads in groups.values():
         for view in store.views:
             cand_mat = store.gather(view, NodeType.KEYWORD, cand_ids)
-            for ad_id, z in zip(ads, store.gather(view, NodeType.AD, ads)):
-                out[ad_id][view] = _rank(cand_ids, cand_mat, z, kk)
+            ad_mat = store.gather(view, NodeType.AD, ads)
+            for start in range(0, len(ads), _ADS_PER_BLOCK):
+                block = slice(start, start + _ADS_PER_BLOCK)
+                lists, ok = _certified_top(cand_ids, cand_mat, ad_mat[block], kk)
+                certified += int(ok.sum())
+                for ad_id, z, top, good in zip(ads[block], ad_mat[block], lists, ok):
+                    out[ad_id][view] = top if good else _rank(cand_ids, cand_mat, z, kk)
+    logger.debug("retrieve_all: GEMM certified %d ad-view lists, _rank ranked %d",
+                 certified, len(task.ads) * len(store.views) - certified)
     return out

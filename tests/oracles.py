@@ -9,7 +9,9 @@ for one node's full forward pass. `node_embedding` reads one
 root's intermediate embeddings off a batched forward result, so tests can
 compare the two node by node. The edge file's reader as it was before it
 read columns, one `EdgeRecord` per line checked and merged one at a time,
-is `reference_load_graph`.
+is `reference_load_graph`; the embedding dump's reader as it was before it
+read chunks of columns, one row parsed and stored at a time, is
+`reference_load_embeddings`.
 
 Almost everything here recomputes results without touching the batched
 executor or its plans; `naive_plan` fills the plan containers from
@@ -29,6 +31,7 @@ from hgmatch.autodiff import Pooling, Tensor
 from hgmatch.features import KIND_TERMS
 from hgmatch import graph as hg
 from hgmatch.errors import DataError
+from hgmatch.config import ALL_VIEWS
 from hgmatch.graph import NodeRef, NodeType, Relation, other_endpoint
 from hgmatch.model import (
     AD_TOWER,
@@ -42,6 +45,7 @@ from hgmatch.model import (
     TowerPlan,
     active_paths,
 )
+from hgmatch.retrieval import EmbeddingStore
 
 
 # --- the layers for one node -------------------------------------------------
@@ -565,3 +569,49 @@ def reference_load_graph(edge_path, node_path) -> hg.HeteroGraph:
     nodes = list(hg.iter_file_records(node_path, hg.parse_node_line))
     edges = list(hg.iter_file_records(edge_path, parse_edge_line))
     return reference_ingest(edges, nodes)
+
+
+# --- the embedding dump, one line at a time ----------------------------------
+
+def parse_embedding_line(line: str, location: str) -> tuple:
+    """One `node_type node_id view values...` record, its values parsed by
+    `np.array` of the split text (which also takes `1_0` and non-ASCII
+    digits; `load_embeddings` takes neither)."""
+    parts = line.split("\t")
+    if len(parts) != 4:
+        raise DataError(f"{location}: expected 4 tab-separated fields")
+    ttok, nid, view, vals = parts
+    if view not in ALL_VIEWS:
+        raise DataError(f"{location}: unknown view {view!r}")
+    try:
+        ntype, node_id = hg.NODE_TYPES[hg.TYPE_CODE[ttok]], hg.parse_id(nid)
+        vec = np.array(vals.split(), dtype=np.float64)
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"{location}: {exc}") from exc
+    if not np.isfinite(vec).all():
+        raise DataError(f"{location}: non-finite vector value")
+    return ntype, node_id, view, vec, location
+
+
+def reference_load_embeddings(path) -> EmbeddingStore:
+    """`retrieval.load_embeddings` checking and storing one row at a time."""
+    rows = {}  # {(view, NodeType): {node id: vector}}
+    d = None
+    for ntype, node_id, view, vec, location in hg.iter_file_records(path, parse_embedding_line):
+        if d is None:
+            d = len(vec)
+        elif len(vec) != d:
+            raise DataError(f"{location}: inconsistent vector length")
+        group = rows.setdefault((view, ntype), {})
+        if node_id in group:
+            raise DataError(f"{location}: duplicate {view} row for {ntype.value}:{node_id}")
+        group[node_id] = vec
+    if not rows:
+        raise DataError(f"{path}: embedding dump has no rows")
+    views = tuple(sorted({v for v, _ in rows}, key=lambda v: ALL_VIEWS.index(v)))
+    vectors = {}
+    for (view, ntype), group in rows.items():
+        ids = sorted(group)
+        vectors.setdefault(view, {})[ntype] = (np.array(ids, dtype=np.int64),
+                                               np.stack([group[i] for i in ids]))
+    return EmbeddingStore(d, views, vectors)

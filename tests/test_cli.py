@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -123,6 +124,24 @@ def test_evaluate_perfect_retrieval(tmp_path, capsys):
     rc = main(["evaluate", "--retrieved", str(retrieved), "--task", str(task)])
     assert rc == 0
     assert "overall\t1.000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1\tad_clik\t11", "unknown view 'ad_clik'"),
+    ("x1\tad_click\t11", "invalid literal for int() with base 10: 'x1'"),
+    ("1\tad_click\t99999999999999999999", "id 99999999999999999999 does not fit in 64 bits"),
+])
+def test_evaluate_rejects_a_bad_retrieved_line_with_its_location(tmp_path, capsys, line, message):
+    task = tmp_path / "task.tsv"
+    task.write_text("ad_click\t1\t10\nad_click\t1\t11\n")
+    retrieved = tmp_path / "retrieved.tsv"
+    retrieved.write_text(f"1\tad_click\t10\n{line}\n")
+    out = tmp_path / "report.txt"
+    rc = main(["evaluate", "--retrieved", str(retrieved), "--task", str(task), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{retrieved}:2: {message}" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["retrieved.tsv", "task.tsv"]
 
 
 def test_gradcheck_subcommand(capsys):
@@ -736,3 +755,39 @@ def test_zero_size_or_width_in_a_manifest_exits_3_with_location(data_dir, tmp_pa
     err = capsys.readouterr().err
     assert f"{features}:3:" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_retrieve_names_a_bad_dump_row_past_the_first_chunk(data_dir, dump, tmp_path, capsys):
+    """Item rows (which matching never reads) push a bad row past the first
+    1,024 lines that the reader parses at once."""
+    text = (dump / "emb.tsv").read_text()
+    filler = "".join(f"item\t{i}\tad_click\t{' '.join(['0.5'] * 8)}\n" for i in range(1200))
+    bad_line = len(text.splitlines()) + 1200 + 1
+    emb = tmp_path / "emb.tsv"
+    emb.write_text(text + filler + f"item\t1200\tad_click\t{' '.join(['0.5'] * 7)} 0,5\n")
+    out = tmp_path / "retrieved.tsv"
+    rc = main(["retrieve", "--embeddings", str(emb),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+               "--task", str(data_dir / "task.tsv"), "--k", "5", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert bad_line > 1024 and f"{emb}:{bad_line}: could not convert string '0,5'" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.tsv"]
+
+
+def test_ablate_reports_keep_their_bytes(data_dir, tmp_path):
+    out = tmp_path / "ablate"
+    rc = main(["ablate", *dataset_args(data_dir),
+               "--task", str(data_dir / "task.tsv"),
+               "--out-dir", str(out), "--ks", "5,10",
+               "--seed", "11", "--set", "d=8", "--set", "l=4", "--set", "m=5",
+               "--set", "kappa=2", "--set", "batch_size=64",
+               "--set", "learning_rate=0.01", "--set", "epochs=1"])
+    assert rc == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("report.tsv", "report.txt")}
+    assert digests == {
+        "report.tsv": "f7deaf146ba64d2c5248facfacccb13b0cd462e90466b9b2cc61036334b39592",
+        "report.txt": "5054a39fb5fe273d404d3ae411b1110360dbd7ebd61791f7153a9dd8a5d527d9",
+    }

@@ -1,19 +1,23 @@
 import hashlib
+import logging
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from hgmatch.config import TrainConfig, VARIANTS
+from hgmatch import retrieval
+from hgmatch.config import ALL_VIEWS, TrainConfig, VARIANTS
 from hgmatch.errors import DataError
 from hgmatch.graph import NodeType
 from hgmatch.pipeline import build_model, evaluate_variant
 from hgmatch.retrieval import (
     EmbeddingStore,
     EvalTask,
+    _certified_top,
     _quantize,
     _rank,
     cold_start_split,
@@ -25,7 +29,8 @@ from hgmatch.retrieval import (
     topk_retrieve,
 )
 
-from oracles import naive_evaluate, naive_quantize, naive_rank, naive_recall, neighbors
+from oracles import (naive_evaluate, naive_quantize, naive_rank, naive_recall, neighbors,
+                     reference_load_embeddings)
 
 
 def make_store(rng, n_ads=5, n_kws=40, d=8, views=("ad_click",)):
@@ -381,3 +386,262 @@ def test_union_recall_at_least_single_view(tiny_dataset, tiny_model):
     for view in store.views:
         only = {a: {view: lists[view]} for a, lists in retrieved.items()}
         assert full >= recall_at_k(tiny_dataset.task, only).overall - 1e-12
+
+
+# --- certified GEMM top-K ----------------------------------------------------
+
+class Categories:
+    """`CategoryIndex.candidate_keywords` over fixed categories: one shared id
+    array per category, as the index hands them out."""
+
+    def __init__(self, by_ad):
+        self.by_ad = by_ad
+
+    def candidate_keywords(self, graph, ad_id):
+        return self.by_ad[ad_id]
+
+
+def _keyword_rows(draw, rng, n, d, kind):
+    """n keyword vectors of one kind: spread out, or with planted exact
+    duplicates, 1-ulp neighbours, overflowing, subnormal or infinite values."""
+    mat = rng.normal(size=(n, d))
+    if n == 0 or kind == "normal":
+        return mat
+    pick = rng.integers(0, n, size=n)
+    if kind == "duplicate":
+        return mat[pick]
+    if kind == "ulp":
+        return np.nextafter(mat[pick], np.where(rng.random((n, d)) < 0.5, np.inf, -np.inf))
+    if kind == "overflow":
+        return mat * 1e307
+    if kind == "subnormal":
+        return np.round(mat * 4) * 5e-324
+    mat[rng.random((n, d)) < 0.1] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return mat
+
+
+@st.composite
+def matching_cases(draw):
+    """(store, categories, task, k, ads per GEMM block) over 1-3 categories,
+    one of them possibly empty, of up to 12 keywords."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(1, 6))
+    views = draw(st.sampled_from([("ad_click",), ("ad_click", "ad_bid"), ALL_VIEWS]))
+    kind = draw(st.sampled_from(["normal", "duplicate", "ulp", "overflow", "subnormal", "special"]))
+    sizes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))
+    kw_ids = rng.permutation(200)[:sum(sizes)] * 3 + 1
+    cats = np.split(kw_ids, np.cumsum(sizes)[:-1])
+    n_ads = draw(st.integers(1, 9))
+    by_ad = {a: np.sort(cats[rng.integers(len(cats))]) for a in range(n_ads)}
+    # ads of a category share its one id array
+    shared = {c.tobytes(): c for c in by_ad.values()}
+    by_ad = {a: shared[c.tobytes()] for a, c in by_ad.items()}
+    vectors = {}
+    for view in views:
+        ad_mat = rng.normal(size=(n_ads, d))
+        if kind in ("overflow", "subnormal"):
+            ad_mat = np.round(ad_mat * 4) * 5e-324 if kind == "subnormal" else ad_mat * 1e307
+        vectors[view] = {
+            NodeType.AD: (np.arange(n_ads), ad_mat),
+            NodeType.KEYWORD: (np.sort(kw_ids), _keyword_rows(draw, rng, len(kw_ids), d, kind)),
+        }
+    store, task = EmbeddingStore(d, views, vectors), EvalTask(list(range(n_ads)), {}, {})
+    return store, Categories(by_ad), task, draw(st.integers(1, 14)), draw(st.sampled_from([1, 2, 256]))
+
+
+def naive_retrieve_all(store, cats, task, k):
+    """Each ad and view ranked on its own by a full stable argsort."""
+    kk = 3 * k if len(store.views) == 1 else k
+    out = {}
+    for ad_id in task.ads:
+        cand_ids = cats.candidate_keywords(None, ad_id)
+        out[ad_id] = {view: naive_rank(cand_ids, store.gather(view, NodeType.KEYWORD, cand_ids),
+                                       store.vector(view, NodeType.AD, ad_id), kk)
+                      for view in store.views}
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(matching_cases())
+def test_retrieve_all_equals_a_full_sort_per_ad(case):
+    store, cats, task, k, block = case
+    with mock.patch.object(retrieval, "_ADS_PER_BLOCK", block), np.errstate(all="ignore"):
+        got = retrieve_all(store, None, cats, task, k)
+        assert got == naive_retrieve_all(store, cats, task, k)
+
+
+def _counts(caplog):
+    """(certified, ranked) from retrieve_all's debug lines."""
+    lines = [r.getMessage() for r in caplog.records if r.name == "hgmatch.retrieval"
+             and r.getMessage().startswith("retrieve_all:")]
+    found = [re.fullmatch(r"retrieve_all: GEMM certified (\d+) ad-view lists, "
+                          r"_rank ranked (\d+)", line) for line in lines]
+    assert found and all(found)
+    return tuple(sum(int(m[i]) for m in found) for i in (1, 2))
+
+
+def _one_category(n_ads, kw_mat, ad_mat, views=("ad_click", "ad_bid")):
+    kw_ids = np.arange(len(kw_mat)) * 2
+    store = EmbeddingStore(kw_mat.shape[1], views, {view: {
+        NodeType.AD: (np.arange(n_ads), ad_mat), NodeType.KEYWORD: (kw_ids, kw_mat)}
+        for view in views})
+    task = EvalTask(list(range(n_ads)), {}, {})
+    return store, Categories(dict.fromkeys(range(n_ads), kw_ids)), task
+
+
+def test_retrieve_all_counts_the_lists_it_certifies_and_ranks(caplog):
+    """Well-separated scores over more ads than one GEMM block all take the
+    GEMM lists; planted exact ties all fall back to `_rank`."""
+    caplog.set_level(logging.DEBUG, logger="hgmatch.retrieval")
+    rng = np.random.default_rng(5)
+    n_ads = 2 * retrieval._ADS_PER_BLOCK + 7
+    store, cats, task = _one_category(n_ads, rng.normal(size=(60, 8)), rng.normal(size=(n_ads, 8)))
+    assert retrieve_all(store, None, cats, task, 5) == naive_retrieve_all(store, cats, task, 5)
+    assert _counts(caplog) == (2 * n_ads, 0)
+
+    caplog.clear()
+    tied = np.repeat(rng.normal(size=(30, 8)), 2, axis=0)  # every keyword twice
+    store, cats, task = _one_category(n_ads, tied, rng.normal(size=(n_ads, 8)))
+    assert retrieve_all(store, None, cats, task, 5) == naive_retrieve_all(store, cats, task, 5)
+    assert _counts(caplog) == (0, 2 * n_ads)
+
+
+def test_retrieve_all_certifies_no_list_with_a_gap_within_the_bound(caplog):
+    """Two keywords whose scores differ by a few ulps, where the GEMM and the
+    matrix-vector product may order them differently, fall back."""
+    caplog.set_level(logging.DEBUG, logger="hgmatch.retrieval")
+    kw = np.array([[1.0, 0.0], [np.nextafter(1.0, 2.0), 0.0], [0.0, 1.0]])
+    store, cats, task = _one_category(1, kw, np.array([[1.0, 0.25]]), views=("ad_click",))
+    assert retrieve_all(store, None, cats, task, 1) == {0: {"ad_click": [2, 0, 4]}}
+    assert _counts(caplog) == (0, 1)
+
+
+@pytest.mark.parametrize("a, c", [
+    ([1.0, 0.25], [[1.0, 0.0], [np.nextafter(1.0, 2.0), 0.0]]),   # scores one ulp apart
+    ([1e-170, 0.0], [[1e10, 0.0], [np.nextafter(1e10, 2e10), 0.0]]),  # |a|^2 underflows
+    ([1e-300, 0.0], [[3e-20, 0.0], [2e-20, 0.0]]),  # subnormal scores
+    ([1e154, 0.0], [[1e154, 0.0], [5e153, 0.0]]),  # |a| |c| near overflow
+])
+def test_certificate_refuses_a_row_it_cannot_bound(a, c):
+    assert _certified_top(np.arange(2), np.array(c), np.array([a]), 1)[1].tolist() == [False]
+    assert _certified_top(np.arange(2), np.array([[1.0, 0.0], [0.5, 0.0]]),
+                          np.array([[1.0, 0.0]]), 1) == ([[0]], np.array([True]))
+
+
+# --- the columnar dump reader ------------------------------------------------
+
+def _store_bytes(store):
+    """Everything a store holds, as bytes and dtypes to compare bit for bit."""
+    return (store.d, store.views, sorted(
+        (view, ntype.value, ids.dtype.str, ids.tobytes(), mat.dtype.str, mat.shape, mat.tobytes())
+        for view, per_type in store.vectors.items() for ntype, (ids, mat) in per_type.items()))
+
+
+_VALUE_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.9g}".format),
+    st.sampled_from(["0", "-0", "+1.5", ".5", "5.", "1e5", "1E-5", "-0.0e+00", "4.9e-324",
+                     "1e-400", "017", "1.7976931348623157e308"]))
+
+
+@st.composite
+def dumps(draw):
+    """(text, rows) of an embedding dump: rows of 1-3 views and 3 node
+    types in shuffled order, with comment and blank lines between them."""
+    d = draw(st.integers(1, 4))
+    views = draw(st.lists(st.sampled_from(ALL_VIEWS), min_size=1, max_size=3, unique=True))
+    key = st.tuples(st.sampled_from(views), st.sampled_from(["ad", "keyword", "item"]),
+                    st.integers(-2 ** 63, 2 ** 63 - 1))
+    keys = draw(st.lists(key, min_size=1, max_size=40, unique=True))
+    lines = []
+    for view, ntype, node_id in keys:
+        values = draw(st.lists(_VALUE_TEXT, min_size=d, max_size=d))
+        sep = draw(st.sampled_from([" ", "  ", " \x0c"]))
+        lines.append(f"{ntype}\t{node_id}\t{view}\t{sep.join(values)}")
+        lines += draw(st.lists(st.sampled_from(["", "# a comment", "   ", "\t#x"]), max_size=1))
+    return "# node_type\tnode_id\tview\tvalues...\n" + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(dumps(), st.sampled_from([1, 2, 3, 1024]))
+def test_load_embeddings_equals_the_line_by_line_reader(tmp_path_factory, text, chunk_lines):
+    path = tmp_path_factory.mktemp("dump") / "emb.tsv"
+    path.write_text(text)
+    with mock.patch.object(retrieval, "_CHUNK_LINES", chunk_lines):
+        got = load_embeddings(path)
+    assert _store_bytes(got) == _store_bytes(reference_load_embeddings(path))
+
+
+# fields a damaged dump line may hold: each token alone, or joined by spaces
+_JUNK = st.sampled_from(["ad", "keyword", "item", "user", "ad_click", "ad_bid", "ad_clik", "7",
+                         "99999999999999999999", "x1", "0.5", "-2", "nan", "inf", "-Infinity",
+                         "1e999", "0x1", "1,5", "#", "'1'", "\x0c", "\xa0", "\u2003", "\x00",
+                         "--1"])
+
+
+@st.composite
+def damaged_dumps(draw):
+    """A valid dump with up to three lines replaced by tab-joined junk fields."""
+    lines = [f"{t}\t{i}\tad_click\t{i}.5 -{i}" for t in ("ad", "keyword") for i in range(6)]
+    for _ in range(draw(st.integers(1, 3))):
+        fields = draw(st.lists(st.lists(_JUNK, min_size=1, max_size=3).map(" ".join),
+                               min_size=2, max_size=5))
+        lines[draw(st.integers(0, len(lines) - 1))] = "\t".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_dumps(), st.sampled_from([1, 4, 1024]))
+def test_load_embeddings_fails_where_the_line_by_line_reader_fails(tmp_path_factory, text,
+                                                                    chunk_lines):
+    """Over tokens both parsers read alike, the chunked reader accepts the
+    same dumps and names the same line, for the same reason."""
+    path = tmp_path_factory.mktemp("dump") / "emb.tsv"
+    path.write_text(text)
+    try:
+        want = _store_bytes(reference_load_embeddings(path))
+    except DataError as exc:
+        want = str(exc)
+    try:
+        with mock.patch.object(retrieval, "_CHUNK_LINES", chunk_lines):
+            got = _store_bytes(load_embeddings(path))
+    except DataError as exc:
+        got = str(exc)
+    if isinstance(want, str) and "could not convert" in want:  # the parsers word it apart
+        assert re.match(re.escape(want.split(": ")[0]) + ": could not convert string ", got)
+    else:
+        assert got == want
+
+
+def _big_dump(path, n_rows=2000, lines=None):
+    """A dump of n_rows keyword rows of two values, header on line 1, so
+    row i sits on line i + 2; `lines` replaces whole lines by number."""
+    rows = [f"keyword\t{i}\tad_click\t{i}.25 -{i}" for i in range(n_rows)]
+    for lineno, line in (lines or {}).items():
+        rows[lineno - 2] = line
+    path.write_text("# node_type\tnode_id\tview\tvalues...\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("lines, message", [
+    ({1500: "keyword\t1498\tad_click\t0.5 x"}, "could not convert string 'x'"),
+    ({n: f"keyword\t{n - 2}\tad_click\t1 2 3" for n in range(1026, 2002)},
+     "inconsistent vector length"),
+    ({1500: "keyword\t8\tad_click\t0.5 0.5"}, "duplicate ad_click row for keyword:8"),
+    ({1500: "keyword\t8\tad_click\t0.5 0.5", 1700: "keyword\t1698\tad_click\t0.5 y"},
+     "duplicate ad_click row for keyword:8"),
+    ({1500: "keyword\t1498\tad_click\t1_0 0.5"}, "could not convert string '1_0'"),
+    ({1500: "keyword\t1498\tad_click\t0.5 \u0661"}, "could not convert string '\u0661'"),
+    ({1500: "keyword\t1498\tad_click\t0.5 inf"}, "non-finite vector value"),
+], ids=["bad value", "width change between chunks", "duplicate across chunks",
+        "duplicate before a bad value", "underscore", "non-ASCII digit", "non-finite"])
+def test_load_embeddings_names_a_bad_row_past_the_first_chunk(tmp_path, lines, message):
+    path = _big_dump(tmp_path / "emb.tsv", lines=lines)
+    where = 1026 if len(lines) > 2 else 1500
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{where}: {re.escape(message)}"):
+        load_embeddings(path)
+
+
+def test_load_embeddings_reads_a_dump_of_many_chunks(tmp_path):
+    path = _big_dump(tmp_path / "emb.tsv", n_rows=3 * retrieval._CHUNK_LINES + 5)
+    assert _store_bytes(load_embeddings(path)) == _store_bytes(reference_load_embeddings(path))
