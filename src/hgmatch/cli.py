@@ -2,12 +2,14 @@
 retrieve, evaluate, gradcheck, ablate.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
-Partial output files are removed when a run fails.
+Partial output files are removed when a run fails. This is the only
+module that writes to the console; the library logs (see `main`).
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import sys
 import tempfile
@@ -144,7 +146,7 @@ def cmd_train(args, tracker: OutputTracker) -> int:
     out_dir = Path(args.out_dir)
     for name in ("model.ckpt", "boundaries.tsv", "manifest.txt", "losses.tsv"):
         tracker.register(out_dir / name)
-    model, fit = train_variant(dataset, cfg, variant, out_dir=out_dir, log=print)
+    model, fit = train_variant(dataset, cfg, variant, out_dir=out_dir)
     with open(out_dir / "losses.tsv", "w", encoding="utf-8") as fh:
         fh.write("epoch\tbatch\tloss\n")
         for epoch, batch, loss in fit.batch_losses:
@@ -174,7 +176,8 @@ def cmd_embed(args, tracker: OutputTracker) -> int:
     )
     model = build_model(dataset, cfg, variant, params=params)
     out = tracker.register(args.out)
-    store = export_embeddings(model, path=out)
+    store = export_embeddings(model)
+    save_embeddings(store, out)
     write_manifest(
         tracker.register(str(args.out) + ".manifest"),
         cfg=cfg,
@@ -281,8 +284,7 @@ def cmd_ablate(args, tracker: OutputTracker) -> int:
     variant_files = [f"{v}/{f}" for v in ABLATION_ORDER for f in ("model.ckpt", "boundaries.tsv")]
     for name in ("report.txt", "report.tsv", "manifest.txt", *variant_files):
         tracker.register(out_dir / name)
-    report = run_ablation(dataset, cfg, args.ks, variants=ABLATION_ORDER,
-                          out_dir=out_dir, log=print)
+    report = run_ablation(dataset, cfg, args.ks, out_dir=out_dir)
     text = render_text(report)
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
     (out_dir / "report.tsv").write_text(render_tsv(report), encoding="utf-8")
@@ -403,10 +405,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Console(logging.StreamHandler):
+    """INFO to stdout, WARNING and above to stderr, each stream looked up per record."""
+
+    def emit(self, record):
+        self.stream = sys.stdout if record.levelno < logging.WARNING else sys.stderr
+        super().emit(record)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     tracker = OutputTracker()
+    logger, console = logging.getLogger("hgmatch"), _Console()
+    level = logger.level
+    logger.addHandler(console)
+    logger.setLevel(logging.INFO)
     try:
         return args.func(args, tracker) or 0
     except (DataError, OSError) as exc:
@@ -420,6 +434,9 @@ def main(argv=None) -> int:
     except BaseException:
         tracker.cleanup()
         raise
+    finally:
+        logger.removeHandler(console)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +34,8 @@ from .retrieval import (
 )
 from .sampling import CategoryIndex
 from .trainer import FitResult, Trainer
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -76,12 +79,11 @@ def build_model(dataset: Dataset, cfg: TrainConfig, variant: VariantSpec,
     return model
 
 
-def train_variant(dataset: Dataset, cfg: TrainConfig, variant: VariantSpec,
-                  out_dir=None, log=None) -> tuple:
+def train_variant(dataset: Dataset, cfg: TrainConfig, variant: VariantSpec, out_dir=None) -> tuple:
     """Train one variant; optionally persist checkpoint + boundaries."""
     model = build_model(dataset, cfg, variant)
     trainer = Trainer(model, dataset.cat_index, dataset.labels)
-    result = trainer.fit(log=log) if cfg.epochs > 0 else FitResult()
+    result = trainer.fit() if cfg.epochs > 0 else FitResult()
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -97,11 +99,10 @@ def task_cohorts(dataset: Dataset) -> tuple:
     return dataset.task, cold_start_split(dataset.graph, dataset.task)
 
 
-def evaluate_variant(model: MatchingModel, dataset: Dataset, ks, cohorts=None) -> tuple:
-    """Recall at each K over `cohorts` (default `task_cohorts`), as two {k:
-    RecallResult} maps, from one export and one top-max(ks) pass: the ranking
-    sort is stable, so a smaller K's lists are prefixes of the longest."""
-    cohorts = cohorts or task_cohorts(dataset)
+def evaluate_variant(model: MatchingModel, dataset: Dataset, ks, cohorts) -> tuple:
+    """Recall at each K over `cohorts` (the task and its cold-start cohort, from
+    `task_cohorts`) as two {k: RecallResult} maps, from one export and one
+    top-max(ks) pass: a stable sort makes a smaller K's lists prefixes of the longest."""
     store = export_embeddings(model)
     longest = retrieve_all(store, dataset.graph, dataset.cat_index, dataset.task, max(ks))
     results = ({}, {})
@@ -122,17 +123,16 @@ def view_section(view: str) -> str:
     return f"view {view} recall@k"
 
 
-def run_ablation(dataset: Dataset, base_cfg: TrainConfig, ks,
-                 variants=ABLATION_ORDER, out_dir=None, log=None) -> "AblationReport":
+def run_ablation(dataset: Dataset, base_cfg: TrainConfig, ks, out_dir=None) -> "AblationReport":
     from .report import AblationReport
 
     sections = [SECTION_OVERALL] + [view_section(v) for v in ALL_VIEWS] + [SECTION_COLD]
-    report = AblationReport(ks=list(ks), sections=sections, variants=list(variants), values={})
+    report = AblationReport(ks=list(ks), sections=sections, variants=list(ABLATION_ORDER), values={})
     cohorts = task_cohorts(dataset)  # a bad task fails before any variant trains
-    for name in variants:
+    for name in ABLATION_ORDER:
         variant = VARIANTS[name]
         vdir = None if out_dir is None else Path(out_dir) / name
-        model, fit_result = train_variant(dataset, base_cfg, variant, out_dir=vdir, log=log)
+        model, _ = train_variant(dataset, base_cfg, variant, out_dir=vdir)
         results, cold_results = evaluate_variant(model, dataset, ks, cohorts)
         for k in ks:
             r: RecallResult = results[k]
@@ -140,7 +140,5 @@ def run_ablation(dataset: Dataset, base_cfg: TrainConfig, ks,
             for view in ALL_VIEWS:
                 report.values[(name, view_section(view), k)] = r.per_view.get(view)
             report.values[(name, SECTION_COLD, k)] = cold_results[k].overall
-        if log:
-            at = {k: round(results[k].overall, 4) for k in ks}
-            log(f"variant {name}: recall@3k {at}")
+        logger.info("variant %s: recall@3k %s", name, {k: round(results[k].overall, 4) for k in ks})
     return report

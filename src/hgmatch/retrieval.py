@@ -119,7 +119,7 @@ def _quantize(matrix: np.ndarray) -> tuple:
     return rows, values
 
 
-def export_embeddings(model: MatchingModel, path=None) -> EmbeddingStore:
+def export_embeddings(model: MatchingModel) -> EmbeddingStore:
     """Compute final per-view vectors for every ad and keyword.
 
     The forward records no tape; the store keeps each row's dump text."""
@@ -133,10 +133,7 @@ def export_embeddings(model: MatchingModel, path=None) -> EmbeddingStore:
             rows, mat = _quantize(fwd.towers[tower].per_view[view].data)
             vectors.setdefault(view, {})[ntype] = (fwd.towers[tower].plan.req_ids, mat)
             rendered.setdefault(view, {})[ntype] = rows
-    store = EmbeddingStore(model.cfg.d, views, vectors, rendered)
-    if path is not None:
-        save_embeddings(store, path)
-    return store
+    return EmbeddingStore(model.cfg.d, views, vectors, rendered)
 
 
 def save_embeddings(store: EmbeddingStore, path):
@@ -357,12 +354,14 @@ def retrieve_all(store: EmbeddingStore, graph: HeteroGraph, cat_index: CategoryI
     kk = list_length(store.views, k)
     # candidate_keywords hands out one shared id array per category; holding
     # the array in its entry keeps its id() from being reused
-    groups = {}
+    groups, empty = {}, []
     for ad_id in task.ads:
         cand_ids = cat_index.candidate_keywords(graph, ad_id)
         if len(cand_ids) == 0:
-            logger.warning("ad %s has an empty candidate set", ad_id)
+            empty.append(ad_id)
         groups.setdefault(id(cand_ids), (cand_ids, []))[1].append(ad_id)
+    if empty:
+        logger.warning("%d ads have an empty candidate set, first ad %s", len(empty), empty[0])
     out = {ad_id: {} for ad_id in task.ads}
     certified = 0
     for cand_ids, ads in groups.values():

@@ -35,9 +35,9 @@ class GenStats:
     cold_ads: list = field(default_factory=list)
 
 
-def _heavy_counts(rng, n, cap=100, alpha=1.3):
+def _heavy_counts(rng, n, cap=100):
     u = rng.random(n)
-    return np.minimum(cap, np.floor(u ** (-1.0 / alpha))).astype(np.int64)
+    return np.minimum(cap, np.floor(u ** (-1.0 / 1.3))).astype(np.int64)  # Pareto, alpha 1.3
 
 
 def _assign_clusters(rng, n, clusters):

@@ -22,7 +22,7 @@ under `autodiff.no_grad()`, so they record no tape.
 
 from __future__ import annotations
 
-import time
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +33,8 @@ from .errors import DataError, NumericError
 from .graph import NodeType, lookup_rows
 from .model import AD_TOWER, KW_TOWER, ForwardPlan, MatchingModel, build_plan
 from .sampling import CategoryIndex, CategoryTooSmall
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -100,17 +102,15 @@ def batch_plan(model: MatchingModel, pairs) -> ForwardPlan:
 
 
 class Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
-        self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, params, lr):
+        self.params, self.lr = params, lr
         self.t = 0
         self.m = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         for name in self.params.names():
             tensor = self.params[name]
             g = tensor.grad
@@ -122,7 +122,7 @@ class Adam:
             v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
             if not np.all(np.isfinite(tensor.data)):
                 raise NumericError(f"non-finite parameter {name} after update")
 
@@ -132,7 +132,6 @@ class FitResult:
     batch_losses: list = field(default_factory=list)   # (epoch, batch, loss)
     epoch_losses: list = field(default_factory=list)   # mean batch loss per epoch
     skipped_pairs: int = 0
-    seconds: float = 0.0
 
 
 class Trainer:
@@ -162,10 +161,9 @@ class Trainer:
         self.model.params.zero_grads()
         return value
 
-    def fit(self, log=None) -> FitResult:
+    def fit(self) -> FitResult:
         cfg = self.model.cfg
         result = FitResult()
-        start = time.time()
         for epoch in range(cfg.epochs):
             pairs, skipped = build_training_pairs(
                 self.labels, self.cat_index, cfg.negatives, (cfg.seed, 101, epoch)
@@ -186,9 +184,7 @@ class Trainer:
                 result.batch_losses.append((epoch, b0 // cfg.batch_size, value))
             mean = float(np.mean(losses))
             result.epoch_losses.append(mean)
-            if log:
-                log(f"epoch {epoch}: mean batch loss {mean:.6f} ({len(losses)} batches)")
-        result.seconds = time.time() - start
+            logger.info("epoch %d: mean batch loss %.6f (%d batches)", epoch, mean, len(losses))
         return result
 
 

@@ -17,7 +17,8 @@ import pytest
 from hgmatch.config import SynthConfig, TrainConfig, VARIANTS
 from hgmatch.graph import NodeRef, NodeType
 from hgmatch.model import AD_TOWER, KW_TOWER
-from hgmatch.pipeline import build_model, load_dataset, train_variant, evaluate_variant
+from hgmatch.pipeline import (build_model, load_dataset, train_variant, evaluate_variant,
+                              task_cohorts)
 from hgmatch.retrieval import EmbeddingStore, EvalTask, recall_at_k, topk_retrieve
 from hgmatch.sampling import CategoryIndex
 from hgmatch.synthgen import generate
@@ -69,7 +70,8 @@ def experiment_results(tmp_path_factory):
             t0 = time.time()
             model, fit = train_variant(ds, cfg, VARIANTS[vname])
             seconds = time.time() - t0
-            overall, cold = evaluate_variant(model, ds, ks=[EXPERIMENT_K])
+            overall, cold = evaluate_variant(model, ds, ks=[EXPERIMENT_K],
+                                             cohorts=task_cohorts(ds))
             results[(seed, vname)] = {
                 "recall": overall[EXPERIMENT_K].overall,
                 "cold": cold[EXPERIMENT_K].overall,

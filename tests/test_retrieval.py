@@ -13,7 +13,7 @@ from hgmatch import retrieval
 from hgmatch.config import ALL_VIEWS, TrainConfig, VARIANTS
 from hgmatch.errors import DataError
 from hgmatch.graph import NodeType
-from hgmatch.pipeline import build_model, evaluate_variant
+from hgmatch.pipeline import build_model, evaluate_variant, task_cohorts
 from hgmatch.retrieval import (
     EmbeddingStore,
     EvalTask,
@@ -134,7 +134,7 @@ def test_evaluate_variant_matches_per_k_per_cohort_oracle(tiny_dataset, variant)
     model = build_model(tiny_dataset, TrainConfig(d=8, l=4, m=5, kappa=2, seed=11),
                         VARIANTS[variant])
     ks = [5, 1, 12, 3]
-    got = evaluate_variant(model, tiny_dataset, ks)
+    got = evaluate_variant(model, tiny_dataset, ks, task_cohorts(tiny_dataset))
     assert got == naive_evaluate(model, tiny_dataset, ks)
     assert list(got[0]) == list(got[1]) == ks
 
@@ -299,7 +299,7 @@ def test_quantize_array_path_equals_per_element_rendering(m):
 
 def test_dump_keeps_its_bytes(tiny_model, tmp_path):
     path = tmp_path / "emb.tsv"
-    export_embeddings(tiny_model, path=path)
+    save_embeddings(export_embeddings(tiny_model), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "01870a9c03aaf2d69d47348df6b636c1ab2965464f440cfe68d74ce20a0c91cf")
 
@@ -336,7 +336,8 @@ def test_rank_equals_full_stable_argsort(scores, k):
 
 def test_export_round_trip_bit_identical(tiny_model, tmp_path):
     path = tmp_path / "emb.tsv"
-    store = export_embeddings(tiny_model, path=path)
+    store = export_embeddings(tiny_model)
+    save_embeddings(store, path)
     loaded = load_embeddings(path)
     assert loaded.views == store.views
     for view in store.views:
@@ -364,14 +365,15 @@ def test_load_embeddings_rejects_a_bad_row_with_its_location(tmp_path, row, mess
 
 def test_export_twice_identical_files(tiny_model, tmp_path):
     p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
-    export_embeddings(tiny_model, path=p1)
-    export_embeddings(tiny_model, path=p2)
+    save_embeddings(export_embeddings(tiny_model), p1)
+    save_embeddings(export_embeddings(tiny_model), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_export_row_count(tiny_model, tmp_path):
     path = tmp_path / "emb.tsv"
-    store = export_embeddings(tiny_model, path=path)
+    store = export_embeddings(tiny_model)
+    save_embeddings(store, path)
     g = tiny_model.graph
     want = (g.num_nodes(NodeType.AD) + g.num_nodes(NodeType.KEYWORD)) * len(store.views)
     rows = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
@@ -514,6 +516,19 @@ def test_retrieve_all_certifies_no_list_with_a_gap_within_the_bound(caplog):
     store, cats, task = _one_category(1, kw, np.array([[1.0, 0.25]]), views=("ad_click",))
     assert retrieve_all(store, None, cats, task, 1) == {0: {"ad_click": [2, 0, 4]}}
     assert _counts(caplog) == (0, 1)
+
+
+def test_retrieve_all_warns_once_for_the_ads_without_candidates(caplog):
+    caplog.set_level(logging.WARNING, logger="hgmatch.retrieval")
+    store = make_store(np.random.default_rng(3), n_ads=6, n_kws=10)
+    shared = np.arange(10)
+    cats = Categories({a: np.empty(0, np.int64) if a in (2, 3, 5) else shared for a in range(6)})
+    task = EvalTask(list(range(6)), {}, {})
+    got = retrieve_all(store, None, cats, task, 3)
+    assert got == naive_retrieve_all(store, cats, task, 3)
+    assert got[2] == got[3] == got[5] == {"ad_click": []}
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.WARNING, "3 ads have an empty candidate set, first ad 2")]
 
 
 @pytest.mark.parametrize("a, c", [
