@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import os
+
+import numpy as np
+import scipy
 
 from .config import config_as_dict
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def sha256_file(path) -> str:
@@ -16,8 +22,10 @@ def sha256_file(path) -> str:
 
 
 def write_manifest(path, cfg=None, variant=None, inputs=None, fit=None, extra=None):
-    """Flat `key = value` text; no timestamps, so identical runs write
-    identical manifests."""
+    """Flat `key = value` text; no timestamps, so identical runs on one
+    machine write identical manifests. `runtime.*` holds what a trajectory's
+    bits also depend on: each BLAS thread variable set (else the CPU count)
+    and the numpy and scipy versions."""
     lines = ["# run manifest"]
     if cfg is not None:
         for key, value in config_as_dict(cfg).items():
@@ -33,6 +41,9 @@ def write_manifest(path, cfg=None, variant=None, inputs=None, fit=None, extra=No
             lines.append(f"loss.epoch.{epoch} = {mean!r}")
     for key, value in sorted((extra or {}).items()):
         lines.append(f"{key} = {value}")
+    threads = [f"runtime.{var} = {os.environ[var]}" for var in _THREAD_VARS if var in os.environ]
+    lines += threads or [f"runtime.cpu_count = {os.cpu_count()}"]
+    lines += [f"runtime.numpy = {np.__version__}", f"runtime.scipy = {scipy.__version__}"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

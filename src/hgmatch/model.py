@@ -8,17 +8,18 @@ the whole node type at that depth in ids_of order, since a batch's
 neighborhoods reach nearly every node of each type anyway: each
 intermediate embedding is computed once per node however many tree
 branches reach it, and each pool reads the next level's rows straight
-from the node-level table of their type. A plan walks graph rows, never
-ids, so it is cheap enough to build for every training batch from that
-batch's own roots. Every row index an execution reads is an `ad.Pooling`
-built before it runs: the plan builds the neighbor sums (a metapath hop's
-children, the influential neighbors) and the roots' selections
-(`all_rows`, `req_rows`); the feature layout, once per dataset, builds
-each feature slot's. A neighbor sum is one sparse product per pass, with
-no gathered copy of the neighbor rows. `graph.expand_rows` emits
-neighbors row after row, so each pooling is bucket-major as built and
-needs no sort, and its `counts` are the only record of how many children,
-neighbors or terms each mean divides by.
+from the node-level table of their type. Every hop below the roots is
+thus the same for every pass, and the model builds those pools once
+(`type_pools`). Every row index an execution reads is an `ad.Pooling`
+built before it runs: the feature layout builds each feature slot's once
+per dataset, and a plan builds only what its roots decide, each
+metapath's first hop, the influential neighbors and the roots'
+selections (`all_rows`, `req_rows`). A plan walks graph rows, never ids,
+so it is cheap enough to build for every training batch. A neighbor sum
+is one sparse product per pass, with no gathered copy of the neighbor
+rows. `graph.expand_rows` emits neighbors row after row, so each pooling
+is bucket-major as built and needs no sort, and its `counts` are the only
+record of how many children, neighbors or terms each mean divides by.
 
 Per metapath of length K, a node at depth j carries hidden states for
 layers 0..K-j: layer k of node u combines u's own layer k-1 state with
@@ -45,7 +46,7 @@ from .autodiff import Tensor
 from .config import TrainConfig, VariantSpec
 from .errors import DataError
 from .features import KIND_TERMS
-from .graph import HeteroGraph, Metapath, NodeType, Relation
+from .graph import HeteroGraph, Metapath, NodeType, Relation, other_endpoint
 from .params import param_shapes
 
 AD_TOWER = "ad"
@@ -89,15 +90,8 @@ def active_paths(tower: str, groups: str) -> list:
 # --- forward plan ----------------------------------------------------------
 
 @dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-
-
-@dataclass
 class PathPlan:
     path: Metapath
-    level_ids: list          # depth 0: the roots' ids; depth j >= 1: ids_of[chain[j]]
     child_pools: list        # depth j: Pooling of each level-j row's top-m children,
                              # read as rows of the whole type chain[j + 1]
 
@@ -116,43 +110,35 @@ class TowerPlan:
 @dataclass
 class ForwardPlan:
     towers: dict             # {"ad": TowerPlan, "kw": TowerPlan}
-    cache: CacheStats
 
 
-def _build_path_plan(graph, roots, path, m, stats: CacheStats) -> PathPlan:
-    """Level 0 is `roots` (rows of the graph's ids_of); every deeper level is
-    the whole node type, so each pool reads the next type's rows as they are.
-
-    Per pool, the first entry that reads a source row is a miss and every
-    later entry reading it is a hit; the roots are misses."""
-    chain = path.type_chain()
-    stats.misses += len(roots)
-    rows, pools = roots, []
-    for depth, rel in enumerate(path.steps):
-        n_in = len(graph.ids_of[chain[depth + 1]])
-        nbrs, segs, _ = graph.expand_rows(chain[depth], rows, rel, m)
-        distinct = np.count_nonzero(np.bincount(nbrs, minlength=n_in))
-        stats.misses += distinct
-        stats.hits += len(nbrs) - distinct
-        pools.append(ad.Pooling(nbrs, segs, len(rows), n_in))
-        rows = np.arange(n_in)
-    level_ids = [graph.ids_of[chain[0]][roots], *(graph.ids_of[t] for t in chain[1:])]
-    return PathPlan(path, level_ids, pools)
+def _hop_pool(graph, ntype, rows, rel, m) -> ad.Pooling:
+    """Each of `rows`' top-m neighbors under `rel`, as rows of the whole
+    neighbor type."""
+    nbrs, segs, _ = graph.expand_rows(ntype, rows, rel, m)
+    return ad.Pooling(nbrs, segs, len(rows), len(graph.ids_of[other_endpoint(rel, ntype)]))
 
 
-def build_plan(
-    graph: HeteroGraph,
-    ad_ids,
-    kw_ids,
-    cfg: TrainConfig,
-    variant: VariantSpec,
-) -> ForwardPlan:
+def type_pools(graph: HeteroGraph, cfg: TrainConfig, variant: VariantSpec) -> dict:
+    """{(node type, relation): Pooling} of each hop below the roots of the
+    variant's metapaths, from every node of the type in ids_of order: the
+    same for every plan, so a model builds them once."""
+    if not variant.conv:
+        return {}
+    hops = dict.fromkeys(hop for tower in TOWER_TYPE for tp in active_paths(tower, variant.groups)
+                         for hop in list(zip(tp.path.type_chain(), tp.path.steps))[1:])
+    return {(t, rel): _hop_pool(graph, t, np.arange(len(graph.ids_of[t])), rel, cfg.m)
+            for t, rel in hops}
+
+
+def build_plan(graph: HeteroGraph, ad_ids, kw_ids, cfg: TrainConfig, variant: VariantSpec,
+               below: dict) -> ForwardPlan:
     """Plan a forward pass for the given roots; DataError for an id not in the graph.
 
-    The walk runs on graph rows. Its first hop follows the roots; every
-    deeper hop expands a whole node type.
+    The walk runs on graph rows. It builds each metapath's first hop from
+    the roots and takes every deeper hop from `below`, the model's
+    `type_pools`, as it is.
     """
-    stats = CacheStats()
     other = {AD_TOWER: KW_TOWER, KW_TOWER: AD_TOWER}
     req_ids = {
         AD_TOWER: np.unique(np.asarray(ad_ids, dtype=np.int64)),
@@ -172,7 +158,9 @@ def build_plan(
         plans = []
         if variant.conv and len(rows):
             for tp in active_paths(tower, variant.groups):
-                plans.append(_build_path_plan(graph, rows, tp.path, cfg.m, stats))
+                (ntype, rel), *deeper = zip(tp.path.type_chain(), tp.path.steps)
+                first = _hop_pool(graph, ntype, rows, rel, cfg.m)
+                plans.append(PathPlan(tp.path, [first, *(below[hop] for hop in deeper)]))
         nbrs, segs, _ = infl[tower]
         ids = graph.ids_of[TOWER_TYPE[tower]]
         towers[tower] = TowerPlan(
@@ -187,7 +175,7 @@ def build_plan(
                 len(req_ids[tower]), len(all_rows[other[tower]]),
             ),
         )
-    return ForwardPlan(towers, stats)
+    return ForwardPlan(towers)
 
 
 # --- execution --------------------------------------------------------------
@@ -198,7 +186,6 @@ class TowerForward:
     h0: Tensor                  # node-level embeddings for all_ids
     per_path: dict              # {path name: Tensor (n_all, d)}
     att_weights: np.ndarray     # (n_all, P) or None
-    path_names: list
     h_tilde: Tensor             # (n_all, d)
     z: Tensor                   # (n_req, d)
     per_view: dict              # {view: Tensor (n_req, d)}
@@ -207,7 +194,6 @@ class TowerForward:
 @dataclass
 class ForwardResult:
     towers: dict             # {"ad": TowerForward, "kw": TowerForward}
-    cache: CacheStats
 
 
 class MatchingModel:
@@ -235,6 +221,7 @@ class MatchingModel:
             if shape != want:
                 raise DataError(f"checkpoint {key} has shape {shape}; the feature manifest, "
                                 f"config and variant need {want}")
+        self.type_pools = type_pools(graph, cfg, variant)
 
     def with_params(self, params) -> "MatchingModel":
         """This model over other tensors of the same names and shapes (a
@@ -308,13 +295,11 @@ class MatchingModel:
         for tower, tp in plan.towers.items():
             h0 = ad.gather(h0_by_type[TOWER_TYPE[tower]], tp.all_rows)
             fwd = towers[tower] = TowerForward(
-                plan=tp, h0=h0, per_path={}, att_weights=None, path_names=[],
-                h_tilde=h0, z=None, per_view={},
+                plan=tp, h0=h0, per_path={}, att_weights=None, h_tilde=h0, z=None, per_view={},
             )
             if self.variant.conv and tp.path_plans:
                 for pp in tp.path_plans:
                     fwd.per_path[pp.path.name] = self._execute_path(pp, h0, h0_by_type)
-                fwd.path_names = list(fwd.per_path)
                 fwd.h_tilde, w = self._fuse(tower, list(fwd.per_path.values()))
                 fwd.att_weights = w.data
 
@@ -327,8 +312,8 @@ class MatchingModel:
                 z = z + s * (1.0 / np.maximum(tp.infl_pool.counts, 1.0))[:, None]
             fwd.z = z
             fwd.per_view = {v: self._view_head(tower, v, z) for v in self.variant.views}
-        return ForwardResult(towers, plan.cache)
+        return ForwardResult(towers)
 
     def forward(self, ad_ids, kw_ids) -> ForwardResult:
-        plan = build_plan(self.graph, ad_ids, kw_ids, self.cfg, self.variant)
+        plan = build_plan(self.graph, ad_ids, kw_ids, self.cfg, self.variant, self.type_pools)
         return self.execute(plan)

@@ -357,12 +357,13 @@ def retrieve_all(store: EmbeddingStore, graph: HeteroGraph, cat_index: CategoryI
     groups, empty = {}, []
     for ad_id in task.ads:
         cand_ids = cat_index.candidate_keywords(graph, ad_id)
-        if len(cand_ids) == 0:
+        if len(cand_ids):
+            groups.setdefault(id(cand_ids), (cand_ids, []))[1].append(ad_id)
+        else:
             empty.append(ad_id)
-        groups.setdefault(id(cand_ids), (cand_ids, []))[1].append(ad_id)
     if empty:
         logger.warning("%d ads have an empty candidate set, first ad %s", len(empty), empty[0])
-    out = {ad_id: {} for ad_id in task.ads}
+    out = {ad_id: {view: [] for view in store.views} for ad_id in task.ads}
     certified = 0
     for cand_ids, ads in groups.values():
         for view in store.views:
@@ -375,5 +376,5 @@ def retrieve_all(store: EmbeddingStore, graph: HeteroGraph, cat_index: CategoryI
                 for ad_id, z, top, good in zip(ads[block], ad_mat[block], lists, ok):
                     out[ad_id][view] = top if good else _rank(cand_ids, cand_mat, z, kk)
     logger.debug("retrieve_all: GEMM certified %d ad-view lists, _rank ranked %d",
-                 certified, len(task.ads) * len(store.views) - certified)
+                 certified, (len(task.ads) - len(empty)) * len(store.views) - certified)
     return out

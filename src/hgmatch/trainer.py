@@ -6,10 +6,10 @@ log posterior. Negatives are resampled every epoch from an epoch-indexed
 seed, all shuffling comes from the run seed, and gradient reductions are
 scatter-adds done as one-hot CSR products that add in source order (not
 np.add.at, whose order they keep), so a (seed, data, config) triple fixes
-the loss trajectory bit for bit. Each step runs on a plan built from its
-batch's own roots (`batch_plan`: the distinct ads and the positive and
-negative keywords, plus what `build_plan` adds for them); the metapath
-levels below those roots are whole node types.
+the loss trajectory bit for bit. Each step runs on a plan of its batch's
+own roots (`batch_plan`: the distinct ads and the positive and negative
+keywords, plus what `build_plan` adds for them); every metapath hop below
+those roots is the model's own pooling, built once with the model.
 
 Steps use mixed precision (Micikevicius et al., "Mixed Precision
 Training", ICLR 2018): `step_loss` runs `execute`, the loss and so the
@@ -98,7 +98,8 @@ def batch_plan(model: MatchingModel, pairs) -> ForwardPlan:
     """The plan of a batch's roots: its distinct ads and its positive and
     negative keywords."""
     kw_ids = [kw for p in pairs for kw in (p.positive_kw, *p.negatives)]
-    return build_plan(model.graph, [p.ad for p in pairs], kw_ids, model.cfg, model.variant)
+    return build_plan(model.graph, [p.ad for p in pairs], kw_ids, model.cfg, model.variant,
+                      model.type_pools)
 
 
 class Adam:

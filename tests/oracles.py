@@ -37,7 +37,6 @@ from hgmatch.model import (
     AD_TOWER,
     KW_TOWER,
     TOWER_TYPE,
-    CacheStats,
     ForwardPlan,
     ForwardResult,
     PathPlan,
@@ -149,7 +148,7 @@ def node_embedding(fwd, ref) -> TowerEmbedding:
     if row == len(f.plan.req_ids) or f.plan.req_ids[row] != ref.node_id:
         raise KeyError(f"{ref} is not a root of this forward pass")
     all_row = int(f.plan.req_rows.src_rows[row])
-    att = {} if f.att_weights is None else dict(zip(f.path_names, f.att_weights[all_row]))
+    att = {} if f.att_weights is None else dict(zip(f.per_path, f.att_weights[all_row]))
     return TowerEmbedding(
         ref=ref,
         h=f.h0.data[all_row].copy(),
@@ -257,36 +256,28 @@ def _dense_rows(graph, ntype, ids):
     return np.array([row_of[int(i)] for i in ids], dtype=np.int64)
 
 
-def naive_path_plan(graph, roots, path, m, stats) -> PathPlan:
+def naive_path_plan(graph, roots, path, m) -> PathPlan:
     """Node-by-node metapath walk: level 0 is `roots`, every deeper level the
-    whole node type in ids_of order. An entry of a pool is a hit when an
-    earlier entry of the same pool read the same child, else a miss."""
+    whole node type in ids_of order, each hop's pool built from scratch."""
     chain = path.type_chain()
     level_ids = [np.asarray(roots, dtype=np.int64), *(graph.ids_of[t] for t in chain[1:])]
-    stats.misses += len(roots)
     pools = []
     for depth, rel in enumerate(path.steps):
         child_row = {int(c): r for r, c in enumerate(level_ids[depth + 1])}
-        seen, flat, segs = set(), [], []
+        flat, segs = [], []
         for row, pid in enumerate(level_ids[depth]):
             ids, _ = neighbors(graph, NodeRef(chain[depth], int(pid)), rel, m)
             for cid in ids:
-                crow = child_row[int(cid)]
-                if crow in seen:
-                    stats.hits += 1
-                else:
-                    seen.add(crow)
-                    stats.misses += 1
-                flat.append(crow)
+                flat.append(child_row[int(cid)])
                 segs.append(row)
         pools.append(Pooling(np.array(flat, dtype=np.int64), np.array(segs, dtype=np.int64),
                              len(level_ids[depth]), len(level_ids[depth + 1])))
-    return PathPlan(path, level_ids, pools)
+    return PathPlan(path, pools)
 
 
 def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
-    """build_plan recomputed with per-node neighbor queries and dicts."""
-    stats = CacheStats()
+    """build_plan recomputed with per-node neighbor queries and dicts, every
+    hop of every metapath included."""
     req_ids = {
         AD_TOWER: np.array(sorted(set(int(i) for i in ad_ids)), dtype=np.int64),
         KW_TOWER: np.array(sorted(set(int(i) for i in kw_ids)), dtype=np.int64),
@@ -310,7 +301,7 @@ def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
         plans = []
         if variant.conv and len(ids):
             for tp in active_paths(tower, variant.groups):
-                plans.append(naive_path_plan(graph, ids, tp.path, cfg.m, stats))
+                plans.append(naive_path_plan(graph, ids, tp.path, cfg.m))
         other_rows = {int(i): r for r, i in enumerate(all_ids[other[tower]])}
         flat, segs = [], []
         for row, rid in enumerate(req):
@@ -331,7 +322,7 @@ def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
                 len(req), len(all_ids[other[tower]]),
             ),
         )
-    return ForwardPlan(towers, stats)
+    return ForwardPlan(towers)
 
 
 def naive_scatter_add(idx, values, n):
@@ -439,14 +430,13 @@ def gather_segment_sum_execute(model, plan):
     towers = {}
     for tower, tp in plan.towers.items():
         h0 = ad.gather(h0_by_type[TOWER_TYPE[tower]], tp.all_rows)
-        per_path, names, att_weights, h_tilde = {}, [], None, h0
+        per_path, att_weights, h_tilde = {}, None, h0
         if model.variant.conv and tp.path_plans:
             outputs = [execute_path(pp, h0, h0_by_type) for pp in tp.path_plans]
-            names = [pp.path.name for pp in tp.path_plans]
-            per_path = dict(zip(names, outputs))
+            per_path = dict(zip((pp.path.name for pp in tp.path_plans), outputs))
             h_tilde, w = model._fuse(tower, outputs)
             att_weights = w.data
-        towers[tower] = TowerForward(tp, h0, per_path, att_weights, names, h_tilde, None, {})
+        towers[tower] = TowerForward(tp, h0, per_path, att_weights, h_tilde, None, {})
     for tower, fwd in towers.items():
         tp = fwd.plan
         z = ad.gather(fwd.h_tilde, tp.req_rows)
@@ -457,7 +447,7 @@ def gather_segment_sum_execute(model, plan):
             z = z + s * (1.0 / np.maximum(pl.counts, 1.0))[:, None]
         fwd.z = z
         fwd.per_view = {v: model._view_head(tower, v, z) for v in model.variant.views}
-    return ForwardResult(towers, plan.cache)
+    return ForwardResult(towers)
 
 
 

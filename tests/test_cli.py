@@ -1,16 +1,19 @@
 import hashlib
 import io
 import json
+import os
 import re
 import warnings
 import zipfile
 
 import numpy as np
 import pytest
+import scipy
 
 from hgmatch import cli
 from hgmatch.cli import main
 from hgmatch.config import load_config_file
+from hgmatch.manifest import write_manifest
 from hgmatch.params import load_checkpoint
 from conftest import TINY_SYNTH
 
@@ -114,6 +117,32 @@ def test_train_embed_retrieve_evaluate_chain(data_dir, tmp_path):
     text = report.read_text()
     assert text.startswith("# recall report")
     assert "overall\t" in text
+
+
+def test_manifest_records_the_runtime(data_dir, tmp_path, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    versions = {"runtime.numpy": np.__version__, "runtime.scipy": scipy.__version__}
+
+    def runtime(name):
+        write_manifest(tmp_path / name)
+        return {k: v for k, v in read_manifest(tmp_path / name).items() if k.startswith("runtime.")}
+
+    assert runtime("unset.txt") == {"runtime.cpu_count": str(os.cpu_count()), **versions}
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    assert runtime("set.txt") == {"runtime.OPENBLAS_NUM_THREADS": "1",
+                                  "runtime.MKL_NUM_THREADS": "2", **versions}
+
+    texts = []
+    for name in ("a", "b"):
+        rc = main(["train", *dataset_args(data_dir), "--out-dir", str(tmp_path / name),
+                   "--epochs", "1", "--seed", "11", "--set", "d=8", "--set", "l=4",
+                   "--set", "batch_size=64"])
+        assert rc == 0
+        texts.append((tmp_path / name / "manifest.txt").read_bytes())
+    assert texts[0] == texts[1]
+    assert b"runtime.OPENBLAS_NUM_THREADS = 1\n" in texts[0]
 
 
 def test_evaluate_perfect_retrieval(tmp_path, capsys):

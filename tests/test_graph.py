@@ -21,7 +21,7 @@ from hgmatch.graph import (
     other_endpoint,
     parse_node_line,
 )
-from hgmatch.model import build_plan
+from hgmatch.model import build_plan, type_pools
 from oracles import (EdgeRecord, influential_neighbors, ingest, naive_plan, neighbors,
                      parse_edge_line, reference_load_graph)
 
@@ -374,7 +374,7 @@ def test_build_plan_matches_per_node_walk(edges, m, kappa, variant, data):
     ads = data.draw(st.lists(st.sampled_from(SMALL_IDS[NodeType.AD]), max_size=5))
     kws = data.draw(st.lists(st.sampled_from(SMALL_IDS[NodeType.KEYWORD]), max_size=5))
     cfg = TrainConfig(d=8, l=4, m=m, kappa=kappa)
-    got = build_plan(g, ads, kws, cfg, VARIANTS[variant])
+    got = build_plan(g, ads, kws, cfg, VARIANTS[variant], type_pools(g, cfg, VARIANTS[variant]))
     assert_same(got, naive_plan(g, ads, kws, cfg, VARIANTS[variant]))
 
 
@@ -382,10 +382,11 @@ def test_build_plan_rejects_unknown_ids():
     g = small_graph([edge(Relation.AD_BID_KW, 3, 1, 1.0)])
     cfg = TrainConfig(d=8, l=4)
     for variant in ("full", "dssm"):
+        below = type_pools(g, cfg, VARIANTS[variant])
         with pytest.raises(DataError, match="unknown ad id 4"):
-            build_plan(g, [3, 4], [1], cfg, VARIANTS[variant])
+            build_plan(g, [3, 4], [1], cfg, VARIANTS[variant], below)
         with pytest.raises(DataError, match="unknown keyword id 3"):
-            build_plan(g, [3], [3], cfg, VARIANTS[variant])
+            build_plan(g, [3], [3], cfg, VARIANTS[variant], below)
 
 
 # --- the columnar edge reader against the line-by-line reference -------------

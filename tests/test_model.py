@@ -178,17 +178,14 @@ def test_node_of_a_non_root_raises(tiny_model):
             node_embedding(fwd, NodeRef(NodeType.AD, missing))
 
 
-def test_cache_hits_when_ads_share_neighbors(tiny_model):
-    graph = tiny_model.graph
-    ads = [int(i) for i in graph.ids_of[NodeType.AD][:20]]
-    fwd = tiny_model.forward(ads, [])
-    assert fwd.cache.hits > 0
-    assert fwd.cache.misses > 0
+def test_ads_sharing_keywords_read_each_keyword_row_once(tiny_model):
+    # a first hop's pool reads each child from its one row of the whole next
+    # level, however many roots reach it: a shared neighbor is computed once
+    ads = [int(i) for i in tiny_model.graph.ids_of[NodeType.AD][:20]]
+    first = [pp.child_pools[0] for pp in tiny_model.forward(ads, []).towers[AD_TOWER].plan.path_plans]
+    assert any(len(np.unique(pool.src_rows)) < len(pool.src_rows) for pool in first)
 
-
-def test_cache_hits_count_shared_pairs():
-    # two ads with identical keyword neighborhood: every expanded (path, node)
-    # under the shared keywords is a hit for the second ad
+    # two ads with identical keyword neighborhood
     from hgmatch.graph import NodeRecord, RELATION_SCHEMA, Relation
     from oracles import EdgeRecord, ingest
     from hgmatch.features import FeatureManifest, FeatureSpec, FeatureEncoder
@@ -216,8 +213,12 @@ def test_cache_hits_count_shared_pairs():
                          np.random.default_rng(0))
     model = MatchingModel(g, layouts, manifest, params, cfg, variant)
     fwd = model.forward([1, 2], [])
-    # ad 2 re-requests the 3 shared keywords on both a->q->a paths at hop 1
-    assert fwd.cache.hits >= 6
+    (pp,) = [pp for pp in fwd.towers[AD_TOWER].plan.path_plans if pp.path.name == "ad-click-kw-click-ad"]
+    # 6 entries, one per (ad, keyword) pair, read the 3 rows of a 3-keyword level
+    pool = pp.child_pools[0]
+    assert (pool.n_out, pool.n_in) == (2, 3)
+    assert pool.dst_rows.tolist() == [0, 0, 0, 1, 1, 1]
+    assert pool.src_rows.tolist() == [0, 1, 2, 0, 1, 2]
 
 
 def test_attention_weights_sum_to_one(tiny_model):

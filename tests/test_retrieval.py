@@ -524,7 +524,9 @@ def test_retrieve_all_warns_once_for_the_ads_without_candidates(caplog):
     shared = np.arange(10)
     cats = Categories({a: np.empty(0, np.int64) if a in (2, 3, 5) else shared for a in range(6)})
     task = EvalTask(list(range(6)), {}, {})
-    got = retrieve_all(store, None, cats, task, 3)
+    with mock.patch.object(retrieval, "_certified_top", wraps=retrieval._certified_top) as spy:
+        got = retrieve_all(store, None, cats, task, 3)
+    assert spy.call_count == len(store.views)  # the ads without candidates take no GEMM
     assert got == naive_retrieve_all(store, cats, task, 3)
     assert got[2] == got[3] == got[5] == {"ad_click": []}
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [

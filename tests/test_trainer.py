@@ -11,7 +11,7 @@ from hgmatch.config import TrainConfig, VARIANTS
 from hgmatch.errors import DataError, NumericError
 from hgmatch.features import FeatureEncoder
 from hgmatch.graph import NodeRef, NodeType, Relation, iter_file_records
-from hgmatch.model import AD_TOWER, KW_TOWER, MatchingModel, active_paths, build_plan
+from hgmatch.model import AD_TOWER, KW_TOWER, ForwardPlan, MatchingModel, active_paths, build_plan
 from hgmatch.params import ModelParams, init_params
 from hgmatch.pipeline import build_model, train_variant
 from hgmatch.trainer import (
@@ -348,11 +348,30 @@ def test_backward_builds_no_pooling(tiny_dataset, monkeypatch, variant):
     assert len(built) == 0
 
 
+def test_a_batch_plan_builds_only_what_its_roots_decide(tiny_dataset, monkeypatch):
+    """A `full` batch plan builds 12 Poolings: the first hop of each of the 6
+    metapaths, and per tower its influential neighbors and its two root
+    selections. Every hop below the roots is the model's own."""
+    cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
+    model = build_model(tiny_dataset, cfg, VARIANTS["full"])
+    pairs = make_pairs(tiny_dataset, cfg, n=16)
+    built = []
+    post_init = ad.Pooling.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ad.Pooling, "__post_init__", counting)
+    batch_plan(model, pairs)
+    assert len(built) == 12
+
+
 def full_plan(model):
     """A plan over every ad and keyword of the model's graph."""
     graph = model.graph
     return build_plan(graph, graph.ids_of[NodeType.AD], graph.ids_of[NodeType.KEYWORD],
-                      model.cfg, model.variant)
+                      model.cfg, model.variant, model.type_pools)
 
 
 def plan_loss_and_grads(model, plan, pairs):
@@ -391,8 +410,9 @@ def test_batch_plan_equals_full_plan(tiny_dataset, variant):
 
 
 def test_levels_below_the_roots_are_whole_types(tiny_dataset):
-    """Two batches with different roots and the full plan share every pool
-    below the roots: each reads and writes whole node types in ids_of order."""
+    """Two batches with different roots, the full plan and an export's
+    forward share every pool below the roots, the model's own: each reads
+    and writes whole node types in ids_of order."""
     cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
     model = build_model(tiny_dataset, cfg, VARIANTS["full"])
     trainer = Trainer(model, tiny_dataset.cat_index, tiny_dataset.labels)
@@ -400,13 +420,19 @@ def test_levels_below_the_roots_are_whole_types(tiny_dataset):
                                     (cfg.seed, 101, 0))
     plans = [batch_plan(model, pairs[b0:b0 + 16]) for b0 in (0, 16)]
     assert not np.array_equal(plans[0].towers[AD_TOWER].all_ids, plans[1].towers[AD_TOWER].all_ids)
+    with ad.no_grad():
+        fwd = model.forward(model.graph.ids_of[NodeType.AD], model.graph.ids_of[NodeType.KEYWORD])
+    plans.append(ForwardPlan({t: f.plan for t, f in fwd.towers.items()}))
 
     def deeper(plan):
         out = []
         for tower in plan.towers.values():
             for pp in tower.path_plans:
-                for t, ids in zip(pp.path.type_chain()[1:], pp.level_ids[1:]):
-                    assert np.array_equal(ids, model.graph.ids_of[t])
+                chain = pp.path.type_chain()
+                for j, pool in enumerate(pp.child_pools[1:], start=1):
+                    assert pool.n_out == len(model.graph.ids_of[chain[j]])
+                    assert pool.n_in == len(model.graph.ids_of[chain[j + 1]])
+                    assert pool is model.type_pools[chain[j], pp.path.steps[j]]
                 out += [(pool.src_rows, pool.dst_rows, pool.counts) for pool in pp.child_pools[1:]]
         return out
 
