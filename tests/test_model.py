@@ -178,14 +178,24 @@ def test_node_of_a_non_root_raises(tiny_model):
             node_embedding(fwd, NodeRef(NodeType.AD, missing))
 
 
-def test_ads_sharing_keywords_read_each_keyword_row_once(tiny_model):
-    # a first hop's pool reads each child from its one row of the whole next
-    # level, however many roots reach it: a shared neighbor is computed once
+def _row_reuse(pool):
+    # (hits, misses) of a pool: repeat reads of a next-level row, and the
+    # distinct rows it reads, each computed once however many parents reach it
+    distinct = len(np.unique(pool.src_rows))
+    return len(pool.src_rows) - distinct, distinct
+
+
+def test_cache_hits_when_ads_share_neighbors(tiny_model):
     ads = [int(i) for i in tiny_model.graph.ids_of[NodeType.AD][:20]]
     first = [pp.child_pools[0] for pp in tiny_model.forward(ads, []).towers[AD_TOWER].plan.path_plans]
-    assert any(len(np.unique(pool.src_rows)) < len(pool.src_rows) for pool in first)
+    hits, misses = map(sum, zip(*(_row_reuse(pool) for pool in first)))
+    assert hits > 0
+    assert misses > 0
 
-    # two ads with identical keyword neighborhood
+
+def test_cache_hits_count_shared_pairs():
+    # two ads with identical keyword neighborhood: the second ad's reads of
+    # the shared keywords hit the rows the first ad's reads computed
     from hgmatch.graph import NodeRecord, RELATION_SCHEMA, Relation
     from oracles import EdgeRecord, ingest
     from hgmatch.features import FeatureManifest, FeatureSpec, FeatureEncoder
@@ -219,6 +229,7 @@ def test_ads_sharing_keywords_read_each_keyword_row_once(tiny_model):
     assert (pool.n_out, pool.n_in) == (2, 3)
     assert pool.dst_rows.tolist() == [0, 0, 0, 1, 1, 1]
     assert pool.src_rows.tolist() == [0, 1, 2, 0, 1, 2]
+    assert _row_reuse(pool) == (3, 3)
 
 
 def test_attention_weights_sum_to_one(tiny_model):
