@@ -1,16 +1,17 @@
 """Per-category keyword index: candidate lookup and weighted negative sampling.
 
-Sampling weights are sqrt(searched count), precomputed at build time.
-Draws are without replacement via exponential-key order statistics
-(Efraimidis–Spirakis), so a single draw is exactly proportional to weight
-and everything is deterministic given the caller's seed.
+Sampling weights are sqrt(searched count). An epoch's negatives come from one
+generator, by category in sorted order, by successive sampling (Wong & Easton
+1980): inverse-CDF draws, a row keeping its first n distinct draws that are
+not its positive, the law of Efraimidis & Spirakis's (2006) keys. A row still
+short after `MAX_ROUNDS` rounds takes the rest of what it has left by keys.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import HeteroGraph, NodeType
+from .graph import HeteroGraph, NodeType, _find
 
 
 def stable_smallest(values, n):
@@ -24,35 +25,23 @@ def stable_smallest(values, n):
     return np.argsort(values, kind="stable")[:n]
 
 
-class CategoryTooSmall(Exception):
-    """Raised when a category cannot supply n negatives; skip the training pair."""
+MAX_ROUNDS = 8   # inverse-CDF rounds before a short row is completed by keys
 
 
 class CategoryIndex:
-    def __init__(self, categories, kw_category):
-        self.categories = categories      # {cat_id: (ids array, weights array)}
-        self.kw_category = kw_category    # {kw_id: cat_id}
+    def __init__(self, kw_ids, kw_cats, weights):
+        # every keyword id (ascending) and its category, negative for none
+        self.kw_ids, self.kw_cats = kw_ids, kw_cats
+        self.categories = {int(c): (kw_ids[kw_cats == c], weights[kw_cats == c])
+                           for c in np.unique(kw_cats[kw_cats >= 0])}  # {cat: (ids, weights)}
         self.unknown_category_count = 0
 
     @classmethod
     def build(cls, graph: HeteroGraph) -> "CategoryIndex":
-        by_cat = {}
-        kw_category = {}
-        for kw_id in graph.ids_of[NodeType.KEYWORD]:
-            rec = graph.nodes[NodeType.KEYWORD][int(kw_id)]
-            if rec.category_id < 0:
-                continue
-            kw_category[int(kw_id)] = rec.category_id
-            by_cat.setdefault(rec.category_id, []).append(
-                (int(kw_id), float(np.sqrt(max(rec.searched_count, 0.0))))
-            )
-        categories = {}
-        for cat, pairs in by_cat.items():
-            pairs.sort()
-            ids = np.array([p[0] for p in pairs], dtype=np.int64)
-            ws = np.array([p[1] for p in pairs], dtype=np.float64)
-            categories[cat] = (ids, ws)
-        return cls(categories, kw_category)
+        ids = graph.ids_of[NodeType.KEYWORD]
+        recs = [graph.nodes[NodeType.KEYWORD][int(k)] for k in ids]
+        cats = np.array([r.category_id for r in recs], dtype=np.int64)
+        return cls(ids, cats, np.sqrt(np.maximum([r.searched_count for r in recs], 0.0)))
 
     def candidate_keywords(self, graph: HeteroGraph, ad_id: int):
         """All keywords sharing the ad's leaf category (the retrieval universe)."""
@@ -64,24 +53,49 @@ class CategoryIndex:
             return np.empty(0, dtype=np.int64)
         return entry[0]
 
-    def sample_negatives(self, positive_kw: int, n: int, rng_seed) -> list:
-        """n same-category keywords, p proportional to sqrt(searched count),
-        without replacement, never the positive itself."""
-        cat = self.kw_category.get(positive_kw)
-        entry = None if cat is None else self.categories.get(cat)
-        if entry is None:
-            raise CategoryTooSmall(f"keyword {positive_kw} has no sampleable category")
-        ids, weights = entry
-        mask = (ids != positive_kw) & (weights > 0)
-        pool_ids = ids[mask]
-        pool_w = weights[mask]
-        if len(pool_ids) < n:
-            raise CategoryTooSmall(
-                f"category {cat} has {len(pool_ids)} sampleable keywords, need {n}; "
-                f"skip this training pair"
-            )
-        rng = np.random.default_rng(rng_seed)
-        # key = u^(1/w); the n largest keys are a weighted draw w/o replacement
-        keys = rng.random(len(pool_ids)) ** (1.0 / pool_w)
-        top = stable_smallest(-keys, n)
-        return [int(i) for i in pool_ids[top]]
+    def draw_negatives(self, positives, n: int, rng):
+        """(len(positives), n) negatives, n distinct keywords of the positive's
+        category but not it nor of zero weight, and the mask of rows that have
+        them: not those with fewer than n such keywords or no category."""
+        at, found = _find(self.kw_ids, positives)
+        cats = np.full(len(positives), -1, dtype=np.int64)
+        cats[found] = self.kw_cats[at[found]]
+        out = np.zeros((len(positives), n), dtype=np.int64)
+        for cat in np.unique(cats[cats >= 0]):
+            ids, weights = self.categories[int(cat)]
+            rows = np.flatnonzero(cats == cat)
+            pos = np.searchsorted(ids, positives[rows])
+            ok = np.count_nonzero(weights > 0) - (weights[pos] > 0) >= n
+            cats[rows[~ok]] = -1
+            out[rows[ok]] = ids[_successive(weights, pos[ok], n, rng)]
+        return out, cats >= 0
+
+
+def _successive(weights, pos, n, rng):
+    """Per row, n distinct draws (indices) from `weights` in draw order, none its `pos`."""
+    cum = np.cumsum(weights)
+    got = np.column_stack([pos, np.full((len(pos), n), -1)])  # pos, then the draws kept
+    short = np.arange(len(pos))
+    earlier = np.tri(1 + 2 * n, k=-1, dtype=bool)
+    for _ in range(MAX_ROUNDS):
+        # side="right" never lands on a zero weight, whose cumulative sum is
+        # its predecessor's; searching cum[:-1] caps the index at the last row
+        draws = np.searchsorted(cum[:-1], rng.random((len(short), n)) * cum[-1], side="right")
+        seen = np.concatenate([got[short], draws], axis=1)
+        # a draw is kept if no earlier column holds it, while its row has room
+        new = ~((seen[:, :, None] == seen[:, None, :]) & earlier).any(axis=2)
+        new[:, :n + 1] = False
+        slot = np.count_nonzero(got[short] >= 0, axis=1)[:, None] - 1 + np.cumsum(new, axis=1)
+        r, c = np.nonzero(new & (slot <= n))
+        got[short[r], slot[r, c]] = seen[r, c]
+        short = short[got[short, -1] < 0]
+        if not len(short):
+            return got[:, 1:]
+    for i in short:  # the rest from what the row has left, by exponential keys
+        row = got[i]
+        free = weights > 0
+        free[row[row >= 0]] = False
+        cand = np.flatnonzero(free)
+        keys = rng.standard_exponential(len(cand)) / weights[cand]
+        row[row < 0] = cand[stable_smallest(keys, np.count_nonzero(row < 0))]
+    return got[:, 1:]

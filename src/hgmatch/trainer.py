@@ -2,14 +2,15 @@
 
 Each training pair scores one positive keyword against sampled same-category
 negatives in its view's transformed space; the loss is the summed negative
-log posterior. Negatives are resampled every epoch from an epoch-indexed
-seed, all shuffling comes from the run seed, and gradient reductions are
-scatter-adds done as one-hot CSR products that add in source order (not
-np.add.at, whose order they keep), so a (seed, data, config) triple fixes
-the loss trajectory bit for bit. Each step runs on a plan of its batch's
-own roots (`batch_plan`: the distinct ads and the positive and negative
-keywords, plus what `build_plan` adds for them); every metapath hop below
-those roots is the model's own pooling, built once with the model.
+log posterior. Pairs are columns (`TrainingPairs`) that the fit loop permutes
+and slices into batches. An epoch's negatives come from one generator seeded
+from (seed, 101, epoch), all shuffling from the run seed, and gradient
+reductions are scatter-adds done as one-hot CSR products that add in source
+order (not np.add.at, whose order they keep), so a (seed, data, config)
+triple fixes the loss trajectory bit for bit. Each step runs on a plan of its
+batch's own roots (`batch_plan`: the distinct ads and the positive and
+negative keywords, plus what `build_plan` adds for them); every metapath hop
+below those roots is the model's own pooling, built once with the model.
 
 Steps use mixed precision (Micikevicius et al., "Mixed Precision
 Training", ICLR 2018): `step_loss` runs `execute`, the loss and so the
@@ -29,52 +30,60 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import ALL_VIEWS
 from .errors import DataError, NumericError
 from .graph import NodeType, lookup_rows
 from .model import AD_TOWER, KW_TOWER, ForwardPlan, MatchingModel, build_plan
-from .sampling import CategoryIndex, CategoryTooSmall
+from .sampling import CategoryIndex
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class TrainingPair:
-    ad: int
-    positive_kw: int
-    view: str
-    negatives: tuple
+@dataclass(frozen=True, eq=False)
+class TrainingPairs:
+    """Each pair's ad, positive keyword and view code (its index in ALL_VIEWS)
+    and an (n_pairs, n) negatives matrix. A slice or index array selects pairs
+    as columns; an int selects one pair as scalars, so iteration yields records."""
+    ad: np.ndarray
+    positive_kw: np.ndarray
+    view: np.ndarray
+    negatives: np.ndarray
+
+    def __len__(self):
+        return len(self.ad)
+
+    def __getitem__(self, rows):
+        return TrainingPairs(*(col[rows] for col in vars(self).values()))
 
 
 def build_training_pairs(labels, cat_index: CategoryIndex, n_negatives: int, seed_key):
-    """Labels -> TrainingPairs with per-pair negative draws; undersized
-    categories are skipped (padding would bias the softmax denominator)."""
-    pairs, skipped = [], 0
-    for idx, (view, ad_id, kw_id) in enumerate(labels):
-        try:
-            negs = cat_index.sample_negatives(kw_id, n_negatives, (*seed_key, idx))
-        except CategoryTooSmall:
-            skipped += 1
-            continue
-        pairs.append(TrainingPair(ad_id, kw_id, view, tuple(negs)))
-    return pairs, skipped
+    """Labels -> (TrainingPairs, skipped count), the negatives drawn from one
+    generator seeded by `seed_key`; a pair whose category cannot supply
+    n_negatives is skipped (padding would bias the softmax denominator)."""
+    views = np.array([ALL_VIEWS.index(l[0]) for l in labels], dtype=np.int64)
+    ads, kws = (np.array([l[i] for l in labels], dtype=np.int64) for i in (1, 2))
+    negatives, keep = cat_index.draw_negatives(kws, n_negatives, np.random.default_rng(seed_key))
+    pairs = TrainingPairs(ads[keep], kws[keep], views[keep], negatives[keep])
+    return pairs, len(labels) - len(pairs)
 
 
-def loss_from_forward(model: MatchingModel, fwd, pairs) -> Tensor:
+def loss_from_forward(model: MatchingModel, fwd, pairs: TrainingPairs) -> Tensor:
     """Summed contrastive loss of `pairs` given a forward result."""
     gamma = model.cfg.gamma
     ad_ids = fwd.towers[AD_TOWER].plan.req_ids
     kw_ids = fwd.towers[KW_TOWER].plan.req_ids
     total = None
     for view in model.variant.views:
-        group = [p for p in pairs if p.view == view]
-        if not group:
+        group = np.flatnonzero(pairs.view == ALL_VIEWS.index(view))
+        if not len(group):
             continue
-        a_rows = np.searchsorted(ad_ids, [p.ad for p in group])
+        a_rows = np.searchsorted(ad_ids, pairs.ad[group])
         Za = ad.gather(fwd.towers[AD_TOWER].per_view[view], ad.select(a_rows, len(ad_ids)))
         Zk = fwd.towers[KW_TOWER].per_view[view]
         # one gather per keyword column, the positives and then each negative:
         # a merged gather would re-associate the gradient sums
-        kw_cols = np.searchsorted(kw_ids, [(p.positive_kw, *p.negatives) for p in group]).T
+        kw_cols = np.searchsorted(
+            kw_ids, np.column_stack([pairs.positive_kw[group], pairs.negatives[group]])).T
         cols = [(Za * ad.gather(Zk, ad.select(rows, len(kw_ids)))).sum(axis=1, keepdims=True)
                 for rows in kw_cols]
         pos = cols[0]
@@ -94,12 +103,11 @@ def step_loss(model: MatchingModel, plan: ForwardPlan, pairs) -> Tensor:
     return loss_from_forward(local, local.execute(plan), pairs)
 
 
-def batch_plan(model: MatchingModel, pairs) -> ForwardPlan:
+def batch_plan(model: MatchingModel, pairs: TrainingPairs) -> ForwardPlan:
     """The plan of a batch's roots: its distinct ads and its positive and
     negative keywords."""
-    kw_ids = [kw for p in pairs for kw in (p.positive_kw, *p.negatives)]
-    return build_plan(model.graph, [p.ad for p in pairs], kw_ids, model.cfg, model.variant,
-                      model.type_pools)
+    kw_ids = np.concatenate([pairs.positive_kw, pairs.negatives.ravel()])
+    return build_plan(model.graph, pairs.ad, kw_ids, model.cfg, model.variant, model.type_pools)
 
 
 class Adam:
@@ -172,13 +180,11 @@ class Trainer:
             result.skipped_pairs += skipped
             if not pairs:
                 raise DataError("training set is empty after negative sampling")
-            rng = np.random.default_rng((cfg.seed, 211, epoch))
-            order = rng.permutation(len(pairs))
+            pairs = pairs[np.random.default_rng((cfg.seed, 211, epoch)).permutation(len(pairs))]
             losses = []
-            for b0 in range(0, len(order), cfg.batch_size):
-                batch = [pairs[i] for i in order[b0:b0 + cfg.batch_size]]
+            for b0 in range(0, len(pairs), cfg.batch_size):
                 try:
-                    value = self.step(batch)
+                    value = self.step(pairs[b0:b0 + cfg.batch_size])
                 except NumericError as exc:
                     raise NumericError(f"epoch {epoch}, batch {b0 // cfg.batch_size}: {exc}") from exc
                 losses.append(value)

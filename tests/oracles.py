@@ -11,7 +11,10 @@ compare the two node by node. The edge file's reader as it was before it
 read columns, one `EdgeRecord` per line checked and merged one at a time,
 is `reference_load_graph`; the embedding dump's reader as it was before it
 read chunks of columns, one row parsed and stored at a time, is
-`reference_load_embeddings`.
+`reference_load_embeddings`. Training pairs as the records they were
+before they became columns are `TrainingPair`, with the loss, step loss
+and batch plan that read them (`record_loss_from_forward`,
+`record_step_loss`, `record_batch_plan`).
 
 Almost everything here recomputes results without touching the batched
 executor or its plans; `naive_plan` fills the plan containers from
@@ -43,8 +46,10 @@ from hgmatch.model import (
     TowerForward,
     TowerPlan,
     active_paths,
+    build_plan,
 )
 from hgmatch.retrieval import EmbeddingStore
+from hgmatch.trainer import TrainingPairs
 
 
 # --- the layers for one node -------------------------------------------------
@@ -449,6 +454,69 @@ def gather_segment_sum_execute(model, plan):
         fwd.per_view = {v: model._view_head(tower, v, z) for v in model.variant.views}
     return ForwardResult(towers)
 
+
+
+# --- training pairs as records -----------------------------------------------
+
+@dataclass(frozen=True)
+class TrainingPair:
+    ad: int
+    positive_kw: int
+    view: str
+    negatives: tuple
+
+
+def pair_records(pairs) -> list:
+    """Column pairs (`trainer.TrainingPairs`) as one TrainingPair each."""
+    return [TrainingPair(int(p.ad), int(p.positive_kw), ALL_VIEWS[p.view],
+                         tuple(int(n) for n in p.negatives)) for p in pairs]
+
+
+def pair_columns(records):
+    """TrainingPair records as column pairs (`trainer.TrainingPairs`)."""
+    return TrainingPairs(np.array([p.ad for p in records], dtype=np.int64),
+                         np.array([p.positive_kw for p in records], dtype=np.int64),
+                         np.array([ALL_VIEWS.index(p.view) for p in records], dtype=np.int64),
+                         np.array([p.negatives for p in records], dtype=np.int64))
+
+
+def record_batch_plan(model, records):
+    """The batch plan as it was built from TrainingPair records."""
+    kw_ids = [kw for p in records for kw in (p.positive_kw, *p.negatives)]
+    return build_plan(model.graph, [p.ad for p in records], kw_ids, model.cfg, model.variant,
+                      model.type_pools)
+
+
+def record_loss_from_forward(model, fwd, records):
+    """The contrastive loss as it was computed from TrainingPair records, a
+    list comprehension per view and per keyword column."""
+    gamma = model.cfg.gamma
+    ad_ids = fwd.towers[AD_TOWER].plan.req_ids
+    kw_ids = fwd.towers[KW_TOWER].plan.req_ids
+    total = None
+    for view in model.variant.views:
+        group = [p for p in records if p.view == view]
+        if not group:
+            continue
+        a_rows = np.searchsorted(ad_ids, [p.ad for p in group])
+        Za = ad.gather(fwd.towers[AD_TOWER].per_view[view], ad.select(a_rows, len(ad_ids)))
+        Zk = fwd.towers[KW_TOWER].per_view[view]
+        kw_cols = np.searchsorted(kw_ids, [(p.positive_kw, *p.negatives) for p in group]).T
+        cols = [(Za * ad.gather(Zk, ad.select(rows, len(kw_ids)))).sum(axis=1, keepdims=True)
+                for rows in kw_cols]
+        pos = cols[0]
+        scores = ad.concat_cols(cols) * gamma
+        contrib = (ad.logsumexp_rows(scores) - pos * gamma).sum()
+        total = contrib if total is None else total + contrib
+    if total is None:
+        raise DataError("batch contains no pairs for the active views")
+    return total
+
+
+def record_step_loss(model, plan, records):
+    """`trainer.step_loss` over record_loss_from_forward."""
+    local = model.with_params(model.params.cast(np.float32))
+    return record_loss_from_forward(local, local.execute(plan), records)
 
 
 # --- the edge file, one line at a time ---------------------------------------

@@ -22,12 +22,7 @@ from hgmatch.pipeline import (build_model, load_dataset, train_variant, evaluate
 from hgmatch.retrieval import EmbeddingStore, EvalTask, recall_at_k, topk_retrieve
 from hgmatch.sampling import CategoryIndex
 from hgmatch.synthgen import generate
-from hgmatch.trainer import (
-    TrainingPair,
-    build_training_pairs,
-    grad_check,
-    loss_from_forward,
-)
+from hgmatch.trainer import TrainingPairs, build_training_pairs, grad_check, loss_from_forward
 
 from oracles import naive_node_embedding, naive_recall, node_embedding, posterior
 
@@ -179,10 +174,8 @@ def test_criterion_3_softmax_attention_invariants(tmp_path_factory):
     base = float(loss_from_forward(model, loss_fwd, pairs).data)
     perm_ok = True
     for _ in range(5):
-        permuted = [
-            TrainingPair(p.ad, p.positive_kw, p.view, tuple(rng.permutation(p.negatives).tolist()))
-            for p in pairs
-        ]
+        permuted = TrainingPairs(pairs.ad, pairs.positive_kw, pairs.view,
+                                 rng.permuted(pairs.negatives, axis=1))
         got = float(loss_from_forward(model, loss_fwd, permuted).data)
         perm_ok &= abs(got - base) <= 1e-9
     report(3, "softmax/attention invariants", att_ok and post_ok and perm_ok,
@@ -250,11 +243,8 @@ def test_criterion_6_negative_sampler_distribution():
     ]
     idx = CategoryIndex.build(ingest([], records))
     n = 100_000
-    hits = 0
-    for i in range(n):
-        got = idx.sample_negatives(3, 1, rng_seed=(777, i))
-        hits += got[0] == 2
-    freq = hits / n
+    pairs, _ = build_training_pairs([("ad_click", 0, 3)] * n, idx, 1, (777,))
+    freq = np.count_nonzero(pairs.negatives[:, 0] == 2) / len(pairs)
     report(6, "negative sampler distribution", abs(freq - 0.6) <= 0.00466,
            f"freq {freq:.5f} vs 0.6 +- 0.00466")
 

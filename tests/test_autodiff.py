@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hgmatch import autodiff as ad
@@ -418,3 +418,65 @@ def test_ops_keep_float32_and_agree_with_float64(name, n, k, d, seed):
             continue
         assert got.grad.dtype == np.float64
         _close_at_float32(got.grad, want.grad)
+
+
+def _relu_margin(pre):
+    """The smallest distance of a relu input from its kink at 0."""
+    return float(np.abs(pre).min(initial=np.inf))
+
+
+# op -> (input shapes, as letters of the sizes n, k, d, the op over its float64
+# inputs), each checked against central differences
+FD_OPS = {
+    "affine": (("nk", "kd"), lambda rng, x, W: ad.affine(x, W)),
+    "affine_b": (("nk", "kd", "d"), lambda rng, x, W, b: ad.affine(x, W, b)),
+    "affine_extra": (("nk", "kd", "nd"), lambda rng, x, W, e: ad.affine(x, W, extra=e)),
+    "affine_relu": (("nk", "kd", "d"), lambda rng, x, W, b: ad.affine(x, W, b, relu=True)),
+    "affine_relu_extra": (("nk", "kd", "d", "nd"),
+                          lambda rng, x, W, b, e: ad.affine(x, W, b, relu=True, extra=e)),
+    "pool": (("nd",), lambda rng, a: ad.pool(a, _pooling(rng, len(a.data)))),
+    "gather": (("nd",), lambda rng, a: ad.gather(a, ad.select(rng.integers(0, len(a.data), 7),
+                                                              len(a.data)))),
+    "concat_cols": (("nd", "nk", "n1"), lambda rng, a, b, c: ad.concat_cols([a, b, c])),
+    "slice_cols": (("nd",), lambda rng, a: ad.slice_cols(
+        a, *sorted(rng.choice(a.shape[1] + 1, 2, replace=False).tolist()))),
+    "logsumexp_rows": (("nd",), lambda rng, a: ad.logsumexp_rows(a)),
+    "mul": (("nd", "nd"), lambda rng, a, b: a * b),
+    "mul_rows": (("nd", "n1"), lambda rng, a, b: a * b),
+    "mul_cols": (("nd", "1d"), lambda rng, a, b: a * b),
+    "div_rows": (("nd", "n1"), lambda rng, a, b: a / b),
+    "div_cols": (("nd", "1d"), lambda rng, a, b: a / b),
+    # through float32 and back, so its differences are coarser
+    "cast": (("nd",), lambda rng, a: ad.cast(ad.cast(a, np.float32) * 2.0, np.float64)),
+}
+FD_STEP = {"cast": (1e-3, 1e-3)}  # op -> (eps, tolerance); else (1e-6, 1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(FD_OPS))
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 5), k=st.integers(1, 4), d=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_op_gradients_match_central_differences(name, n, k, d, seed):
+    """backward() of sum(op(inputs) * G), for a random G, equals float64
+    central differences at every input entry."""
+    shapes, op = FD_OPS[name]
+    eps, tol = FD_STEP.get(name, (1e-6, 1e-6))
+    sizes = {"n": n, "k": k, "d": d, "1": 1}
+    data_rng = np.random.default_rng(seed)
+    arrays = [data_rng.uniform(-2.0, 2.0, tuple(sizes[c] for c in s)) for s in shapes]
+    if name.startswith("div"):
+        arrays[1] = np.abs(arrays[1]) + 0.5
+    if "relu" in name:
+        x, W, b, *extra = arrays
+        assume(_relu_margin(x @ W + b + sum(extra)) > 1e-4)
+    leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+
+    def out():
+        return op(np.random.default_rng(seed), *leaves)
+
+    G = data_rng.uniform(-1.0, 1.0, out().shape)
+    out().backward(G)
+    for leaf in leaves:
+        want = finite_diff(lambda: ad.Tensor((out().data * G).sum()), leaf, eps)
+        got = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad
+        assert np.all(np.abs(got - want) <= tol * (1.0 + np.abs(want))), np.abs(got - want).max()

@@ -817,6 +817,6 @@ def test_ablate_reports_keep_their_bytes(data_dir, tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("report.tsv", "report.txt")}
     assert digests == {
-        "report.tsv": "f7deaf146ba64d2c5248facfacccb13b0cd462e90466b9b2cc61036334b39592",
-        "report.txt": "5054a39fb5fe273d404d3ae411b1110360dbd7ebd61791f7153a9dd8a5d527d9",
+        "report.tsv": "2dec801b2574d26c4164d4237af1f0036b5aa1873bc8e3b4634cf0f85bbc5b02",
+        "report.txt": "c3f748084eaab336acf06bb34462afd1cbc08e65e1586932d6fd6f518c0bd9cc",
     }

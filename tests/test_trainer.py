@@ -18,7 +18,7 @@ from hgmatch.trainer import (
     Adam,
     GradCheckReport,
     Trainer,
-    TrainingPair,
+    TrainingPairs,
     batch_plan,
     build_training_pairs,
     grad_check,
@@ -26,8 +26,9 @@ from hgmatch.trainer import (
     relative_error,
     step_loss,
 )
-from oracles import (gather_segment_sum_execute, ingest, neighbors, node_embedding, parse_edge_line,
-                     posterior)
+from oracles import (TrainingPair, gather_segment_sum_execute, ingest, neighbors, node_embedding,
+                     pair_columns, pair_records, parse_edge_line, posterior, record_batch_plan,
+                     record_loss_from_forward, record_step_loss)
 
 
 def test_posterior_equal_scores_is_uniform():
@@ -104,11 +105,8 @@ def test_batch_loss_invariant_under_negative_permutation(tiny_dataset):
     base = float(loss_from_forward(model, fwd, pairs).data)
     rng = np.random.default_rng(5)
     for _ in range(5):
-        permuted = [
-            TrainingPair(p.ad, p.positive_kw, p.view,
-                         tuple(rng.permutation(p.negatives).tolist()))
-            for p in pairs
-        ]
+        permuted = TrainingPairs(pairs.ad, pairs.positive_kw, pairs.view,
+                                 rng.permuted(pairs.negatives, axis=1))
         got = float(loss_from_forward(model, fwd, permuted).data)
         assert got == pytest.approx(base, abs=1e-9)
 
@@ -124,7 +122,7 @@ def test_batch_loss_matches_posterior_oracle(tiny_dataset):
     )
     loss = float(loss_from_forward(model, fwd, pairs).data)
     want = 0.0
-    for p in pairs:
+    for p in pair_records(pairs):
         from hgmatch.graph import NodeRef
 
         za = node_embedding(fwd, NodeRef(NodeType.AD, p.ad)).per_view[p.view]
@@ -471,11 +469,11 @@ def test_batch_plan_edge_cases_and_step_roots(tiny_dataset, monkeypatch):
     model = MatchingModel(g, layouts, base.manifest, params, cfg, variant)
     trainer = Trainer(model, base.cat_index, base.labels)
     kws = [int(k) for k in g.ids_of[NodeType.KEYWORD] if k != bidless_kw]
-    batch = [
+    batch = pair_columns([
         TrainingPair(lonely_ad, bidless_kw, "ad_click", tuple(kws[:5])),
         TrainingPair(lonely_ad, kws[5], "ad_bid", (bidless_kw, *kws[6:10])),
-        *make_pairs(base, cfg, n=6),
-    ]
+        *pair_records(make_pairs(base, cfg, n=6)),
+    ])
     assert_close_to_full_plan(model, batch)
     want = float(step_loss(model, full_plan(model), batch).data)  # a float32 step's loss
 
@@ -497,7 +495,72 @@ def test_batch_plan_edge_cases_and_step_roots(tiny_dataset, monkeypatch):
 def test_negatives_resampled_per_epoch(tiny_dataset):
     p0, _ = build_training_pairs(tiny_dataset.labels[:20], tiny_dataset.cat_index, 5, (11, 101, 0))
     p1, _ = build_training_pairs(tiny_dataset.labels[:20], tiny_dataset.cat_index, 5, (11, 101, 1))
-    assert [p.negatives for p in p0] != [p.negatives for p in p1]
+    assert not np.array_equal(p0.negatives, p1.negatives)
+
+
+def test_one_generator_per_build_training_pairs_call(tiny_dataset, monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+
+    def spy(*args):
+        made.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    pairs, _ = build_training_pairs(tiny_dataset.labels, tiny_dataset.cat_index, 5, (11, 101, 0))
+    assert made == [((11, 101, 0),)]
+    assert len(pairs) > 1
+
+
+def test_same_seed_key_gives_byte_identical_columns(tiny_dataset):
+    a, b, other = (build_training_pairs(tiny_dataset.labels, tiny_dataset.cat_index, 5, key)[0]
+                   for key in ((11, 101, 0), (11, 101, 0), (11, 101, 1)))
+    for col in ("ad", "positive_kw", "view", "negatives"):
+        assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
+    assert np.array_equal(a.positive_kw, other.positive_kw)
+    assert not np.array_equal(a.negatives, other.negatives)
+
+
+def test_pairs_iterate_as_records(tiny_dataset):
+    pairs, _ = build_training_pairs(tiny_dataset.labels[:30], tiny_dataset.cat_index, 5, (1,))
+    records = pair_records(pairs)
+    assert len(records) == len(pairs) == 30
+    assert [(r.view, r.ad, r.positive_kw) for r in records] == list(tiny_dataset.labels[:30])
+    assert pair_records(pair_columns(records)) == records
+    assert pair_records(pairs[[2, 0]]) == [records[2], records[0]]
+
+
+@pytest.mark.parametrize("variant", ["full", "single_view", "dssm"])
+def test_column_loss_equals_the_record_loss_bit_for_bit(tiny_dataset, variant):
+    """On the same pairs, the column batch plan, loss_from_forward and
+    step_loss give the record-based oracle's loss and gradients bit for bit."""
+    cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
+    model = build_model(tiny_dataset, cfg, VARIANTS[variant])
+    trainer = Trainer(model, tiny_dataset.cat_index, tiny_dataset.labels)
+    pairs, _ = build_training_pairs(trainer.labels, tiny_dataset.cat_index, cfg.negatives,
+                                    (cfg.seed, 101, 0))
+    pairs = pairs[np.random.default_rng(3).permutation(len(pairs))[:40]]
+    records = pair_records(pairs)
+
+    def loss_and_grads(loss):
+        model.params.zero_grads()
+        loss.backward()
+        grads = {n: None if t.grad is None else t.grad.tobytes()
+                 for n, t in model.params.tensors.items()}
+        model.params.zero_grads()
+        return loss.data.dtype, loss.data.tobytes(), grads
+
+    plan = batch_plan(model, pairs)
+    want_plan = record_batch_plan(model, records)
+    for tower, tp in plan.towers.items():
+        assert np.array_equal(tp.req_ids, want_plan.towers[tower].req_ids)
+        assert np.array_equal(tp.all_ids, want_plan.towers[tower].all_ids)
+    got = loss_and_grads(loss_from_forward(model, model.execute(plan), pairs))
+    want = loss_and_grads(record_loss_from_forward(model, model.execute(want_plan), records))
+    assert got[0] == np.float64 and got == want
+    got = loss_and_grads(step_loss(model, plan, pairs))
+    want = loss_and_grads(record_step_loss(model, want_plan, records))
+    assert got[0] == np.float32 and got == want
 
 
 # --- gradient checking -------------------------------------------------------
