@@ -4,19 +4,20 @@ Only the handful of ops the matching model needs: matmul, broadcast
 add/mul/div, relu, exp/log, reductions, row gather (embedding lookup),
 segment sum, neighbor pooling, column concat/slice, `affine`, a whole
 dense layer as one tape node, and `cast`, a change of dtype. Gradients
-accumulate into `.grad` of tensors created with requires_grad=True.
+accumulate into `.grad` of tensors created with requires_grad=True;
+`add`, `mul` and `div` compute none for an operand that needs none.
 A Tensor keeps float32 or float64 data as given (anything else becomes
 float64). A non-Tensor constant beside a Tensor, and a backward seed, take
 that Tensor's dtype, so a float32 graph stays float32; only `cast` changes
 the dtype, and its backward casts the gradient back.
 Every row index is a `Pooling`, a one-hot CSR matrix built with no sort
-from bucket-major index arrays before the op that reads it runs; no
-backward builds one. Its ones are float32, so a product keeps float32
-data float32 and gives float64 data float64 ones' bits. `pool` (neighbor
-pooling: a gather and a segment_sum fused) multiplies by it, and a row
-lookup `gather` takes a selection (`select`: one entry per bucket) and
-indexes by it; `segment_sum`, which nothing in the package calls, selects
-in its forward.
+from bucket-major index arrays before the op that reads it runs, together
+with its CSC transpose; no backward builds either. Its ones are float32,
+so a product keeps float32 data float32 and gives float64 data float64
+ones' bits. `pool` (neighbor pooling: a gather and a segment_sum fused)
+multiplies by it, and a row lookup `gather` takes a selection (`select`:
+one entry per bucket) and indexes by it; `segment_sum`, which nothing in
+the package calls, selects in its forward.
 Both backwards multiply by its transpose, which adds each entry into its
 source row in ascending entry order, starting from zero: np.add.at's
 order, so the sums are the same bit for bit and reproducible run to run.
@@ -80,9 +81,10 @@ class Tensor:
                 continue
             owned.discard(id(node))
             if node.requires_grad and node._backward is None:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+                if node.grad is None:  # g + 0 gives zeros + g's bits, -0.0 becoming 0.0
+                    node.grad = np.add(g, 0, out=np.empty_like(node.data))
+                else:
+                    node.grad += g
             if node._backward is not None:
                 for parent, pg in zip(node._parents, node._backward(g)):
                     if not parent.requires_grad or pg is None:
@@ -175,7 +177,8 @@ def add(a, b):
     out_data = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return Tensor(out_data, parents=(a, b), backward=backward)
 
@@ -185,10 +188,8 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def backward(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return Tensor(out_data, parents=(a, b), backward=backward)
 
@@ -198,10 +199,9 @@ def div(a, b):
     out_data = a.data / b.data
 
     def backward(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        )
+        return (_unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                if b.requires_grad else None)
 
     return Tensor(out_data, parents=(a, b), backward=backward)
 
@@ -315,30 +315,36 @@ class Pooling:
     The entries come bucket-major (`dst_rows` never decreases; ValueError
     otherwise), as every plan and layout builder emits them, so the one-hot
     CSR matrix is read straight off the index arrays: row i lists bucket
-    i's source rows in ascending k. `counts` holds the entries per bucket
-    (float), the divisor of a mean. Backward multiplies by the transpose
-    (CSC), which adds each bucket's gradient into its source rows in
-    ascending k, so values and gradients are those of gather followed by
-    segment_sum bit for bit.
+    i's source rows in ascending k. `dst_rows` None makes a selection
+    (`select`), one entry per bucket, whose CSR needs no count or check.
+    `counts` holds the entries per bucket (float), the divisor of a mean.
+    Backward multiplies by the transpose (CSC), built here once, which adds
+    each bucket's gradient into its source rows in ascending k, so values
+    and gradients are those of gather followed by segment_sum bit for bit.
     """
 
     src_rows: np.ndarray  # row of `a` for each pooled entry
-    dst_rows: np.ndarray  # output bucket of each pooled entry, non-decreasing
+    dst_rows: np.ndarray | None  # output bucket of each pooled entry, non-decreasing
     n_out: int
     n_in: int
 
     def __post_init__(self):
         self.src_rows = _rows(self.src_rows, self.n_in)
-        self.dst_rows = _rows(self.dst_rows, self.n_out)
-        if len(self.src_rows) != len(self.dst_rows):
-            raise ValueError("src_rows and dst_rows differ in length")
-        if np.any(np.diff(self.dst_rows) < 0):
-            raise ValueError("dst_rows must be non-decreasing (bucket-major entries)")
-        counts = np.bincount(self.dst_rows, minlength=self.n_out)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        self.counts = counts.astype(np.float64)
-        ones = np.ones(len(self.src_rows), dtype=np.float32)
+        k = len(self.src_rows)
+        if self.dst_rows is None:  # bucket i reads src_rows[i]
+            self.dst_rows, indptr, counts = np.arange(k), np.arange(k + 1), np.ones(k)
+        else:
+            self.dst_rows = _rows(self.dst_rows, self.n_out)
+            if k != len(self.dst_rows):
+                raise ValueError("src_rows and dst_rows differ in length")
+            if np.any(np.diff(self.dst_rows) < 0):
+                raise ValueError("dst_rows must be non-decreasing (bucket-major entries)")
+            counts = np.bincount(self.dst_rows, minlength=self.n_out)
+            indptr = np.concatenate(([0], np.cumsum(counts)))
+        self.counts = counts.astype(np.float64, copy=False)
+        ones = np.ones(k, dtype=np.float32)
         self._fwd = sparse.csr_array((ones, self.src_rows, indptr), shape=(self.n_out, self.n_in))
+        self._bwd = self._fwd.T
 
 
 def pool(a, op: Pooling):
@@ -351,7 +357,7 @@ def pool(a, op: Pooling):
         return Tensor(np.zeros((op.n_out,) + a.data.shape[1:], dtype=a.data.dtype))
 
     def backward(g):
-        return (op._fwd.T @ g,)
+        return (op._bwd @ g,)
 
     return Tensor(op._fwd @ a.data, parents=(a,), backward=backward)
 
@@ -359,7 +365,7 @@ def pool(a, op: Pooling):
 def select(rows, n) -> Pooling:
     """The row lookup a[rows] of an n-row `a` as a Pooling with one entry
     per bucket: bucket k reads row rows[k]."""
-    return Pooling(rows, np.arange(len(rows)), len(rows), n)
+    return Pooling(rows, None, len(rows), n)
 
 
 def gather(a, op: Pooling):
@@ -371,7 +377,7 @@ def gather(a, op: Pooling):
         raise ValueError(f"gather expects {op.n_in} input rows, got {len(a.data)}")
 
     def backward(g):
-        return (op._fwd.T @ g,)
+        return (op._bwd @ g,)
 
     return Tensor(a.data[op.src_rows], parents=(a,), backward=backward)
 
@@ -384,7 +390,7 @@ def segment_sum(a, segment_ids, num_segments):
     def backward(g):
         return (g[op.src_rows],)
 
-    return Tensor(op._fwd.T @ a.data, parents=(a,), backward=backward)
+    return Tensor(op._bwd @ a.data, parents=(a,), backward=backward)
 
 
 def concat_cols(tensors):

@@ -140,18 +140,21 @@ def build_plan(graph: HeteroGraph, ad_ids, kw_ids, cfg: TrainConfig, variant: Va
     `type_pools`, as it is.
     """
     other = {AD_TOWER: KW_TOWER, KW_TOWER: AD_TOWER}
-    req_ids = {
-        AD_TOWER: np.unique(np.asarray(ad_ids, dtype=np.int64)),
-        KW_TOWER: np.unique(np.asarray(kw_ids, dtype=np.int64)),
-    }
-    req_rows = {t: graph.rows(TOWER_TYPE[t], ids) for t, ids in req_ids.items()}
+    # a flag per row of the node type marks distinct (and then united) rows in row order
+    marked = {t: np.zeros(len(graph.ids_of[nt]), dtype=bool) for t, nt in TOWER_TYPE.items()}
+    for t, ids in ((AD_TOWER, ad_ids), (KW_TOWER, kw_ids)):
+        marked[t][graph.rows(TOWER_TYPE[t], ids)] = True
+    req_rows = {t: np.flatnonzero(mask) for t, mask in marked.items()}
+    req_ids = {t: graph.ids_of[TOWER_TYPE[t]][rows] for t, rows in req_rows.items()}
     # influential neighbors: (rows, row in req_ids, count per req row); none without Siamese
     kappa = cfg.kappa if variant.siamese else 0
     infl = {
         t: graph.expand_rows(TOWER_TYPE[t], rows, Relation.AD_BID_KW, kappa)
         for t, rows in req_rows.items()
     }
-    all_rows = {t: np.union1d(req_rows[t], infl[other[t]][0]) for t in req_rows}
+    for t, mask in marked.items():
+        mask[infl[other[t]][0]] = True
+    all_rows = {t: np.flatnonzero(mask) for t, mask in marked.items()}
 
     towers = {}
     for tower, rows in all_rows.items():

@@ -16,6 +16,8 @@ Steps use mixed precision (Micikevicius et al., "Mixed Precision
 Training", ICLR 2018): `step_loss` runs `execute`, the loss and so the
 backward in float32 over a step-local cast of the float64 master
 parameters, whose gradients, Adam moments and updates stay float64.
+`Adam` updates the moments and each parameter in place, by the textbook
+expressions in their order, so the bits are those of fresh arrays.
 `grad_check` runs the same `execute` and loss in float64 on the masters,
 as central differences need; its finite-difference loss evaluations run
 under `autodiff.no_grad()`, so they record no tape.
@@ -127,11 +129,15 @@ class Adam:
                 g = np.zeros_like(tensor.data)
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient in {name}")
-            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+            # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
+            # data -= lr * m_hat / (sqrt(v_hat) + eps), in place, in that order
+            m, v, gg = self.m[name], self.v[name], (1 - b2) * g
+            np.add(np.multiply(m, b1, out=m), (1 - b1) * g, out=m)
+            np.add(np.multiply(v, b2, out=v), np.multiply(gg, g, out=gg), out=v)
+            den = v / (1 - b2 ** self.t)
+            np.add(np.sqrt(den, out=den), eps, out=den)
+            update = np.multiply(np.divide(m, 1 - b1 ** self.t, out=gg), self.lr, out=gg)
+            tensor.data -= np.divide(update, den, out=update)
             if not np.all(np.isfinite(tensor.data)):
                 raise NumericError(f"non-finite parameter {name} after update")
 

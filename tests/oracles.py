@@ -14,7 +14,8 @@ read chunks of columns, one row parsed and stored at a time, is
 `reference_load_embeddings`. Training pairs as the records they were
 before they became columns are `TrainingPair`, with the loss, step loss
 and batch plan that read them (`record_loss_from_forward`,
-`record_step_loss`, `record_batch_plan`).
+`record_step_loss`, `record_batch_plan`). `ReferenceAdam` is the optimizer
+as it was before it updated in place.
 
 Almost everything here recomputes results without touching the batched
 executor or its plans; `naive_plan` fills the plan containers from
@@ -33,7 +34,7 @@ from hgmatch import autodiff as ad
 from hgmatch.autodiff import Pooling, Tensor
 from hgmatch.features import KIND_TERMS
 from hgmatch import graph as hg
-from hgmatch.errors import DataError
+from hgmatch.errors import DataError, NumericError
 from hgmatch.config import ALL_VIEWS
 from hgmatch.graph import NodeRef, NodeType, Relation, other_endpoint
 from hgmatch.model import (
@@ -517,6 +518,37 @@ def record_step_loss(model, plan, records):
     """`trainer.step_loss` over record_loss_from_forward."""
     local = model.with_params(model.params.cast(np.float32))
     return record_loss_from_forward(local, local.execute(plan), records)
+
+
+# --- Adam as expressions -------------------------------------------------------
+
+class ReferenceAdam:
+    """`trainer.Adam` as it was before it updated in place: each step's new
+    moments and parameter update are fresh arrays from the same expressions."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr = params, lr
+        self.t = 0
+        self.m = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
+        self.v = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
+
+    def step(self):
+        self.t += 1
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for name in self.params.names():
+            tensor = self.params[name]
+            g = tensor.grad
+            if g is None:
+                g = np.zeros_like(tensor.data)
+            if not np.all(np.isfinite(g)):
+                raise NumericError(f"non-finite gradient in {name}")
+            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+            if not np.all(np.isfinite(tensor.data)):
+                raise NumericError(f"non-finite parameter {name} after update")
 
 
 # --- the edge file, one line at a time ---------------------------------------

@@ -172,6 +172,35 @@ def test_pooling_rejects_bad_rows():
         ad.gather(np.zeros((2, 1)), ad.select(np.array([0]), 3))
 
 
+@st.composite
+def selections(draw):
+    """(rows, n, bad): rows in [0, n), maybe empty, repeated or unsorted, and
+    the same rows with one outside [0, n) put in somewhere."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.integers(0, n - 1), max_size=12))
+    bad = list(rows)
+    bad.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([-1, n, n + 3])))
+    return rows, n, bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(selections())
+def test_select_writes_the_csr_of_its_pooling(case):
+    """A selection's index arrays and both of its matrices equal those of the
+    Pooling with one bucket per row, and it still range-checks its rows."""
+    rows, n, bad = case
+    got, want = ad.select(rows, n), ad.Pooling(rows, np.arange(len(rows)), len(rows), n)
+    pairs = [(getattr(got, a), getattr(want, a)) for a in ("src_rows", "dst_rows", "counts")]
+    for mat in ("_fwd", "_bwd"):
+        g, w = getattr(got, mat), getattr(want, mat)
+        assert type(g) is type(w) and g.shape == w.shape
+        pairs += [(getattr(g, a), getattr(w, a)) for a in ("data", "indices", "indptr")]
+    for g, w in pairs:
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    with pytest.raises(IndexError):
+        ad.select(bad, n)
+
+
 def test_concat_slice_grads():
     rng = np.random.default_rng(4)
     a = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
@@ -319,6 +348,43 @@ def test_gradient_from_many_paths_sums_without_mutating_upstream():
     assert np.array_equal(seed, before)
     expect = seed[:, 0:2] + seed[:, 2:4] + 2.0 * seed[:, 4:6] + seed[:, 6:8]
     assert np.array_equal(x.grad, expect)
+
+
+BROADCAST_OPS = {"add": ad.add, "mul": ad.mul, "div": ad.div}
+
+
+@st.composite
+def constant_operand_cases(draw):
+    """(op name, operand shapes, index of the constant operand, seed): an
+    (n, d) operand beside an (n, d), row (n, 1), column (1, d) or (d,) one,
+    in either order."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    shapes = [(n, d), draw(st.sampled_from([(n, d), (n, 1), (1, d), (d,)]))]
+    if draw(st.booleans()):
+        shapes.reverse()
+    return (draw(st.sampled_from(sorted(BROADCAST_OPS))), shapes, draw(st.integers(0, 1)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(constant_operand_cases())
+def test_a_constant_operand_gets_no_gradient_work(case):
+    """add, mul and div hand an operand that needs no gradient None, its .grad
+    stays None, and the other operand's gradient has the bytes it has when
+    both operands need one."""
+    name, shapes, const, seed = case
+    rng = np.random.default_rng(seed)
+    arrays = [rng.uniform(0.5, 2.0, s) * rng.choice([-1.0, 1.0], s) for s in shapes]
+    op = BROADCAST_OPS[name]
+    leaves = [ad.Tensor(a, requires_grad=i != const) for i, a in enumerate(arrays)]
+    out = op(*leaves)
+    G = rng.uniform(-1.0, 1.0, out.shape)
+    assert out._backward(G)[const] is None
+    out.backward(G)
+    assert leaves[const].grad is None
+    both = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    op(*both).backward(G)
+    assert leaves[1 - const].grad.tobytes() == both[1 - const].grad.tobytes()
 
 
 def _pooling(rng, n_in):

@@ -2,6 +2,7 @@ import contextlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +27,9 @@ from hgmatch.trainer import (
     relative_error,
     step_loss,
 )
-from oracles import (TrainingPair, gather_segment_sum_execute, ingest, neighbors, node_embedding,
-                     pair_columns, pair_records, parse_edge_line, posterior, record_batch_plan,
-                     record_loss_from_forward, record_step_loss)
+from oracles import (ReferenceAdam, TrainingPair, gather_segment_sum_execute, ingest, neighbors,
+                     node_embedding, pair_columns, pair_records, parse_edge_line, posterior,
+                     record_batch_plan, record_loss_from_forward, record_step_loss)
 
 
 def test_posterior_equal_scores_is_uniform():
@@ -185,6 +186,31 @@ def test_adam_scalar_hand_trace():
     assert w.data[0] == pytest.approx(0.2999, abs=1e-2)
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-300, 1.0, 1e150, 1e200])
+def test_in_place_adam_equals_the_expression_form(scale):
+    """m, v and every parameter keep the reference's bytes over 5 steps, with
+    a missing gradient, zero, tiny (1e-300: g * g underflows) and large
+    gradients (1e200: g * g overflows, so v is inf and the step 0)."""
+    rng = np.random.default_rng(5)
+    shapes = {"a/w": (3, 4), "b/b": (4,), "c/none": (2, 2)}
+    start = {n: rng.normal(size=s) for n, s in shapes.items()}
+    params = [ModelParams({n: Tensor(a.copy(), requires_grad=True) for n, a in start.items()}, {})
+              for _ in range(2)]
+    opts = [Adam(params[0], lr=0.01), ReferenceAdam(params[1], lr=0.01)]
+    with np.errstate(over="ignore", under="ignore"):
+        for _ in range(5):
+            grads = {n: scale * rng.normal(size=s) for n, s in shapes.items() if n != "c/none"}
+            for p, opt in zip(params, opts):
+                for n, g in grads.items():
+                    p[n].grad = g.copy()
+                opt.step()
+            for n in shapes:
+                assert params[0][n].data.tobytes() == params[1][n].data.tobytes()
+                assert opts[0].m[n].tobytes() == opts[1].m[n].tobytes()
+                assert opts[0].v[n].tobytes() == opts[1].v[n].tobytes()
+    assert all(np.all(np.isfinite(p[n].data)) for p in params for n in shapes)
+
+
 def test_non_finite_gradient_aborts_with_tensor_name():
     w = Tensor(np.array([1.0]), requires_grad=True)
     params = ModelParams({"bad/tensor": w}, {})
@@ -327,23 +353,34 @@ def test_step_tape_is_float32_over_float64_masters(tiny_dataset, variant):
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_backward_builds_no_pooling(tiny_dataset, monkeypatch, variant):
-    """Every row index of a step is a Pooling built before its backward runs."""
+    """Every row index of a step is a Pooling built before its backward runs,
+    and each Pooling builds its CSC transpose once, as it is built: no
+    backward builds one, also for the model's own poolings."""
     cfg = TrainConfig(d=8, l=4, m=5, kappa=2, seed=11)
     model = build_model(tiny_dataset, cfg, VARIANTS[variant])
     pairs = make_pairs(tiny_dataset, cfg, n=16)
-    built = []
+    built, transposed = [], []
     post_init = ad.Pooling.__post_init__
+    transpose = sparse.csr_array.transpose
 
     def counting(self):
         built.append(self)
         post_init(self)
 
+    def counting_transpose(self, *args, **kwargs):
+        transposed.append(self)
+        return transpose(self, *args, **kwargs)
+
     monkeypatch.setattr(ad.Pooling, "__post_init__", counting)
+    monkeypatch.setattr(sparse.csr_array, "transpose", counting_transpose)
     loss = loss_from_forward(model, model.execute(batch_plan(model, pairs)), pairs)
     assert built  # the forward's plan and loss rows
+    assert len(transposed) == len(built)
     built.clear()
+    transposed.clear()
     loss.backward()
     assert len(built) == 0
+    assert len(transposed) == 0
 
 
 def test_a_batch_plan_builds_only_what_its_roots_decide(tiny_dataset, monkeypatch):
@@ -360,7 +397,12 @@ def test_a_batch_plan_builds_only_what_its_roots_decide(tiny_dataset, monkeypatc
         built.append(self)
         post_init(self)
 
+    def unused(*args, **kwargs):
+        raise AssertionError("a plan marks its distinct and united rows in a mask")
+
     monkeypatch.setattr(ad.Pooling, "__post_init__", counting)
+    monkeypatch.setattr(np, "unique", unused)
+    monkeypatch.setattr(np, "union1d", unused)
     batch_plan(model, pairs)
     assert len(built) == 12
 
