@@ -8,11 +8,12 @@ the exact dot product (Higham 2002, section 3.1; gamma_d = d u / (1 - d u)),
 so a row whose K + 1 best GEMM scores are finite and each more than 4B above
 the next has the list either gives; every other row is ranked alone
 (`_rank`). Export runs the forward without a tape, then array passes
-(`_quantize`) write each matrix's 9-significant-digit dump text and the
-values it reads back as; the store keeps both, so export -> dump -> reload
--> score is reproducible bit for bit. The dump is read back in chunks, one
-`np.loadtxt` each (no `1_0`, no non-ASCII digits), fields checked as
-columns; a dump failing a check is re-read line by line to name the line.
+(`_quantize`) find each value's nine significant digits and the value they
+read back as; the dump writes the digits as 16-byte `%+.8e` cells, so export
+-> dump -> reload -> score is reproducible bit for bit. The dump is read back
+in chunks, fields checked as columns; cells are parsed as machine words
+(`_parse_cells`), other values by np.loadtxt (no `1_0`, no non-ASCII digits).
+A dump failing a check is re-read line by line to name the line.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ALL_VIEWS
-from .errors import DataError
+from .errors import DataError, NumericError
 from .graph import (NODE_TYPES, TYPE_CODE, HeteroGraph, NodeType, Relation, _numbered_lines,
                     iter_file_records, lookup_rows, parse_id)
 from .model import AD_TOWER, KW_TOWER, MatchingModel
@@ -40,9 +41,9 @@ class EmbeddingStore:
     d: int
     views: tuple
     vectors: dict   # {view: {NodeType: (ascending ids array, matrix)}}
-    # {view: {NodeType: dump text per row}} as export rendered the matrices;
-    # None for a loaded or hand-built store, whose dump renders them anew
-    rendered: dict = field(default=None, repr=False)
+    # {view: {NodeType: (nine digits, decimal exponents)}} as export found them;
+    # None for a loaded or hand-built store, whose dump quantizes the matrices
+    digits: dict = field(default=None, repr=False)
 
     def gather(self, view: str, ntype: NodeType, ids) -> np.ndarray:
         """Vectors of `ids`; a DataError names the view, type and first id without one."""
@@ -55,102 +56,141 @@ class EmbeddingStore:
         return self.gather(view, ntype, [node_id])[0]
 
 
-# Four ASCII digits of 0..9999 as one little-endian word; the twin writes the
-# entry's trailing zeros as NUL, and the dump text drops every NUL.
+# A dump cell is `%+.8e` and a separator, 16 bytes: the little-endian words
+# "sd.ddddd" "ddde+XX " (a row's last separator is a newline), rendered from
+# four ASCII digits of 0..9999, the sign, first digit and point by
+# 10 * negative + digit, and the exponent and separator by X + 99.
 _DIGITS4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), "<u4").astype(np.uint64)
-_TRIMMED4 = np.frombuffer(b"".join((b"%04d" % i).rstrip(b"0").ljust(4, b"\0")
-                                   for i in range(10000)), "<u4").astype(np.uint64)
+_HEAD = np.array([int.from_bytes(b"%c%d." % (s, f), "little") for s in b"+-" for f in range(10)],
+                 np.uint64)
+_TAIL = np.array([int.from_bytes(b"e%+03d " % x, "little") << 24 for x in range(-99, 100)], np.uint64)
+_WIDE = -128  # the exponent of a value whose `%+.8e` text is not 15 bytes
 _POW10 = np.array([10 ** k for k in range(23)], dtype=np.float64)  # each one exact
-# Indexed by X + 4 for the exponents X = -4..8 of fixed notation: the digits
-# 1..X of a word of digits 1-8, the point after digit X, and "0." and zeros.
-_FIXED = range(-4, 9)
-_INTEGER = np.array([(1 << 8 * max(x, 0)) - 1 for x in _FIXED], np.uint64)
-_DOT = np.array([46 << 8 * x if 0 <= x < 8 else 0 for x in _FIXED], np.uint64)
-_LEAD = np.array([int.from_bytes(b"\x000." + b"0" * (-1 - x), "little") if x < 0 else 0
-                  for x in _FIXED], np.uint64)
 _BLOCK = 8192  # values per pass: 64 KiB arrays, in cache and below malloc's mmap threshold
 
 
 def _quantize(matrix: np.ndarray) -> tuple:
-    """(rows, values): each row of `matrix` as the dump writes it, its values
-    in 9-significant-digit `%g` text joined by spaces, and the matrix that
-    text reads back as, bit for bit, with no Python float or str per value.
+    """((digits, exponents), values): each value's nine significant digits r
+    and decimal exponent X as `%+.8e` writes them, and the matrix that text
+    reads back as, bit for bit, with no Python float or str per value.
 
-    A value x of decimal exponent X in [-4, 8] has the nine digits
-    r = round(|x| * 10^(8-X)) and reads back as r / 10^(8-X): both numbers
-    are exact, so that one division is the correctly rounded decimal. The
-    product carries one rounding (<= 6e-8), so a value is formatted one at a
-    time if its scaled fraction lies within 1e-6 of one half, and also if it
-    is zero or not finite, if `%g` writes it in exponent notation, or if
-    log10 or the rounding move it out of nine digits. Each value's text is
-    laid into 24 bytes, NUL where it has no character, separator last.
+    For X in [-14, 8], r = round(|x| * 10^(8-X)) and x reads back as
+    r / 10^(8-X): both numbers are exact, so that one division is the
+    correctly rounded decimal. The product carries one rounding (<= 6e-8), so
+    a value is formatted one at a time if its scaled fraction lies within
+    1e-6 of one half, if it is zero or not finite, or if log10 or the rounding move
+    it out of nine digits or out of that range; X is _WIDE if its text has no
+    two-digit exponent.
     """
-    rows, values, step = [], np.empty(matrix.shape), max(1, _BLOCK // matrix.shape[1])
-    for start in range(0, len(matrix), step):
-        x = np.asarray(matrix[start:start + step], dtype=np.float64).ravel()
+    (n, d), step = matrix.shape, max(1, _BLOCK // matrix.shape[1])
+    digits, exponents, values = np.empty((n, d), np.uint32), np.empty((n, d), np.int8), np.empty((n, d))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        x = np.asarray(matrix[rows], dtype=np.float64)
         a = np.abs(x)
         one_at_a_time = ~(np.isfinite(a) & (a > 0))
         a[one_at_a_time] = 1.0
-        row = np.clip(np.floor(np.log10(a)), -4, 8).astype(np.intp) + 4  # X + 4
-        p = a * _POW10[12 - row]
+        e = np.clip(np.floor(np.log10(a)), -14, 8).astype(np.intp)
+        p = a * _POW10[8 - e]
         r = np.rint(p)
         one_at_a_time |= (p < 1e8) | (r >= 1e9) | (np.abs(p - r) > 0.5 - 1e-6)
-        r[one_at_a_time] = 1e8
-        block = np.copysign(r / _POW10[12 - row], x)
-        q, lo = np.divmod(r.astype(np.uint64), 10000)
-        first, hi = np.divmod(q, 10000)
-        integer, dot = _INTEGER[row], _DOT[row]
-        trimmed = np.where(lo != 0, _DIGITS4[hi], _TRIMMED4[hi]) | _TRIMMED4[lo] << 32
-        # ASCII digits are "0" | d: "0" restores the trimmed zeros, and "." shares a bit with each
-        low, high = (trimmed | 0x3030303030303030) & integer, trimmed & ~integer
-        body = low | high << 8 | dot * (trimmed & dot != 0)
-        cells = np.full((len(x), 3), 32 << 56, "<u8")
-        cells[:, 0] = (x < 0) * np.uint64(45) | _LEAD[row] | first + 48 << 48 | body << 56
-        cells[:, 1] = body >> 8 | high >> 56 << 56
-        cells.reshape(-1, matrix.shape[1], 3)[:, -1, 2] = 10 << 56
-
-        idx = np.flatnonzero(one_at_a_time)
-        texts = ["%.9g" % v for v in x[idx].tolist()]
-        padded = np.frombuffer("".join(t.ljust(23, "\0") for t in texts).encode(), np.uint8)
-        cells.view(np.uint8)[idx, :-1] = padded.reshape(-1, 23)
-        block[idx] = [float(t) for t in texts]
-        values[start:start + step] = block.reshape(-1, matrix.shape[1])
-        rows += cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
-    return rows, values
+        values[rows] = np.copysign(r / _POW10[8 - e], x)
+        for i, j in zip(*np.nonzero(one_at_a_time)):
+            text = "%.8e" % x[i, j]
+            values[start + i, j] = float(text)
+            mantissa, _, exponent = text.lstrip("-").partition("e")
+            r[i, j], e[i, j] = ((int(mantissa.replace(".", "")), int(exponent))
+                                if len(exponent) == 3 else (0, _WIDE))
+        digits[rows], exponents[rows] = r, e
+    return (digits, exponents), values
 
 
 def export_embeddings(model: MatchingModel) -> EmbeddingStore:
     """Compute final per-view vectors for every ad and keyword.
 
-    The forward records no tape; the store keeps each row's dump text."""
+    The forward records no tape; the store keeps each value's digits. A
+    non-finite vector is a NumericError naming its view, type and id."""
     graph = model.graph
-    with ad.no_grad():
+    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fwd = model.forward(graph.ids_of[NodeType.AD], graph.ids_of[NodeType.KEYWORD])
     views = tuple(model.variant.views)
-    vectors, rendered = {}, {}
+    vectors, digits = {}, {}
     for view in views:
         for ntype, tower in ((NodeType.AD, AD_TOWER), (NodeType.KEYWORD, KW_TOWER)):
-            rows, mat = _quantize(fwd.towers[tower].per_view[view].data)
-            vectors.setdefault(view, {})[ntype] = (fwd.towers[tower].plan.req_ids, mat)
-            rendered.setdefault(view, {})[ntype] = rows
-    return EmbeddingStore(model.cfg.d, views, vectors, rendered)
+            ids, data = fwd.towers[tower].plan.req_ids, fwd.towers[tower].per_view[view].data
+            bad = ~np.isfinite(data).all(axis=1)
+            if bad.any():
+                raise NumericError(f"non-finite {view} embedding for {ntype.value} id {ids[bad][0]}")
+            digits.setdefault(view, {})[ntype], mat = _quantize(data)
+            vectors.setdefault(view, {})[ntype] = (ids, mat)
+    return EmbeddingStore(model.cfg.d, views, vectors, digits)
+
+
+def _dump_lines(digits, exponents, mat) -> list:
+    """Each row of `mat` as dump text: `%+.8e` cells, or `%.9g` if a cell is _WIDE."""
+    r = digits.astype(np.intp)
+    q = r // 10000
+    first = q // 10000
+    lo = _DIGITS4[r - q * 10000]
+    words = np.empty(r.shape + (2,), "<u8")
+    words[..., 0] = _HEAD[first + 10 * np.signbit(mat)] | _DIGITS4[q - first * 10000] << 24 | lo << 56
+    words[..., 1] = lo >> 8 | _TAIL[exponents.astype(np.intp) + 99]
+    words[:, -1, 1] ^= (32 ^ 10) << 56  # the last separator is a newline
+    lines = words.reshape(len(r), -1).view(f"S{16 * r.shape[1]}").ravel().tolist()
+    for i in np.flatnonzero((exponents == _WIDE).any(axis=1)).tolist():
+        lines[i] = (" ".join("%.9g" % v for v in mat[i].tolist()) + "\n").encode()
+    return lines
 
 
 def save_embeddings(store: EmbeddingStore, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# node_type\tnode_id\tview\tvalues...\n")
+    step = max(1, _BLOCK // store.d)
+    with open(path, "wb") as fh:
+        fh.write(b"# node_type\tnode_id\tview\tvalues...\n")
         for ntype in (NodeType.AD, NodeType.KEYWORD):
             ids = store.vectors[store.views[0]][ntype][0].tolist()
-            texts = [store.rendered[view][ntype] if store.rendered is not None
-                     else _quantize(store.vectors[view][ntype][1])[0] for view in store.views]
-            for node_id, *row_texts in zip(ids, *texts):
-                for view, text in zip(store.views, row_texts):
-                    fh.write(f"{ntype.value}\t{node_id}\t{view}\t{text}\n")
+            for start in range(0, len(ids), step):
+                rows, columns = slice(start, start + step), []
+                for view in store.views:
+                    mat = store.vectors[view][ntype][1][rows]
+                    digits, exponents = (_quantize(mat)[0] if store.digits is None
+                                         else (a[rows] for a in store.digits[view][ntype]))
+                    head = b"%s\t%%d\t%s\t" % (ntype.value.encode(), view.encode())
+                    columns += [[head % i for i in ids[rows]], _dump_lines(digits, exponents, mat)]
+                fh.write(b"".join([part for line in zip(*columns) for part in line]))
 
 
-_CHUNK_LINES = 1024  # dump lines whose values one np.loadtxt call parses
+_CHUNK_LINES = 256  # dump lines per chunk: 16,384 cells at d = 64
 # float64 rows of whitespace-separated numbers as loadtxt reads them: no `1_0`, no non-ASCII digits
 _parse_values = functools.partial(np.loadtxt, dtype=np.float64, ndmin=2, comments=None)
+# Per byte of a cell `%+.8e ` (s a sign, d a digit) as two words: the bits
+# compared, what they read before and after the third row is added (a digit
+# stays 0x3_ when 6 is added), and the bit in which a sign's bits 1 and 2 differ.
+_CELL = np.array([{"d": (0xF0, 0x30, 6, 0), "s": (0xF9, 0x29, 0, 2)}.get(c, (0xFF, ord(c), 0, 0))
+                  for c in "sd.ddddddddesdd "], np.uint8).T.copy().view("<u8")
+# +-10^(8-X) by |X| + 128 * (X < 0) + 256 * (value < 0); NaN where it is not exact
+_DIVISOR = np.full(512, np.nan)
+_DIVISOR[[abs(x) + 128 * (x < 0) for x in range(-14, 9)]] = _POW10[::-1]
+_DIVISOR[256:] = -_DIVISOR[:256]
+
+
+def _parse_cells(vals) -> np.ndarray:
+    """What `_parse_values` reads from `vals`; where all are `%+.8e` cells of one
+    length, from their bytes as machine words: digits r, exponent X, r / 10^(8-X)."""
+    width = len(vals[0])
+    if width % 16 != 15 or set(map(len, vals)) != {width}:
+        return _parse_values(vals)
+    w = np.frombuffer((" ".join(vals) + " ").encode("ascii", "replace"), "<u8").reshape(len(vals), -1)
+    mask, want, add, sign = np.tile(_CELL, w.shape[1] // 2)
+    if ((w & mask ^ want) | ((w + add) & mask ^ want) | ((w ^ w >> 1) & sign ^ sign)).any():
+        return _parse_values(vals)
+    w0, w1 = w[:, 0::2], w[:, 1::2]
+    m = (w0 >> 24 | w1 << 40) & 0x0F0F0F0F0F0F0F0F  # digits 2-9, combined in pairs
+    m = (m * 10 + (m >> 8)) & 0x00FF00FF00FF00FF
+    m = (m * 100 + (m >> 16)) & 0x0000FFFF0000FFFF
+    m = ((m * 10000 + (m >> 32)) & 0xFFFFFFFF) + (w0 >> 8 & 0x0F) * 100000000
+    x = w1 >> 40 & 0x0F0F
+    values = m / _DIVISOR[(x * 10 + (x >> 8)) & 0xFF | (w1 >> 32 & 4) << 5 | (w0 & 4) << 6]
+    return _parse_values(vals) if np.isnan(values).any() else values
 
 
 def _raise_first_bad_row(path):
@@ -183,7 +223,7 @@ def load_embeddings(path) -> EmbeddingStore:
     try:  # a ValueError also for a line without 4 fields, no rows or two widths
         while chunk := [line.split("\t") for line in itertools.islice(lines, _CHUNK_LINES)]:
             types, ids, views, vals = np.array(chunk, dtype=object).T
-            values = _parse_values(vals)
+            values = _parse_cells(vals)
             if len(values) != len(chunk) or not np.isfinite(values).all():
                 raise ValueError("a row of values that is not finite")
             chunks.append((np.array([ALL_VIEWS.index(v) for v in views]),

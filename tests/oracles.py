@@ -383,6 +383,16 @@ def naive_quantize(matrix):
     return out
 
 
+def naive_dump_rows(matrix):
+    """Each row of `matrix` as the dump writes it, value by value: `%+.8e`
+    cells, or `%.9g` values if a cell's text is not 15 bytes long."""
+    rows = []
+    for row in matrix.tolist():
+        cells = ["%+.8e" % x for x in row]
+        rows.append(" ".join(cells if all(len(c) == 15 for c in cells) else ["%.9g" % x for x in row]))
+    return rows
+
+
 def _gather_segment_sum(a, pl):
     """Neighbor pooling in two ops: copy the source rows out with a gather,
     then segment_sum them into their buckets."""

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -9,6 +10,8 @@ import zipfile
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgmatch import cli
 from hgmatch.cli import main
@@ -820,3 +823,72 @@ def test_ablate_reports_keep_their_bytes(data_dir, tmp_path):
         "report.tsv": "2dec801b2574d26c4164d4237af1f0036b5aa1873bc8e3b4634cf0f85bbc5b02",
         "report.txt": "c3f748084eaab336acf06bb34462afd1cbc08e65e1586932d6fd6f518c0bd9cc",
     }
+
+
+def _scaled_checkpoint(src_path, dst_path, members, factor):
+    """A copy of a checkpoint whose `members` tensors are multiplied by `factor`."""
+    with zipfile.ZipFile(src_path) as src, zipfile.ZipFile(dst_path, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            if info.filename in members:
+                buf = io.BytesIO()
+                np.save(buf, np.load(io.BytesIO(data)) * factor)
+                data = buf.getvalue()
+            dst.writestr(info, data)
+
+
+def test_embed_of_non_finite_vectors_exits_4_naming_the_node(data_dir, dump, tmp_path, capsys):
+    """Finite weights whose vectors overflow: embed stops before it writes a
+    dump that retrieve would refuse."""
+    ckpt = tmp_path / "model.ckpt"
+    _scaled_checkpoint(dump / "model.ckpt", ckpt,
+                       {"t:view/ad/ad_click/W1.npy", "t:view/ad/ad_click/W2.npy"}, 1e200)
+    emb = tmp_path / "emb.tsv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings
+        rc = main(["embed", "--checkpoint", str(ckpt),
+                   "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+                   "--features", str(data_dir / "features.tsv"),
+                   "--boundaries", str(dump / "boundaries.tsv"), "--out", str(emb)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert re.search(r"numeric failure: non-finite ad_click embedding for ad id \d+", err)
+    assert "Traceback" not in err and "Warning" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+@st.composite
+def damaged_bytes(draw, data: bytes):
+    """`data` with a few bytes flipped, dropped or inserted, or cut short."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data) - 1))
+        kind = draw(st.sampled_from(["flip", "drop", "insert", "cut"]))
+        if kind == "flip":
+            data[at] ^= draw(st.integers(1, 255))
+        elif kind == "drop":
+            del data[at:at + draw(st.integers(1, 20))]
+        elif kind == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+        else:
+            del data[at:]
+        if not data:
+            break
+    return bytes(data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_retrieve_of_a_damaged_dump_exits_0_or_3(data_dir, dump, tmp_path_factory, data):
+    """Mutated bytes of a dump never give a traceback or leave outputs behind on failure."""
+    work = tmp_path_factory.mktemp("damaged")
+    emb, out = work / "emb.tsv", work / "retrieved.tsv"
+    emb.write_bytes(data.draw(damaged_bytes((dump / "emb.tsv").read_bytes())))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["retrieve", "--embeddings", str(emb),
+                   "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+                   "--task", str(data_dir / "task.tsv"), "--k", "5", "--out", str(out)])
+    assert rc in (0, 3) and "Traceback" not in err.getvalue()
+    if rc == 3:
+        assert sorted(p.name for p in work.iterdir()) == ["emb.tsv"]

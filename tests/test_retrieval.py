@@ -18,6 +18,7 @@ from hgmatch.retrieval import (
     EmbeddingStore,
     EvalTask,
     _certified_top,
+    _dump_lines,
     _quantize,
     _rank,
     cold_start_split,
@@ -29,8 +30,8 @@ from hgmatch.retrieval import (
     topk_retrieve,
 )
 
-from oracles import (naive_evaluate, naive_quantize, naive_rank, naive_recall, neighbors,
-                     reference_load_embeddings)
+from oracles import (naive_dump_rows, naive_evaluate, naive_quantize, naive_rank, naive_recall,
+                     neighbors, reference_load_embeddings)
 
 
 def make_store(rng, n_ads=5, n_kws=40, d=8, views=("ad_click",)):
@@ -251,6 +252,12 @@ def test_cold_start_rejects_ad_not_in_graph(tiny_dataset):
         cold_start_split(tiny_dataset.graph, task)
 
 
+def _rendered(m):
+    """(rows, values): the dump text of each row of `m` and the values it reads back as."""
+    (digits, exponents), values = _quantize(m)
+    return [line.decode()[:-1] for line in _dump_lines(digits, exponents, values)], values
+
+
 _SPECIAL_VALUES = st.sampled_from(
     [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, float("inf"), float("-inf")])
 
@@ -262,9 +269,9 @@ _SPECIAL_VALUES = st.sampled_from(
     min_size=1, max_size=8)))
 def test_quantize_equals_per_element_rendering(rows):
     m = np.array(rows, dtype=np.float64)
-    text, values = _quantize(m)
+    text, values = _rendered(m)
     assert values.tobytes() == naive_quantize(m).tobytes()
-    assert text == [" ".join(f"{x:.9g}" for x in row) for row in rows]
+    assert text == naive_dump_rows(m)
 
 
 def _powers_of_ten_and_neighbours():
@@ -292,21 +299,21 @@ _SCALED = st.builds(lambda m, e: m * 10.0 ** e,
 def test_quantize_array_path_equals_per_element_rendering(m):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        text, values = _quantize(m)
+        text, values = _rendered(m)
     assert values.tobytes() == naive_quantize(m).tobytes()
-    assert text == [" ".join(f"{x:.9g}" for x in row) for row in m.tolist()]
+    assert text == naive_dump_rows(m)
 
 
 def test_dump_keeps_its_bytes(tiny_model, tmp_path):
     path = tmp_path / "emb.tsv"
     save_embeddings(export_embeddings(tiny_model), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "01870a9c03aaf2d69d47348df6b636c1ab2965464f440cfe68d74ce20a0c91cf")
+        "31c115dd54d925365000cdd1cc978157b7cc972753f12919ba38742ce2c88744")
 
 
 def test_save_writes_the_same_bytes_with_or_without_kept_rows(tiny_model, tmp_path):
     store = export_embeddings(tiny_model)
-    assert store.rendered is not None
+    assert store.digits is not None
     bare = EmbeddingStore(store.d, store.views, store.vectors)
     save_embeddings(store, tmp_path / "kept.tsv")
     save_embeddings(bare, tmp_path / "bare.tsv")
@@ -662,3 +669,160 @@ def test_load_embeddings_names_a_bad_row_past_the_first_chunk(tmp_path, lines, m
 def test_load_embeddings_reads_a_dump_of_many_chunks(tmp_path):
     path = _big_dump(tmp_path / "emb.tsv", n_rows=3 * retrieval._CHUNK_LINES + 5)
     assert _store_bytes(load_embeddings(path)) == _store_bytes(reference_load_embeddings(path))
+
+
+# --- the fixed-width dump ----------------------------------------------------
+
+def _dump_text(rows):
+    """The dump text of (view, type, id, values) rows as save writes them."""
+    lines = [f"{ntype}\t{node_id}\t{view}\t{line}\n" for (view, ntype, node_id, _), line
+             in zip(rows, naive_dump_rows(np.array([values for *_, values in rows])))]
+    return "# node_type\tnode_id\tview\tvalues...\n" + "".join(lines)
+
+
+@st.composite
+def fixed_width_dumps(draw):
+    """Rows of 1-4 values from the scaled and special values, most of them
+    fixed-width cells and some `%.9g`, with unique keys."""
+    d = draw(st.integers(1, 4))
+    keys = draw(st.lists(st.tuples(st.sampled_from(ALL_VIEWS), st.sampled_from(["ad", "keyword"]),
+                                   st.integers(0, 50)), min_size=1, max_size=30, unique=True))
+    value = st.one_of(_SCALED, _SCALED, _SCALED, st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-300, 1e-15, 1e-14, 9.99999999e-15, 1e9, 1e99, 1e100, -1e23]))
+    return [(*key, draw(st.lists(value, min_size=d, max_size=d))) for key in keys]
+
+
+# a cell "sd.ddddddddesdd" and its separator: each byte position by kind
+_CELL_BYTES = {"sign": [0, 12], "digit": [1, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14], "point": [2],
+               "e": [11], "separator": [15]}
+
+
+# what a cell byte may become: each kind, and bytes that differ from one in a bit or two
+_NEAR_MISSES = list("0189+-.e") + list(")/,:*E \t\r\x0b\x00\x7f")
+
+
+def _mutate(draw, text):
+    """`text` with one thing changed: a byte of one kind in a cell, a line
+    ending, a comment line, a cell added or dropped, or a non-ASCII byte."""
+    lines = text.split("\n")
+    at = draw(st.integers(1, len(lines) - 2))
+    line, kind = lines[at], draw(st.sampled_from(
+        [*_CELL_BYTES, "crlf", "comment", "more cells", "fewer cells", "non-ascii"]))
+    if kind in _CELL_BYTES:
+        cells = line.split("\t")[-1] + "\n"
+        cell = draw(st.integers(0, max(0, len(cells) // 16 - 1)))
+        pos = len(line) + 1 - len(cells) + 16 * cell + draw(st.sampled_from(_CELL_BYTES[kind]))
+        new = draw(st.sampled_from(_NEAR_MISSES))
+        line = (line + "\n")[:pos] + new + (line + "\n")[pos + 1:]
+        lines[at] = line[:-1] if line.endswith("\n") else line
+    elif kind == "crlf":
+        lines = [ln + "\r" for ln in lines[:-1]] + [""] if draw(st.booleans()) else lines
+        lines[at] = lines[at].rstrip("\r") + "\r"
+    elif kind == "comment":
+        lines.insert(at, draw(st.sampled_from(["# x", "#", " # x", "", "#\r", "#\rx"])))
+    elif kind == "more cells":
+        lines[at] = line + draw(st.sampled_from([" +1.00000000e+00", " 1.5", " "]))
+    elif kind == "fewer cells":
+        lines[at] = line[:-16] if len(line.split("\t")[-1]) > 15 else line[:-1]
+    else:
+        pos = draw(st.integers(0, len(line)))
+        lines[at] = line[:pos] + draw(st.sampled_from(["\u00e9", "\xa0", "\u2003", "\r"])) + line[pos:]
+    return "\n".join(lines)
+
+
+def _load_both(path, chunk_lines):
+    """The store bytes, or the DataError text, of the reader and of the
+    line-by-line reference."""
+    out = []
+    for load in (lambda: reference_load_embeddings(path), lambda: load_embeddings(path)):
+        try:
+            with mock.patch.object(retrieval, "_CHUNK_LINES", chunk_lines):
+                out.append(_store_bytes(load()))
+        except DataError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _assert_same(want, got):
+    if isinstance(want, str) and "could not convert" in want:  # the parsers word it apart
+        assert re.match(re.escape(want.split(": ")[0]) + ": could not convert string ", got)
+    else:
+        assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(fixed_width_dumps(), st.data(), st.sampled_from([1, 3, 256]))
+def test_fixed_width_load_equals_the_line_by_line_reader(tmp_path_factory, rows, data, chunk_lines):
+    """A dump as save writes it, and with one byte class mutated, reads to
+    the reference's store or fails with its error on the same line."""
+    text = _dump_text(rows)
+    path = tmp_path_factory.mktemp("dump") / "emb.tsv"
+    path.write_bytes(text.encode())
+    want, got = _load_both(path, chunk_lines)
+    assert got == want and not isinstance(want, str)
+    path.write_bytes(_mutate(data.draw, text).encode())
+    _assert_same(*_load_both(path, chunk_lines))
+
+
+def test_every_cell_byte_mutation_reads_as_the_reference(tmp_path):
+    """Each byte of a line's fields and first two cells, replaced by each
+    near miss: the reader gives the reference's store or error."""
+    text = _dump_text([("ad_click", "ad", i, [0.5, -1.25e-7, 3e8]) for i in range(10, 14)])
+    path, start = tmp_path / "emb.tsv", text.index("\n", text.index("\n") + 1) + 1
+    first = text.index("\t+", start) + 1  # the second data line's first cell
+    for pos in range(start, first + 32):
+        for new in _NEAR_MISSES:
+            path.write_text(text[:pos] + new + text[pos + 1:])
+            _assert_same(*_load_both(path, 2))
+
+
+def test_fixed_width_load_of_bytes_that_are_not_utf8(tmp_path):
+    text = _dump_text([("ad_click", "ad", i, [0.5, -1.25]) for i in range(5)]).encode()
+    path = tmp_path / "emb.tsv"
+    for bad in (text.replace(b"+5.0", b"+5\xff0", 1), text.replace(b"# node", b"# n\xffde")):
+        path.write_bytes(bad)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_embeddings(path)
+
+
+def test_load_reads_a_dump_mixing_fixed_width_and_old_chunks(tmp_path):
+    """Chunks of `%+.8e` cells, of the `%.9g` text earlier versions wrote,
+    and chunks holding both read to the reference's store."""
+    rng = np.random.default_rng(5)
+    rows = [("ad_click", "keyword", i, rng.normal(size=3) * 10.0 ** rng.integers(-20, 20))
+            for i in range(3 * retrieval._CHUNK_LINES + 40)]
+    lines = _dump_text(rows).split("\n")
+    for i in list(range(300, 600)) + list(range(700, 720)):
+        *fields, _ = lines[i].split("\t")
+        lines[i] = "\t".join(fields + [" ".join("%.9g" % v for v in rows[i - 1][3])])
+    path = tmp_path / "emb.tsv"
+    path.write_text("\n".join(lines))  # no newline at the end
+    want, got = _load_both(path, retrieval._CHUNK_LINES)
+    assert got == want and not isinstance(want, str)
+
+
+_BOUNDARY = [0.0, -0.0, 5e-324, -2.5e-320, 1e-300, -1e-300, 1e-15, 999999999.5, 1e9,
+             9.9999999995e-5, 123456788.5, 12345678.25, 99999999.95, 1e-14, 1e99, 1e100]
+
+
+@pytest.mark.parametrize("stored", ["hand-built", "exported"])
+def test_boundary_values_round_trip_bit_for_bit(tmp_path, stored):
+    """Each boundary value, beside ordinary ones, is saved as the oracle
+    writes it and loads as `%.9g` reads it back."""
+    values = np.array(_BOUNDARY + _powers_of_ten_and_neighbours().ravel().tolist())
+    m = np.column_stack([values, np.full(len(values), 0.75), -values[::-1]])
+    ids = np.arange(len(m))
+    store = EmbeddingStore(3, ("ad_click",), {"ad_click": {NodeType.AD: (ids, m),
+                                                             NodeType.KEYWORD: (ids, m)}})
+    if stored == "exported":
+        digits, mat = _quantize(m)
+        store = EmbeddingStore(3, ("ad_click",), {"ad_click": {t: (ids, mat) for t in NodeType}},
+                               {"ad_click": {t: digits for t in NodeType}})
+    path = tmp_path / "emb.tsv"
+    save_embeddings(store, path)
+    want = [row for _ in range(2) for row in naive_dump_rows(m)]
+    assert [line.split("\t")[3] for line in path.read_text().splitlines()[1:]] == want
+    loaded = load_embeddings(path)
+    for ntype in (NodeType.AD, NodeType.KEYWORD):
+        assert loaded.vectors["ad_click"][ntype][1].tobytes() == naive_quantize(m).tobytes()
+    assert _store_bytes(loaded) == _store_bytes(reference_load_embeddings(path))
