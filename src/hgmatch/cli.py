@@ -29,13 +29,7 @@ from .errors import DataError, NumericError
 from .graph import RELATION_SCHEMA, Relation, NodeType, iter_file_records, load_graph
 from .manifest import write_manifest
 from .params import load_checkpoint, variant_from_meta
-from .pipeline import (
-    Dataset,
-    build_model,
-    load_dataset,
-    run_ablation,
-    train_variant,
-)
+from .pipeline import build_model, load_dataset, run_ablation, train_variant
 from .report import render_recall_result, render_text, render_tsv
 from .retrieval import (
     EvalTask,
@@ -74,6 +68,16 @@ class OutputTracker:
         for d in sorted(self.dirs, key=lambda d: len(d.parts), reverse=True):
             if d.is_dir() and not any(d.iterdir()):
                 d.rmdir()
+
+
+# input-file flags a subcommand may leave out, with their help text
+_OPTIONAL_INPUTS = {"boundaries": "persisted quantile boundaries"}
+
+
+def _given_inputs(args) -> dict:
+    """{flag: path} of each input file the subcommand declares and was given."""
+    return {flag: getattr(args, flag) for flag in args.inputs
+            if getattr(args, flag) is not None}
 
 
 def _gather_config(args, cls):
@@ -121,28 +125,14 @@ def cmd_build_graph(args, tracker: OutputTracker) -> int:
         out = tracker.register(args.out)
         extra = {f"nodes.{t.value}": graph.num_nodes(t) for t in NodeType}
         extra.update({f"edges.{r}": n for r, n in counts.items()})
-        write_manifest(
-            out, inputs={"edges": args.edges, "nodes": args.nodes}, extra=extra
-        )
+        write_manifest(out, inputs=_given_inputs(args), extra=extra)
     return 0
-
-
-def _load_dataset_from_args(args) -> Dataset:
-    return load_dataset(
-        edges=args.edges,
-        nodes=args.nodes,
-        features=args.features,
-        labels=args.labels,
-        task=getattr(args, "task", None),
-    )
 
 
 def cmd_train(args, tracker: OutputTracker) -> int:
     cfg = _gather_config(args, TrainConfig)
-    if args.variant not in VARIANTS:
-        raise DataError(f"unknown variant {args.variant!r}; choose from {sorted(VARIANTS)}")
     variant = VARIANTS[args.variant]
-    dataset = _load_dataset_from_args(args)
+    dataset = load_dataset(**_given_inputs(args))
     out_dir = Path(args.out_dir)
     for name in ("model.ckpt", "boundaries.tsv", "manifest.txt", "losses.tsv"):
         tracker.register(out_dir / name)
@@ -151,14 +141,8 @@ def cmd_train(args, tracker: OutputTracker) -> int:
         fh.write("epoch\tbatch\tloss\n")
         for epoch, batch, loss in fit.batch_losses:
             fh.write(f"{epoch}\t{batch}\t{loss!r}\n")
-    inputs = {
-        "edges": args.edges,
-        "nodes": args.nodes,
-        "labels": args.labels,
-        "features": args.features,
-    }
     write_manifest(out_dir / "manifest.txt", cfg=cfg, variant=variant.name,
-                   inputs=inputs, fit=fit, extra={"optimizer": "Adam"})
+                   inputs=_given_inputs(args), fit=fit, extra={"optimizer": "Adam"})
     print(f"checkpoint: {out_dir / 'model.ckpt'}")
     return 0
 
@@ -182,7 +166,7 @@ def cmd_embed(args, tracker: OutputTracker) -> int:
         tracker.register(str(args.out) + ".manifest"),
         cfg=cfg,
         variant=variant.name,
-        inputs={"checkpoint": args.checkpoint, "edges": args.edges, "nodes": args.nodes},
+        inputs=_given_inputs(args),
         extra={"rows": sum(len(store.vectors[v][t][0]) for v in store.views for t in store.vectors[v])},
     )
     print(f"wrote embeddings to {out}")
@@ -204,7 +188,7 @@ def cmd_retrieve(args, tracker: OutputTracker) -> int:
                     fh.write(f"{ad_id}\t{view}\t{kw}\n")
     write_manifest(
         tracker.register(str(args.out) + ".manifest"),
-        inputs={"embeddings": args.embeddings, "task": args.task},
+        inputs=_given_inputs(args),
         extra={"k": args.k, "ads": len(task.ads)},
     )
     print(f"wrote retrieved lists to {out}")
@@ -239,7 +223,7 @@ def cmd_evaluate(args, tracker: OutputTracker) -> int:
             fh.write(text)
         write_manifest(
             tracker.register(str(args.out) + ".manifest"),
-            inputs={"retrieved": args.retrieved, "task": args.task},
+            inputs=_given_inputs(args),
             extra={"recall.overall": f"{result.overall:.6f}"},
         )
     return 0
@@ -277,9 +261,7 @@ def cmd_gradcheck(args, tracker: OutputTracker) -> int:
 
 def cmd_ablate(args, tracker: OutputTracker) -> int:
     cfg = _gather_config(args, TrainConfig)
-    dataset = _load_dataset_from_args(args)
-    if dataset.task is None:
-        raise DataError("ablate requires --task")
+    dataset = load_dataset(**_given_inputs(args))
     out_dir = Path(args.out_dir)
     variant_files = [f"{v}/{f}" for v in ABLATION_ORDER for f in ("model.ckpt", "boundaries.tsv")]
     for name in ("report.txt", "report.tsv", "manifest.txt", *variant_files):
@@ -288,11 +270,7 @@ def cmd_ablate(args, tracker: OutputTracker) -> int:
     text = render_text(report)
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
     (out_dir / "report.tsv").write_text(render_tsv(report), encoding="utf-8")
-    inputs = {
-        "edges": args.edges, "nodes": args.nodes,
-        "labels": args.labels, "features": args.features, "task": args.task,
-    }
-    write_manifest(out_dir / "manifest.txt", cfg=cfg, inputs=inputs,
+    write_manifest(out_dir / "manifest.txt", cfg=cfg, inputs=_given_inputs(args),
                    extra={"variants": ",".join(ABLATION_ORDER),
                           "ks": ",".join(map(str, args.ks))})
     print(text, end="")
@@ -330,77 +308,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="config override (repeatable)")
-        p.add_argument("--seed", type=int, default=None)
+    def subcommand(name, help, func, inputs=(), config=False):
+        """A subparser with the config flags when `config`, then a `--<flag>`
+        for each input file in `inputs`, which the run's manifest fingerprints."""
+        p = sub.add_parser(name, help=help)
+        if config:
+            p.add_argument("--config", help="flat key=value config file")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           help="config override (repeatable)")
+            p.add_argument("--seed", type=int, default=None)
+        for flag in inputs:
+            p.add_argument(f"--{flag}", required=flag not in _OPTIONAL_INPUTS,
+                           help=_OPTIONAL_INPUTS.get(flag))
+        p.set_defaults(func=func, inputs=inputs)
+        return p
 
-    p = sub.add_parser("synth-gen", help="generate a synthetic dataset")
-    common(p)
+    p = subcommand("synth-gen", "generate a synthetic dataset", cmd_synth_gen, config=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_synth_gen)
 
-    p = sub.add_parser("build-graph", help="ingest and validate graph files")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--nodes", required=True)
+    p = subcommand("build-graph", "ingest and validate graph files", cmd_build_graph,
+                   ("edges", "nodes"))
     p.add_argument("--out", help="write a stats/fingerprint manifest here")
-    p.set_defaults(func=cmd_build_graph)
 
-    p = sub.add_parser("train", help="train one model variant")
-    common(p)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--features", required=True)
+    p = subcommand("train", "train one model variant", cmd_train,
+                   ("edges", "nodes", "labels", "features"), config=True)
     p.add_argument("--variant", default="full", choices=sorted(VARIANTS))
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("embed", help="export embeddings from a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--boundaries", help="persisted quantile boundaries")
+    p = subcommand("embed", "export embeddings from a checkpoint", cmd_embed,
+                   ("checkpoint", "edges", "nodes", "features", "boundaries"))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("retrieve", help="top-K retrieval from an embedding dump")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--task", required=True)
+    p = subcommand("retrieve", "top-K retrieval from an embedding dump", cmd_retrieve,
+                   ("embeddings", "edges", "nodes", "task"))
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_retrieve)
 
-    p = sub.add_parser("evaluate", help="recall of retrieved lists against a task")
-    p.add_argument("--retrieved", required=True)
-    p.add_argument("--task", required=True)
+    p = subcommand("evaluate", "recall of retrieved lists against a task", cmd_evaluate,
+                   ("retrieved", "task"))
     p.add_argument("--out")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
+    p = subcommand("gradcheck", "finite-difference gradient verification", cmd_gradcheck)
     p.add_argument("--d", type=_positive_int, default=8)
     p.add_argument("--l", type=_positive_int, default=4)
     p.add_argument("--probes", type=_positive_int, default=200)
     p.add_argument("--eps", type=_positive_float, default=1e-4)
     p.add_argument("--pairs", type=_positive_int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("ablate", help="run the full variant grid and report")
-    common(p)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--task", required=True)
+    p = subcommand("ablate", "run the full variant grid and report", cmd_ablate,
+                   ("edges", "nodes", "labels", "features", "task"), config=True)
     p.add_argument("--ks", type=_positive_ints, default="100,200,500,1000")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_ablate)
 
     return parser
 

@@ -101,51 +101,46 @@ def parse_manifest_line(line: str, location: str) -> tuple:
 
 def load_manifest(path) -> FeatureManifest:
     per_type = {}
-    for ntype, spec in iter_file_records(path, parse_manifest_line):
+    for ntype, spec in iter_file_records(
+            path, parse_manifest_line, key=lambda r: f"feature {r[1].name} of {r[0].value}"):
         per_type.setdefault(ntype, []).append(spec)
     return FeatureManifest(per_type, source=str(path))
 
 
 # --- quantile discretization ---------------------------------------------
 
-@dataclass
-class QuantileBoundaries:
-    feature_name: str
-    boundaries: np.ndarray  # strictly increasing, length <= bucket_count - 1
-    degenerate: bool = False  # all inputs identical -> single bucket
-
-
-def fit_quantiles(values, bucket_count: int, feature_name: str = "") -> QuantileBoundaries:
-    """Boundaries at empirical quantiles k/bucket_count (linear interpolation)."""
+def fit_quantiles(values, bucket_count: int, feature_name: str = "") -> np.ndarray:
+    """Boundaries at empirical quantiles k/bucket_count (linear interpolation):
+    strictly increasing, at most bucket_count - 1 of them, and none when every
+    value is the same (a single bucket)."""
     vals = np.asarray(list(values), dtype=np.float64)
     if vals.size == 0:
         raise DataError(f"cannot fit quantiles for {feature_name!r}: no values")
     vals = vals[~np.isnan(vals)]
     if vals.size == 0 or np.all(vals == vals[0]):
-        return QuantileBoundaries(feature_name, np.empty(0), degenerate=True)
+        return np.empty(0)
     qs = np.arange(1, bucket_count) / bucket_count
     bounds = np.quantile(vals, qs, method="linear")
-    bounds = np.unique(bounds)  # collapse duplicates; fewer effective buckets
-    return QuantileBoundaries(feature_name, bounds)
+    return np.unique(bounds)  # collapse duplicates; fewer effective buckets
 
 
-def discretize(x, q: QuantileBoundaries) -> int:
+def discretize(x, boundaries: np.ndarray) -> int:
     """Bucket id = number of boundaries <= x; NaN maps to the reserved bucket 0."""
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return 0
-    return int(np.searchsorted(q.boundaries, x, side="right"))
+    return int(np.searchsorted(boundaries, x, side="right"))
 
 
 def save_boundaries(bounds_by_name: dict, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# feature\tboundaries...\n")
         for name in sorted(bounds_by_name):
-            q = bounds_by_name[name]
-            vals = " ".join(repr(float(b)) for b in q.boundaries)
+            vals = " ".join(repr(float(b)) for b in bounds_by_name[name])
             fh.write(f"{name}\t{vals}\n".rstrip() + "\n")
 
 
-def parse_boundary_line(line: str, location: str) -> QuantileBoundaries:
+def parse_boundary_line(line: str, location: str) -> tuple:
+    """`feature b1 b2 ...` -> (feature name, boundaries array)."""
     name, *values = line.split()
     try:
         bounds = np.array([float(v) for v in values], dtype=np.float64)
@@ -153,11 +148,11 @@ def parse_boundary_line(line: str, location: str) -> QuantileBoundaries:
         raise DataError(f"{location}: {exc}") from exc
     if not np.all(np.isfinite(bounds)) or np.any(np.diff(bounds) <= 0):
         raise DataError(f"{location}: boundaries of {name} must be finite and increasing")
-    return QuantileBoundaries(name, bounds, degenerate=bounds.size == 0)
+    return name, bounds
 
 
 def load_boundaries(path) -> dict:
-    return {q.feature_name: q for q in iter_file_records(path, parse_boundary_line)}
+    return dict(iter_file_records(path, parse_boundary_line, key=lambda r: f"feature {r[0]}"))
 
 
 def fit_graph_quantiles(graph: HeteroGraph, manifest: FeatureManifest) -> dict:
@@ -197,7 +192,6 @@ def _numeric(raw, spec: FeatureSpec, rec) -> float:
 
 @dataclass
 class TypeLayout:
-    node_type: NodeType
     specs: list
     single: dict  # {feature_name: `select` of each node's row of the table}
     terms: dict   # {feature_name: Pooling of each node's term rows of the table}
@@ -249,11 +243,11 @@ class FeatureEncoder:
                     rows = np.repeat(np.arange(len(records)), counts)
                     terms[spec.name] = Pooling(flat, rows, len(records), spec.size)
                 elif spec.kind == KIND_NUMERIC:
-                    q = self.boundaries.get(spec.name)
-                    if q is None:
+                    bounds = self.boundaries.get(spec.name)
+                    if bounds is None:
                         raise DataError(f"no quantile boundaries for {spec.name!r}")
-                    if len(q.boundaries) >= spec.size:
-                        raise DataError(f"{len(q.boundaries)} boundaries for {spec.name!r}, "
+                    if len(bounds) >= spec.size:
+                        raise DataError(f"{len(bounds)} boundaries for {spec.name!r}, "
                                         f"which has {spec.size} buckets")
                     col = np.zeros(len(records), dtype=np.int64)
                     for row, rec in enumerate(records):
@@ -265,10 +259,10 @@ class FeatureEncoder:
                         if math.isnan(x):
                             self.stats.nan += 1
                             continue
-                        col[row] = discretize(x, q)
+                        col[row] = discretize(x, bounds)
                     single[spec.name] = select(col, spec.size)
                 else:  # id
                     col = [self._index_value(spec, rec.features.get(spec.name)) for rec in records]
                     single[spec.name] = select(col, spec.size)
-            layouts[ntype] = TypeLayout(ntype, list(specs), single, terms)
+            layouts[ntype] = TypeLayout(list(specs), single, terms)
         return layouts

@@ -321,9 +321,18 @@ def _numbered_lines(path):
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def iter_file_records(path, parser):
+def iter_file_records(path, parser, key=None):
+    """`parser(line, location)` of each line. `key(record)`, when given, names
+    what a line declares, and a second line naming the same thing is a DataError."""
+    seen = set()
     for lineno, line in _numbered_lines(path):
-        yield parser(line, f"{path}:{lineno}")
+        record = parser(line, f"{path}:{lineno}")
+        if key is not None:
+            name = key(record)
+            if name in seen:
+                raise DataError(f"{path}:{lineno}: {name} is listed twice")
+            seen.add(name)
+        yield record
 
 
 def load_graph(edge_path, node_path) -> HeteroGraph:

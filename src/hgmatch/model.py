@@ -98,7 +98,6 @@ class PathPlan:
 
 @dataclass
 class TowerPlan:
-    tower: str
     all_ids: np.ndarray      # roots incl. influential extras, sorted
     all_rows: ad.Pooling     # selects all_ids' rows of the type's node-level table
     req_ids: np.ndarray
@@ -167,7 +166,6 @@ def build_plan(graph: HeteroGraph, ad_ids, kw_ids, cfg: TrainConfig, variant: Va
         nbrs, segs, _ = infl[tower]
         ids = graph.ids_of[TOWER_TYPE[tower]]
         towers[tower] = TowerPlan(
-            tower=tower,
             all_ids=ids[rows],
             all_rows=ad.select(rows, len(ids)),
             req_ids=req_ids[tower],
@@ -205,15 +203,9 @@ class MatchingModel:
     def __init__(self, graph, layouts, manifest, params, cfg: TrainConfig, variant: VariantSpec):
         self.graph = graph
         self.layouts = layouts
-        self.manifest = manifest
         self.params = params
         self.cfg = cfg
         self.variant = variant
-        if params.meta.get("d") != cfg.d or params.meta.get("l") != cfg.l:
-            raise DataError(
-                f"checkpoint dimensions d={params.meta.get('d')}, l={params.meta.get('l')} "
-                f"do not match config d={cfg.d}, l={cfg.l}"
-            )
         paths = {tower: active_paths(tower, variant.groups) for tower in TOWER_TYPE}
         self.types = set(TOWER_TYPE.values())  # the node types a forward embeds
         if variant.conv:

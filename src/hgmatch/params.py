@@ -5,6 +5,10 @@ conv/<path>/k<layer>/..., att/<tower>, view/<tower>/<view>/...) so the
 optimizer state, checkpoints and gradient checks can address parameters
 uniformly. The tensors are float64 master weights, and a checkpoint holds
 float64 tensors only; a training step computes over a float32 `cast` copy.
+A checkpoint is a zip of one `.npy` per tensor and a `__meta__.json` of
+the format version, the variant name and the config: every shape follows
+from those and the feature manifest (`param_shapes`). The reader ignores
+other meta keys.
 """
 
 from __future__ import annotations
@@ -98,7 +102,6 @@ def init_params(
     rng,
 ) -> ModelParams:
     """Tables uniform, weights Glorot, biases zero, drawn in `param_shapes` order."""
-    d, l = cfg.d, cfg.l
     tensors = {}
     for name, shape in param_shapes(manifest, cfg, variant, paths_by_tower).items():
         if name.startswith("table/"):
@@ -107,16 +110,8 @@ def init_params(
             data = _glorot(rng, shape) if len(shape) == 2 else np.zeros(shape)
         tensors[name] = Tensor(data, requires_grad=True)
 
-    meta = {
-        "format_version": CHECKPOINT_VERSION,
-        "d": d,
-        "l": l,
-        "variant": variant.name,
-        "views": list(variant.views),
-        "aggregator": variant.aggregator,
-        "groups": variant.groups,
-        "config": config_as_dict(cfg),
-    }
+    meta = {"format_version": CHECKPOINT_VERSION, "variant": variant.name,
+            "config": config_as_dict(cfg)}
     return ModelParams(tensors, meta)
 
 

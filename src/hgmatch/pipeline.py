@@ -52,7 +52,8 @@ class Dataset:
 def load_dataset(edges, nodes, features, labels=None, task=None, boundaries=None) -> Dataset:
     graph = load_graph(edges, nodes)
     manifest = load_manifest(features)
-    bounds = load_boundaries(boundaries) if boundaries else fit_graph_quantiles(graph, manifest)
+    bounds = (fit_graph_quantiles(graph, manifest) if boundaries is None
+              else load_boundaries(boundaries))
     encoder = FeatureEncoder(manifest, bounds)
     layouts = encoder.encode_graph(graph)
     return Dataset(

@@ -316,7 +316,6 @@ def naive_plan(graph, ad_ids, kw_ids, cfg, variant) -> ForwardPlan:
                 flat.append(other_rows[int(nid)])
                 segs.append(row)
         towers[tower] = TowerPlan(
-            tower=tower,
             all_ids=ids,
             all_rows=ad.select(_dense_rows(graph, TOWER_TYPE[tower], ids),
                                len(graph.ids_of[TOWER_TYPE[tower]])),

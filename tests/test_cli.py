@@ -892,3 +892,90 @@ def test_retrieve_of_a_damaged_dump_exits_0_or_3(data_dir, dump, tmp_path_factor
     assert rc in (0, 3) and "Traceback" not in err.getvalue()
     if rc == 3:
         assert sorted(p.name for p in work.iterdir()) == ["emb.tsv"]
+
+
+def _fingerprint(path) -> str:
+    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", [
+    "build-graph", "train", "embed", "embed --boundaries", "retrieve", "evaluate", "ablate",
+])
+def test_manifest_fingerprints_every_input_file_given(data_dir, dump, tmp_path, command):
+    files = {name: data_dir / f"{name}.tsv" for name in ("edges", "nodes", "labels", "features", "task")}
+    files.update(checkpoint=dump / "model.ckpt", boundaries=dump / "boundaries.tsv",
+                 embeddings=dump / "emb.tsv", retrieved=tmp_path / "retrieved.tsv")
+    files["retrieved"].write_text("1\tad_click\t10\n")
+    dataset = ("edges", "nodes", "labels", "features")
+    small = ["--set", "epochs=0", "--set", "d=8", "--set", "l=4", "--set", "m=5", "--set", "kappa=2"]
+    t = tmp_path
+    inputs, rest, manifest = {
+        "build-graph": (("edges", "nodes"), ["--out", t / "stats.txt"], "stats.txt"),
+        "train": (dataset, ["--out-dir", t / "run", *small], "run/manifest.txt"),
+        "embed": (("checkpoint", "edges", "nodes", "features"), ["--out", t / "emb.tsv"],
+                  "emb.tsv.manifest"),
+        "embed --boundaries": (("checkpoint", "edges", "nodes", "features", "boundaries"),
+                               ["--out", t / "emb.tsv"], "emb.tsv.manifest"),
+        "retrieve": (("embeddings", "edges", "nodes", "task"),
+                     ["--k", "5", "--out", t / "out.tsv"], "out.tsv.manifest"),
+        "evaluate": (("retrieved", "task"), ["--out", t / "report.txt"], "report.txt.manifest"),
+        "ablate": ((*dataset, "task"), ["--out-dir", t / "ablate", "--ks", "5", *small],
+                   "ablate/manifest.txt"),
+    }[command]
+    given = [a for name in inputs for a in (f"--{name}", files[name])]
+    assert main([command.split()[0], *map(str, given + rest)]) == 0
+    recorded = {k: v for k, v in read_manifest(tmp_path / manifest).items() if k.startswith("input.")}
+    assert recorded == {f"input.{name}": _fingerprint(files[name]) for name in inputs}
+
+
+def test_checkpoint_meta_holds_only_the_version_variant_and_config(dump):
+    meta = load_checkpoint(dump / "model.ckpt").meta
+    assert sorted(meta) == ["config", "format_version", "variant"]
+
+
+def test_checkpoint_meta_with_config_copies_embeds_the_same_bytes(data_dir, dump, tmp_path):
+    """A checkpoint whose meta also repeats d, l and the variant's fields, as
+    checkpoints once did, loads and embeds as one without them."""
+    from hgmatch.config import VARIANTS
+
+    full = VARIANTS["full"]
+    ckpt = tmp_path / "model.ckpt"
+    with zipfile.ZipFile(dump / "model.ckpt") as src, zipfile.ZipFile(ckpt, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            if info.filename == "__meta__.json":
+                meta = {**json.loads(data), "d": 8, "l": 4, "views": list(full.views),
+                        "aggregator": full.aggregator, "groups": full.groups}
+                data = json.dumps(meta, sort_keys=True).encode("utf-8")
+            dst.writestr(info, data)
+    emb = tmp_path / "emb.tsv"
+    rc = main(["embed", "--checkpoint", str(ckpt),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+               "--features", str(data_dir / "features.tsv"),
+               "--boundaries", str(dump / "boundaries.tsv"), "--out", str(emb)])
+    assert rc == 0
+    assert emb.read_bytes() == (dump / "emb.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("file", ["features", "boundaries"])
+def test_a_feature_listed_twice_exits_3_at_the_second_line(data_dir, dump, tmp_path, capsys, file):
+    features, bounds = tmp_path / "features.tsv", tmp_path / "bounds.tsv"
+    feature_lines = (data_dir / "features.tsv").read_text().splitlines(keepends=True)
+    bound_lines = (dump / "boundaries.tsv").read_text().splitlines(keepends=True)
+    if file == "features":
+        ad_id = next(l for l in feature_lines if l.startswith("ad\tad_id\t"))
+        feature_lines.append(ad_id)
+        named = f"{features}:{len(feature_lines)}: feature ad_id of ad is listed twice"
+    else:
+        bound_lines.append(next(l for l in bound_lines if l.startswith("bid_price\t")))
+        named = f"{bounds}:{len(bound_lines)}: feature bid_price is listed twice"
+    features.write_text("".join(feature_lines))
+    bounds.write_text("".join(bound_lines))
+    emb = tmp_path / "out" / "emb.tsv"
+    rc = main(["embed", "--checkpoint", str(dump / "model.ckpt"),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+               "--features", str(features), "--boundaries", str(bounds), "--out", str(emb)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds.tsv", "features.tsv"]

@@ -10,7 +10,6 @@ from hgmatch.features import (
     FeatureManifest,
     FeatureSpec,
     FeatureEncoder,
-    QuantileBoundaries,
     discretize,
     fit_quantiles,
     load_boundaries,
@@ -24,17 +23,17 @@ from hgmatch.graph import NodeType
 
 def test_fit_quantiles_linear_interpolation():
     q = fit_quantiles(range(1, 101), 4)
-    assert np.allclose(q.boundaries, [25.75, 50.5, 75.25])
+    assert np.allclose(q, [25.75, 50.5, 75.25])
 
 
 def test_fit_quantiles_median_of_two():
     q = fit_quantiles([0.0, 10.0], 2)
-    assert np.allclose(q.boundaries, [5.0])
+    assert np.allclose(q, [5.0])
 
 
 def test_fit_quantiles_constant_degenerates():
     q = fit_quantiles([3.0] * 50, 8)
-    assert q.degenerate and len(q.boundaries) == 0
+    assert len(q) == 0
     assert discretize(3.0, q) == 0
     assert discretize(99.0, q) == 0
 
@@ -42,11 +41,11 @@ def test_fit_quantiles_constant_degenerates():
 def test_fit_quantiles_duplicates_collapse():
     # heavy mass at one value produces duplicate quantiles -> fewer buckets
     q = fit_quantiles([1.0] * 90 + [2.0] * 10, 8)
-    assert np.all(np.diff(q.boundaries) > 0)
+    assert np.all(np.diff(q) > 0)
 
 
 def test_discretize_boundary_conventions():
-    q = QuantileBoundaries("x", np.array([10.0, 20.0, 30.0]))
+    q = np.array([10.0, 20.0, 30.0])
     assert discretize(5, q) == 0
     assert discretize(10, q) == 1  # boundary counts as <= x
     assert discretize(1e9, q) == 3
@@ -57,7 +56,7 @@ def test_discretize_boundary_conventions():
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
 def test_discretize_monotone(x, y):
-    q = QuantileBoundaries("x", np.array([-10.0, 0.0, 1.5, 400.0]))
+    q = np.array([-10.0, 0.0, 1.5, 400.0])
     if x <= y:
         assert discretize(x, q) <= discretize(y, q)
     else:
@@ -101,7 +100,37 @@ def test_boundaries_roundtrip(tmp_path):
     path = tmp_path / "bounds.tsv"
     save_boundaries(bounds, path)
     loaded = load_boundaries(path)
-    assert np.array_equal(loaded["price"].boundaries, bounds["price"].boundaries)
+    assert np.array_equal(loaded["price"], bounds["price"])
+
+
+# as `save_boundaries` writes them: sorted names, repr'd floats, a bare name for none
+BOUNDARIES_FILE = ("# feature\tboundaries...\n"
+                   "count\t0.17500000000000002 0.44999999999999996 1.275\n"
+                   "flat\n"
+                   "price\t0.25 0.5 0.75\n")
+
+
+def test_boundaries_file_reads_to_equal_arrays_and_writes_back_the_same(tmp_path):
+    fitted = {"price": fit_quantiles(np.linspace(0, 1, 9), 4),
+              "flat": fit_quantiles([2.0] * 5, 4),
+              "count": fit_quantiles([0.1, 0.2, 0.7, 3.0], 4)}
+    path = tmp_path / "bounds.tsv"
+    path.write_text(BOUNDARIES_FILE)
+    loaded = load_boundaries(path)
+    assert sorted(loaded) == sorted(fitted)
+    assert all(np.array_equal(loaded[name], fitted[name]) for name in fitted)
+    save_boundaries(fitted, tmp_path / "again.tsv")
+    assert (tmp_path / "again.tsv").read_text() == BOUNDARIES_FILE
+
+
+def test_manifest_shares_a_feature_name_across_node_types_but_not_within_one(tmp_path):
+    path = tmp_path / "features.tsv"
+    path.write_text("ad\tad_id\tid\t10\t8\nitem\tad_id\tid\t10\t8\n")
+    m = load_manifest(path)
+    assert list(m.tables) == ["ad_id"] and m.concat_width(NodeType.AD) == 8
+    path.write_text("ad\tad_id\tid\t10\t8\n# again\nad\tad_id\tid\t10\t8\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: feature ad_id of ad is listed twice")):
+        load_manifest(path)
 
 
 def test_stable_hash_is_deterministic_across_runs():

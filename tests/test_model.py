@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hgmatch import autodiff as ad
@@ -396,7 +398,11 @@ def test_checkpoint_dimension_mismatch_rejected(tiny_dataset, tiny_model):
     from hgmatch.errors import DataError
     from hgmatch.model import MatchingModel
 
+    # the first tensor in `param_shapes` order whose shape follows d
+    width = tiny_dataset.manifest.concat_width(NodeType.AD)
     bad_cfg = TrainConfig(d=16, l=4, m=5, kappa=2, seed=11)
-    with pytest.raises(DataError, match="do not match"):
+    with pytest.raises(DataError, match=re.escape(
+            f"checkpoint fusion/ad/W1 has shape ({width}, 8); the feature manifest, "
+            f"config and variant need ({width}, 16)")):
         MatchingModel(tiny_dataset.graph, tiny_dataset.layouts, tiny_dataset.manifest,
                       tiny_model.params, bad_cfg, VARIANTS["full"])
