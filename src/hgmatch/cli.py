@@ -26,7 +26,7 @@ from .config import (
     load_config_file,
 )
 from .errors import DataError, NumericError
-from .graph import RELATION_SCHEMA, Relation, NodeType, iter_file_records, load_graph
+from .graph import RELATION_SCHEMA, Relation, NodeType, load_graph, read_records
 from .manifest import write_manifest
 from .params import load_checkpoint, variant_from_meta
 from .pipeline import build_model, load_dataset, run_ablation, train_variant
@@ -36,7 +36,7 @@ from .retrieval import (
     export_embeddings,
     load_embeddings,
     load_task,
-    parse_view_line,
+    parse_view_lines,
     recall_at_k,
     retrieve_all,
     save_embeddings,
@@ -178,6 +178,7 @@ def cmd_retrieve(args, tracker: OutputTracker) -> int:
     graph = load_graph(args.edges, args.nodes)
     cat_index = CategoryIndex.build(graph)
     task = load_task(args.task)
+    graph.rows(NodeType.AD, task.ads)  # a task ad the graph does not hold is a DataError
     retrieved = retrieve_all(store, graph, cat_index, task, args.k)
     out = tracker.register(args.out)
     with open(out, "w", encoding="utf-8") as fh:
@@ -195,18 +196,9 @@ def cmd_retrieve(args, tracker: OutputTracker) -> int:
     return 0
 
 
-def _parse_retrieved_line(line: str, location: str) -> tuple:
-    parts = line.split()
-    if len(parts) != 3:
-        raise DataError(f"{location}: expected `ad_id view kw_id`")
-    ad_id, view, kw = parts
-    view, ad_id, kw = parse_view_line(f"{view} {ad_id} {kw}", location)  # checks view and ids
-    return ad_id, view, kw
-
-
 def _load_retrieved(path) -> dict:
     out = {}
-    for ad_id, view, kw in iter_file_records(path, _parse_retrieved_line):
+    for view, ad_id, kw in read_records(path, lambda x: parse_view_lines(x, "ad_id view kw_id")):
         out.setdefault(ad_id, {}).setdefault(view, []).append(kw)
     return out
 

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import DataError
-from .graph import iter_file_records
+from .graph import read_records
 
 VIEW_AD_CLICK = "ad_click"
 VIEW_AD_BID = "ad_bid"
@@ -114,17 +114,18 @@ class SynthConfig:
 _CONFIG_KEYS = {f.name for cls in (SynthConfig, TrainConfig) for f in fields(cls)}
 
 
-def parse_config_line(line: str, location: str) -> tuple:
-    """`key = value`, with anything after a `#` a comment."""
-    key, sep, value = line.split("#", 1)[0].partition("=")
-    if not sep:
-        raise DataError(f"{location}: expected key = value")
-    return key.strip(), value.strip()
+def parse_config_lines(lines):
+    """(key, value) of each `key = value` line, anything after a `#` a comment."""
+    for line in lines:
+        key, sep, value = line.split("#", 1)[0].partition("=")
+        if not sep:
+            raise DataError("expected key = value")
+        yield key.strip(), value.strip()
 
 
 def load_config_file(path) -> dict:
     """Flat `key = value` lines; `#` comments; later keys win."""
-    return dict(iter_file_records(path, parse_config_line))
+    return dict(read_records(path, parse_config_lines))
 
 
 def apply_overrides(cls, raw: dict):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Pooling, select
 from .errors import DataError
-from .graph import HeteroGraph, NodeType, iter_file_records
+from .graph import HeteroGraph, NodeType, read_records
 
 KIND_ID = "id"
 KIND_TERMS = "terms"
@@ -85,24 +85,21 @@ def save_manifest(manifest: FeatureManifest, path):
                 fh.write(f"{ntype.value}\t{s.name}\t{s.kind}\t{s.size}\t{s.width}\n")
 
 
-def parse_manifest_line(line: str, location: str) -> tuple:
-    """`node_type feature kind size width` -> (NodeType, FeatureSpec); a size
-    of `-` is the default hash vocabulary."""
-    parts = line.split()
-    if len(parts) != 5:
-        raise DataError(f"{location}: expected 5 fields")
-    ttok, name, kind, size, width = parts
-    try:
+def parse_manifest_lines(lines):
+    """(NodeType, FeatureSpec) of each `node_type feature kind size width`
+    line; a size of `-` is the default hash vocabulary."""
+    for parts in map(str.split, lines):
+        if len(parts) != 5:
+            raise DataError("expected 5 fields")
+        ttok, name, kind, size, width = parts
         vocab = DEFAULT_HASH_VOCAB if size == "-" else int(size)
-        return NodeType(ttok), FeatureSpec(name, kind, vocab, int(width))
-    except (ValueError, DataError) as exc:
-        raise DataError(f"{location}: {exc}") from exc
+        yield NodeType(ttok), FeatureSpec(name, kind, vocab, int(width))
 
 
 def load_manifest(path) -> FeatureManifest:
     per_type = {}
-    for ntype, spec in iter_file_records(
-            path, parse_manifest_line, key=lambda r: f"feature {r[1].name} of {r[0].value}"):
+    for ntype, spec in read_records(
+            path, parse_manifest_lines, key=lambda r: f"feature {r[1].name} of {r[0].value}"):
         per_type.setdefault(ntype, []).append(spec)
     return FeatureManifest(per_type, source=str(path))
 
@@ -139,20 +136,17 @@ def save_boundaries(bounds_by_name: dict, path):
             fh.write(f"{name}\t{vals}\n".rstrip() + "\n")
 
 
-def parse_boundary_line(line: str, location: str) -> tuple:
-    """`feature b1 b2 ...` -> (feature name, boundaries array)."""
-    name, *values = line.split()
-    try:
+def parse_boundary_lines(lines):
+    """(feature name, boundaries array) of each `feature b1 b2 ...` line."""
+    for name, *values in map(str.split, lines):
         bounds = np.array([float(v) for v in values], dtype=np.float64)
-    except ValueError as exc:
-        raise DataError(f"{location}: {exc}") from exc
-    if not np.all(np.isfinite(bounds)) or np.any(np.diff(bounds) <= 0):
-        raise DataError(f"{location}: boundaries of {name} must be finite and increasing")
-    return name, bounds
+        if not np.all(np.isfinite(bounds)) or np.any(np.diff(bounds) <= 0):
+            raise DataError(f"boundaries of {name} must be finite and increasing")
+        yield name, bounds
 
 
 def load_boundaries(path) -> dict:
-    return dict(iter_file_records(path, parse_boundary_line, key=lambda r: f"feature {r[0]}"))
+    return dict(read_records(path, parse_boundary_lines, key=lambda r: f"feature {r[0]}"))
 
 
 def fit_graph_quantiles(graph: HeteroGraph, manifest: FeatureManifest) -> dict:

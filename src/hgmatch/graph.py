@@ -3,12 +3,15 @@
 The graph is built once from edge/node files and then frozen. Every
 relation is indexed from both endpoints as a CSR table of neighbor rows,
 each row sorted by descending weight (ties: ascending node id), and all
-query methods are read-only, so concurrent lookups are safe.
+query methods are read-only, so concurrent lookups are safe. Every record
+file is read by `read_chunks`, a chunk of lines at a time, which alone names
+a bad file's first bad line.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -244,6 +247,60 @@ _EDGE_FIELDS = (TYPE_CODE.__getitem__, int, _RELATION_CODE.__getitem__,
                 TYPE_CODE.__getitem__, int, float)
 
 
+# --- reading record files -----------------------------------------------------
+
+LINES_PER_CHUNK = 512  # record lines parsed together
+
+
+def read_chunks(path, parse, check=None) -> list:
+    """[(line numbers, parse(lines)), ...] over the record lines of a UTF-8
+    text file (stripped, neither blank nor `#` comments), LINES_PER_CHUNK at
+    a time.
+
+    A bad file is a DataError at `path:line` of the first line that `parse`
+    fails on alone, or of an earlier line that `check(chunks)` names as
+    (line number, message) for a rule across lines.
+    """
+    chunks, bad = [], None
+    with open(path, "r", encoding="utf-8") as fh:  # lines end at \n, \r\n or \r only
+        numbered = ((n, line) for n, line in enumerate(map(str.strip, fh), 1)
+                    if line and line[0] != "#")
+        try:
+            while not bad and (chunk := list(itertools.islice(numbered, LINES_PER_CHUNK))):
+                numbers, lines = np.array([n for n, _ in chunk]), [line for _, line in chunk]
+                try:
+                    chunks.append((numbers, parse(lines)))
+                except (DataError, KeyError, ValueError):  # each line alone, to the first bad one
+                    for n, line in zip(numbers, lines):
+                        try:
+                            chunks.append((np.array([n]), parse([line])))
+                        except (DataError, KeyError, ValueError) as exc:
+                            bad = n, (f"unknown token {exc.args[0]!r}"
+                                      if isinstance(exc, KeyError) else str(exc))
+                            break
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    found = (check and chunks and check(chunks)) or bad
+    if found:
+        raise DataError(f"{path}:{found[0]}: {found[1]}")
+    return chunks
+
+
+def read_records(path, parse, key=None) -> list:
+    """The records `parse(lines)` yields for each chunk of a file. `key(record)`,
+    when given, names what a line declares, and a second line naming it is a DataError."""
+    def first_repeat(chunks):
+        seen = set()
+        for numbers, records in chunks:
+            for n, name in zip(numbers, map(key, records)):
+                if name in seen:
+                    return n, f"{name} is listed twice"
+                seen.add(name)
+
+    chunks = read_chunks(path, lambda lines: list(parse(lines)), key and first_repeat)
+    return [record for _, records in chunks for record in records]
+
+
 def _column(parse, tokens) -> np.ndarray:
     values = list(map(parse, tokens))
     try:
@@ -252,29 +309,19 @@ def _column(parse, tokens) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def parse_edge_lines(lines) -> tuple:
+    """The six columns of `src_type src_id relation dst_type dst_id weight`
+    lines; ids and weights parse as Python's int and float parse them."""
+    for n in map(len, map(str.split, lines)):
+        if n != 6:
+            raise DataError(f"expected 6 fields, got {n}")
+    tokens = " ".join(lines).split()
+    return tuple(_column(parse, tokens[k::6]) for k, parse in enumerate(_EDGE_FIELDS))
+
+
 def read_edges(path) -> EdgeColumns:
-    """An edge file (`src_type src_id relation dst_type dst_id weight` per
-    line) as columns. A line that does not parse is a DataError at its
-    path:line; ids and weights parse as Python's int and float parse them."""
-    numbered = list(_numbered_lines(path))
-    if all(len(line.split()) == 6 for _, line in numbered):
-        tokens = " ".join([line for _, line in numbered]).split()
-        try:
-            return EdgeColumns(str(path), np.array([n for n, _ in numbered], dtype=np.int64), *(
-                _column(parse, tokens[k::6]) for k, parse in enumerate(_EDGE_FIELDS)))
-        except (KeyError, ValueError):
-            pass  # a token that does not parse: named below
-    for n, line in numbered:  # only a bad file gets here
-        parts = line.split()
-        if len(parts) != 6:
-            raise DataError(f"{path}:{n}: expected 6 fields, got {len(parts)}")
-        for token, parse in zip(parts, _EDGE_FIELDS):
-            try:
-                parse(token)
-            except KeyError:
-                raise DataError(f"{path}:{n}: unknown token {token!r}") from None
-            except ValueError as exc:
-                raise DataError(f"{path}:{n}: {exc}") from exc
+    chunks = read_chunks(path, parse_edge_lines) or [(np.empty(0, np.int64), parse_edge_lines([]))]
+    return EdgeColumns(str(path), *map(np.concatenate, zip(*((n, *c) for n, c in chunks))))
 
 
 def parse_id(token: str) -> int:
@@ -285,56 +332,25 @@ def parse_id(token: str) -> int:
     return node_id
 
 
-def parse_node_line(line: str, location: str) -> NodeRecord:
-    parts = line.split()
-    if len(parts) < 4:
-        raise DataError(f"{location}: expected at least 4 fields, got {len(parts)}")
-    ttok, nid, cat, searched = parts[:4]
-    try:
-        ntype = NODE_TYPES[TYPE_CODE[ttok]]
-        node_id = parse_id(nid)
-        category = int(cat)
-        searched_count = float(searched)
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{location}: {exc}") from exc
-    if not math.isfinite(searched_count):
-        raise DataError(f"{location}: non-finite searched count {searched!r}")
-    features = {}
-    for kv in parts[4:]:
-        if "=" not in kv:
-            raise DataError(f"{location}: feature field {kv!r} is not name=value")
-        name, value = kv.split("=", 1)
-        features[name] = value
-    return NodeRecord(ntype, node_id, category, searched_count, features)
-
-
-def _numbered_lines(path):
-    """(line number, stripped line) of each line of a UTF-8 text file that is
-    neither blank nor a `#` comment."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line and not line.startswith("#"):
-                    yield lineno, line
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
-def iter_file_records(path, parser, key=None):
-    """`parser(line, location)` of each line. `key(record)`, when given, names
-    what a line declares, and a second line naming the same thing is a DataError."""
-    seen = set()
-    for lineno, line in _numbered_lines(path):
-        record = parser(line, f"{path}:{lineno}")
-        if key is not None:
-            name = key(record)
-            if name in seen:
-                raise DataError(f"{path}:{lineno}: {name} is listed twice")
-            seen.add(name)
-        yield record
+def parse_node_lines(lines):
+    """A NodeRecord per `node_type node_id category searched name=value...` line."""
+    for parts in map(str.split, lines):
+        if len(parts) < 4:
+            raise DataError(f"expected at least 4 fields, got {len(parts)}")
+        ttok, nid, cat, searched = parts[:4]
+        ntype, node_id, category = NODE_TYPES[TYPE_CODE[ttok]], parse_id(nid), int(cat)
+        if not math.isfinite(searched_count := float(searched)):
+            raise DataError(f"non-finite searched count {searched!r}")
+        features = {}
+        for kv in parts[4:]:
+            name, sep, value = kv.partition("=")
+            if not sep:
+                raise DataError(f"feature field {kv!r} is not name=value")
+            if name in features:
+                raise DataError(f"feature {name} is listed twice")
+            features[name] = value
+        yield NodeRecord(ntype, node_id, category, searched_count, features)
 
 
 def load_graph(edge_path, node_path) -> HeteroGraph:
-    nodes = list(iter_file_records(node_path, parse_node_line))
-    return ingest(read_edges(edge_path), nodes)
+    return ingest(read_edges(edge_path), read_records(node_path, parse_node_lines))

@@ -11,16 +11,16 @@ the next has the list either gives; every other row is ranked alone
 (`_quantize`) find each value's nine significant digits and the value they
 read back as; the dump writes the digits as 16-byte `%+.8e` cells, so export
 -> dump -> reload -> score is reproducible bit for bit. The dump is read back
-in chunks, fields checked as columns; cells are parsed as machine words
-(`_parse_cells`), other values by np.loadtxt (no `1_0`, no non-ASCII digits).
-A dump failing a check is re-read line by line to name the line.
+by `graph.read_chunks`, fields checked as columns; cells are parsed as machine
+words (`_parse_cells`), other values by np.loadtxt (no `1_0`, no non-ASCII
+digits). One width and no repeated row are the dump's rules across lines.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from .config import ALL_VIEWS
 from .errors import DataError, NumericError
-from .graph import (NODE_TYPES, TYPE_CODE, HeteroGraph, NodeType, Relation, _numbered_lines,
-                    iter_file_records, lookup_rows, parse_id)
+from .graph import (NODE_TYPES, TYPE_CODE, HeteroGraph, NodeType, Relation, lookup_rows, parse_id,
+                    read_chunks, read_records)
 from .model import AD_TOWER, KW_TOWER, MatchingModel
 from .sampling import CategoryIndex, stable_smallest
 
@@ -159,7 +159,6 @@ def save_embeddings(store: EmbeddingStore, path):
                 fh.write(b"".join([part for line in zip(*columns) for part in line]))
 
 
-_CHUNK_LINES = 256  # dump lines per chunk: 16,384 cells at d = 64
 # float64 rows of whitespace-separated numbers as loadtxt reads them: no `1_0`, no non-ASCII digits
 _parse_values = functools.partial(np.loadtxt, dtype=np.float64, ndmin=2, comments=None)
 # Per byte of a cell `%+.8e ` (s a sign, d a digit) as two words: the bits
@@ -193,50 +192,48 @@ def _parse_cells(vals) -> np.ndarray:
     return _parse_values(vals) if np.isnan(values).any() else values
 
 
-def _raise_first_bad_row(path):
-    """Raise the DataError of the dump's first bad line, checking one line at
-    a time what `load_embeddings` checks by the chunk."""
-    d, seen = None, set()
-    for lineno, line in _numbered_lines(path):
-        where, parts = f"{path}:{lineno}", line.split("\t")
-        if len(parts) != 4:
-            raise DataError(f"{where}: expected 4 tab-separated fields")
-        ttok, nid, view, vals = parts
-        if view not in ALL_VIEWS:
-            raise DataError(f"{where}: unknown view {view!r}")
-        try:
-            key, vec = (view, NODE_TYPES[TYPE_CODE[ttok]], parse_id(nid)), _parse_values([vals])[0]
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"{where}: {exc}") from exc
-        d = len(vec) if d is None else d
-        problem = ("non-finite vector value" if not np.isfinite(vec).all() else
-                   "inconsistent vector length" if len(vec) != d else
-                   f"duplicate {view} row for {key[1].value}:{key[2]}" if key in seen else None)
-        if problem:
-            raise DataError(f"{where}: {problem}")
-        seen.add(key)
-    raise DataError(f"{path}: " + ("unreadable rows" if seen else "embedding dump has no rows"))
+def parse_dump_lines(lines) -> tuple:
+    """Views, types (indexes in ALL_VIEWS and NODE_TYPES), ids and values of
+    dump lines `node_type<TAB>node_id<TAB>view<TAB>values...`."""
+    fields = np.array([line.split("\t") for line in lines], dtype=object)
+    if fields.shape != (len(lines), 4):
+        raise DataError("expected 4 tab-separated fields")
+    types, ids, views, vals = fields.T
+    if unknown := set(views) - set(ALL_VIEWS):
+        raise DataError(f"unknown view {min(unknown)!r}")
+    columns = (np.array([ALL_VIEWS.index(v) for v in views]),
+               np.array([TYPE_CODE[t] for t in types]),
+               np.array(list(map(parse_id, ids)), dtype=np.int64), _parse_cells(vals))
+    if len(columns[3]) != len(lines) or not np.isfinite(columns[3]).all():
+        raise DataError("non-finite vector value")
+    return columns
+
+
+def _first_bad_dump_row(chunks):
+    """(line number, message) of the first dump row whose width differs from
+    the first row's, or that repeats an earlier row's view, type and id."""
+    d = chunks[0][1][3].shape[1]
+    found = [(numbers[0], "inconsistent vector length")
+             for numbers, (*_, values) in chunks if values.shape[1] != d][:1]
+    numbers, views, types, ids = map(np.concatenate, zip(*((n, *c[:3]) for n, c in chunks)))
+    order = np.lexsort((ids, types, views))  # stable: a repeat follows its first row
+    key = np.stack([views, types, ids])[:, order]
+    repeats = order[1:][(key[:, 1:] == key[:, :-1]).all(axis=0)]
+    if len(repeats):
+        i = repeats[np.argmin(numbers[repeats])]
+        found.append((numbers[i], f"duplicate {ALL_VIEWS[views[i]]} row for "
+                                  f"{NODE_TYPES[types[i]].value}:{ids[i]}"))
+    return min(found, key=lambda f: f[0], default=None)
 
 
 def load_embeddings(path) -> EmbeddingStore:
-    chunks, lines = [], (line for _, line in _numbered_lines(path))
-    try:  # a ValueError also for a line without 4 fields, no rows or two widths
-        while chunk := [line.split("\t") for line in itertools.islice(lines, _CHUNK_LINES)]:
-            types, ids, views, vals = np.array(chunk, dtype=object).T
-            values = _parse_cells(vals)
-            if len(values) != len(chunk) or not np.isfinite(values).all():
-                raise ValueError("a row of values that is not finite")
-            chunks.append((np.array([ALL_VIEWS.index(v) for v in views]),
-                           np.array([TYPE_CODE[t] for t in types]),
-                           np.array(list(map(parse_id, ids)), dtype=np.int64), values))
-        views, types, ids, mat = (np.concatenate([c[k] for c in chunks]) for k in range(4))
-    except (DataError, KeyError, ValueError):  # DataError: a file that is not UTF-8
-        _raise_first_bad_row(path)
+    chunks = read_chunks(path, parse_dump_lines, _first_bad_dump_row)
+    if not chunks:
+        raise DataError(f"{path}: embedding dump has no rows")
+    views, types, ids, mat = map(np.concatenate, zip(*(columns for _, columns in chunks)))
     del chunks
-    order = np.lexsort((ids, types, views))  # stable: a repeat follows its first row
+    order = np.lexsort((ids, types, views))
     key = np.stack([views, types, ids])[:, order]
-    if (key[:, 1:] == key[:, :-1]).all(axis=0).any():
-        _raise_first_bad_row(path)  # a duplicate row
     vectors = {}
     for rows in np.split(order, np.flatnonzero((key[:2, 1:] != key[:2, :-1]).any(axis=0)) + 1):
         view, ntype = ALL_VIEWS[views[rows[0]]], NODE_TYPES[types[rows[0]]]
@@ -299,22 +296,21 @@ class EvalTask:
         )
 
 
-def parse_view_line(line: str, location: str) -> tuple:
-    """One `view ad_id kw_id` record of a labels or task file."""
-    parts = line.split()
-    if len(parts) != 3:
-        raise DataError(f"{location}: expected `view ad_id kw_id`")
-    view, ad_id, kw_id = parts
-    if view not in ALL_VIEWS:
-        raise DataError(f"{location}: unknown view {view!r}")
-    try:
-        return view, parse_id(ad_id), parse_id(kw_id)
-    except ValueError as exc:
-        raise DataError(f"{location}: {exc}") from exc
+def parse_view_lines(lines, layout="view ad_id kw_id"):
+    """A (view, ad id, keyword id) tuple per line of a labels or task file, or
+    of lines whose three fields come in the order `layout` names them."""
+    pick = operator.itemgetter(*map(layout.split().index, ("view", "ad_id", "kw_id")))
+    for parts in map(str.split, lines):
+        if len(parts) != 3:
+            raise DataError(f"expected `{layout}`")
+        view, ad_id, kw_id = pick(parts)
+        if view not in ALL_VIEWS:
+            raise DataError(f"unknown view {view!r}")
+        yield view, parse_id(ad_id), parse_id(kw_id)
 
 
 def load_labels(path) -> list:
-    return list(iter_file_records(path, parse_view_line))
+    return read_records(path, parse_view_lines)
 
 
 def load_task(path) -> EvalTask:

@@ -7,7 +7,9 @@ tables and the `influential_neighbors` query live here, next to
 `naive_node_embedding`, which chains them over per-node neighbor queries
 for one node's full forward pass. `node_embedding` reads one
 root's intermediate embeddings off a batched forward result, so tests can
-compare the two node by node. The edge file's reader as it was before it
+compare the two node by node. Record files read one line at a time, each
+parser prefixing its own messages with the line's location, are
+`iter_file_records` and `parse_node_line`. The edge file's reader as it was before it
 read columns, one `EdgeRecord` per line checked and merged one at a time,
 is `reference_load_graph`; the embedding dump's reader as it was before it
 read chunks of columns, one row parsed and stored at a time, is
@@ -560,6 +562,66 @@ class ReferenceAdam:
                 raise NumericError(f"non-finite parameter {name} after update")
 
 
+# --- record files, one line at a time ----------------------------------------
+
+_NODE_TYPE_BY_TOKEN = {t.value: t for t in NodeType}
+_RELATION_BY_TOKEN = {r.value: r for r in Relation}
+
+
+def _numbered_lines(path):
+    """(line number, stripped line) of each line of a UTF-8 text file that is
+    neither blank nor a `#` comment."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def iter_file_records(path, parser, key=None):
+    """`parser(line, location)` of each line. `key(record)`, when given, names
+    what a line declares, and a second line naming the same thing is a DataError."""
+    seen = set()
+    for lineno, line in _numbered_lines(path):
+        record = parser(line, f"{path}:{lineno}")
+        if key is not None:
+            name = key(record)
+            if name in seen:
+                raise DataError(f"{path}:{lineno}: {name} is listed twice")
+            seen.add(name)
+        yield record
+
+
+def parse_node_line(line: str, location: str) -> hg.NodeRecord:
+    """One node line, each error prefixed with `location`."""
+    parts = line.split()
+    if len(parts) < 4:
+        raise DataError(f"{location}: expected at least 4 fields, got {len(parts)}")
+    ttok, nid, cat, searched = parts[:4]
+    try:
+        ntype = _NODE_TYPE_BY_TOKEN[ttok]
+    except KeyError:
+        raise DataError(f"{location}: unknown token {ttok!r}") from None
+    try:
+        node_id, category, searched_count = hg.parse_id(nid), int(cat), float(searched)
+    except ValueError as exc:
+        raise DataError(f"{location}: {exc}") from exc
+    if not math.isfinite(searched_count):
+        raise DataError(f"{location}: non-finite searched count {searched!r}")
+    features = {}
+    for kv in parts[4:]:
+        if "=" not in kv:
+            raise DataError(f"{location}: feature field {kv!r} is not name=value")
+        name, value = kv.split("=", 1)
+        if name in features:
+            raise DataError(f"{location}: feature {name} is listed twice")
+        features[name] = value
+    return hg.NodeRecord(ntype, node_id, category, searched_count, features)
+
+
 # --- the edge file, one line at a time ---------------------------------------
 
 class EdgeRecord(NamedTuple):
@@ -570,10 +632,6 @@ class EdgeRecord(NamedTuple):
     dst_id: int
     weight: float
     location: str = ""
-
-
-_NODE_TYPE_BY_TOKEN = {t.value: t for t in NodeType}
-_RELATION_BY_TOKEN = {r.value: r for r in Relation}
 
 
 def parse_edge_line(line: str, location: str) -> EdgeRecord:
@@ -665,8 +723,8 @@ def reference_ingest(records, node_records) -> hg.HeteroGraph:
 
 def reference_load_graph(edge_path, node_path) -> hg.HeteroGraph:
     """`graph.load_graph` parsing the edge file one line at a time."""
-    nodes = list(hg.iter_file_records(node_path, hg.parse_node_line))
-    edges = list(hg.iter_file_records(edge_path, parse_edge_line))
+    nodes = list(iter_file_records(node_path, parse_node_line))
+    edges = list(iter_file_records(edge_path, parse_edge_line))
     return reference_ingest(edges, nodes)
 
 
@@ -682,10 +740,12 @@ def parse_embedding_line(line: str, location: str) -> tuple:
     ttok, nid, view, vals = parts
     if view not in ALL_VIEWS:
         raise DataError(f"{location}: unknown view {view!r}")
+    if ttok not in _NODE_TYPE_BY_TOKEN:
+        raise DataError(f"{location}: unknown token {ttok!r}")
     try:
-        ntype, node_id = hg.NODE_TYPES[hg.TYPE_CODE[ttok]], hg.parse_id(nid)
+        ntype, node_id = _NODE_TYPE_BY_TOKEN[ttok], hg.parse_id(nid)
         vec = np.array(vals.split(), dtype=np.float64)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"{location}: {exc}") from exc
     if not np.isfinite(vec).all():
         raise DataError(f"{location}: non-finite vector value")
@@ -696,7 +756,7 @@ def reference_load_embeddings(path) -> EmbeddingStore:
     """`retrieval.load_embeddings` checking and storing one row at a time."""
     rows = {}  # {(view, NodeType): {node id: vector}}
     d = None
-    for ntype, node_id, view, vec, location in hg.iter_file_records(path, parse_embedding_line):
+    for ntype, node_id, view, vec, location in iter_file_records(path, parse_embedding_line):
         if d is None:
             d = len(vec)
         elif len(vec) != d:

@@ -791,7 +791,7 @@ def test_zero_size_or_width_in_a_manifest_exits_3_with_location(data_dir, tmp_pa
 
 def test_retrieve_names_a_bad_dump_row_past_the_first_chunk(data_dir, dump, tmp_path, capsys):
     """Item rows (which matching never reads) push a bad row past the first
-    1,024 lines that the reader parses at once."""
+    chunk of lines that the reader parses at once."""
     text = (dump / "emb.tsv").read_text()
     filler = "".join(f"item\t{i}\tad_click\t{' '.join(['0.5'] * 8)}\n" for i in range(1200))
     bad_line = len(text.splitlines()) + 1200 + 1
@@ -979,3 +979,52 @@ def test_a_feature_listed_twice_exits_3_at_the_second_line(data_dir, dump, tmp_p
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds.tsv", "features.tsv"]
+
+
+def _with_line(src, dst, edit):
+    """`src` copied to `dst` with its first record line replaced by
+    `edit(line)`; returns that line's number."""
+    lines = src.read_text().splitlines(keepends=True)
+    at = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    lines[at] = edit(lines[at])
+    dst.write_text("".join(lines))
+    return at + 1
+
+
+def test_a_node_naming_a_feature_twice_exits_3_at_its_line(data_dir, tmp_path, capsys):
+    nodes, out = tmp_path / "nodes.tsv", tmp_path / "stats.txt"
+    at = _with_line(data_dir / "nodes.tsv", nodes, lambda l: l.rstrip("\n") + "\tad_id=999\n")
+    rc = main(["build-graph", "--edges", str(data_dir / "edges.tsv"),
+               "--nodes", str(nodes), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{nodes}:{at}: feature ad_id is listed twice" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.tsv"]
+
+
+@pytest.mark.parametrize("where", ["nodes", "dump"])
+def test_an_unknown_type_token_exits_3_naming_it(data_dir, dump, tmp_path, capsys, where):
+    files = {"nodes": data_dir / "nodes.tsv", "dump": dump / "emb.tsv"}
+    bad = tmp_path / files[where].name
+    at = _with_line(files[where], bad, lambda l: "adx" + l[l.index("\t"):])
+    files[where] = bad
+    out = tmp_path / "retrieved.tsv"
+    rc = main(["retrieve", "--embeddings", str(files["dump"]),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(files["nodes"]),
+               "--task", str(data_dir / "task.tsv"), "--k", "5", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{bad}:{at}: unknown token 'adx'" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [bad.name]
+
+
+def test_retrieve_of_a_task_ad_the_graph_does_not_hold_exits_3(data_dir, dump, tmp_path, capsys):
+    task, out = tmp_path / "task.tsv", tmp_path / "retrieved.tsv"
+    task.write_text((data_dir / "task.tsv").read_text() + "ad_click\t123456\t1\n")
+    rc = main(["retrieve", "--embeddings", str(dump / "emb.tsv"),
+               "--edges", str(data_dir / "edges.tsv"), "--nodes", str(data_dir / "nodes.tsv"),
+               "--task", str(task), "--k", "5", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "unknown ad id 123456" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["task.tsv"]

@@ -1,3 +1,4 @@
+import ast
 import collections
 import dataclasses
 import tempfile
@@ -8,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgmatch.config import TrainConfig, VARIANTS
+from hgmatch import graph as hg
+from hgmatch.cli import _load_retrieved
+from hgmatch.config import TrainConfig, VARIANTS, load_config_file
 from hgmatch.errors import DataError
+from hgmatch.features import load_boundaries, load_manifest
 from hgmatch.graph import (
     Metapath,
     NodeRecord,
@@ -19,9 +23,11 @@ from hgmatch.graph import (
     RELATION_SCHEMA,
     load_graph,
     other_endpoint,
-    parse_node_line,
+    parse_node_lines,
+    read_records,
 )
 from hgmatch.model import build_plan, type_pools
+from hgmatch.retrieval import load_embeddings, load_labels, load_task
 from oracles import (EdgeRecord, influential_neighbors, ingest, naive_plan, neighbors,
                      parse_edge_line, reference_load_graph)
 
@@ -142,10 +148,17 @@ def test_non_finite_weight_rejected_with_location(weight):
         ingest(edges, basic_nodes())
 
 
+def read_nodes(path, text):
+    """`text` written to `path` and read as a nodes file."""
+    path.write_text(text)
+    return read_records(path, parse_node_lines)
+
+
 @pytest.mark.parametrize("searched", ["nan", "inf", "-inf"])
-def test_non_finite_searched_count_rejected_with_location(searched):
+def test_non_finite_searched_count_rejected_with_location(tmp_path, searched):
+    f = tmp_path / "f"
     with pytest.raises(DataError, match=f"f:4: non-finite searched count '{searched}'"):
-        parse_node_line(f"keyword 1 3 {searched}", "f:4")
+        read_nodes(f, f"# nodes\n\nad 1 3 1\nkeyword 1 3 {searched}\n")
 
 
 def test_duplicate_node_rejected():
@@ -232,15 +245,16 @@ def test_influential_neighbors_matches_sort_oracle():
         assert got == expect
 
 
-def test_parse_edge_and_node_lines():
+def test_parse_edge_and_node_lines(tmp_path):
     e = parse_edge_line("ad\t3\tad_click_kw\tkeyword\t7\t2.5", "f:1")
     assert (e.src_id, e.dst_id, e.weight) == (3, 7, 2.5)
     with pytest.raises(DataError, match="f:2"):
         parse_edge_line("ad 3 nope keyword 7 1", "f:2")
-    n = parse_node_line("keyword\t4\t2\t9\tterms=1,2\tbid_price=0.5", "f:3")
+    f = tmp_path / "f"
+    [n] = read_nodes(f, "#\n\nkeyword\t4\t2\t9\tterms=1,2\tbid_price=0.5\n")
     assert n.category_id == 2 and n.features["terms"] == "1,2"
-    with pytest.raises(DataError):
-        parse_node_line("keyword 4", "f:4")
+    with pytest.raises(DataError, match="f:4"):
+        read_nodes(f, "#\n\nkeyword\t4\t2\t9\nkeyword 4\n")
 
 
 def test_ingestion_idempotent_from_files(tiny_dataset):
@@ -479,3 +493,84 @@ def test_columnar_edge_reader_matches_the_line_by_line_reference(case):
         assert got == load_outcome(reference_load_graph, edge_path, node_path), applied
     if not applied:
         assert isinstance(got, dict)
+
+
+# --- the reader every record file goes through -------------------------------
+
+# format -> (loader, i-th good line, a bad line and its message, what an empty
+# file reads as: a predicate on the result, or the message of its DataError)
+READER_FORMATS = {
+    "edges": (hg.read_edges, lambda i: f"ad\t{i}\tad_click_kw\tkeyword\t{i}\t1.5",
+              ("ad\t1\tad_click_kw\tkeyword\t1", "expected 6 fields, got 5"),
+              lambda r: len(r.line) == 0),
+    "nodes": (lambda p: read_records(p, parse_node_lines), lambda i: f"ad\t{i}\t0\t1\tad_id={i}",
+              ("adx\t1\t0\t1", "unknown token 'adx'"), lambda r: r == []),
+    "labels": (load_labels, lambda i: f"ad_click\t{i}\t{i}",
+               ("ad_clik\t1\t1", "unknown view 'ad_clik'"), lambda r: r == []),
+    "task": (load_task, lambda i: f"ad_bid\t{i}\t{i + 1}",
+             ("ad_bid\t1\tx", "invalid literal for int() with base 10: 'x'"),
+             lambda r: r.ads == []),
+    "dump": (load_embeddings, lambda i: f"keyword\t{i}\tad_click\t+5.00000000e-01 -1.25000000e+00",
+             ("keyword\t1\tad_click\t0.5 inf", "non-finite vector value"),
+             "embedding dump has no rows"),
+    "config": (load_config_file, lambda i: f"key{i} = {i}",
+               ("no key", "expected key = value"), lambda r: r == {}),
+    "manifest": (load_manifest, lambda i: f"ad\tf{i}\tid\t10\t4",
+                 ("ad\tf\tid\t10", "expected 5 fields"), lambda r: r.per_type == {}),
+    "boundaries": (load_boundaries, lambda i: f"f{i}\t0.5 1.5",
+                   ("f\t2 1", "boundaries of f must be finite and increasing"), lambda r: r == {}),
+    "retrieved": (_load_retrieved, lambda i: f"{i}\tad_click\t{i}",
+                  ("1\tad_click", "expected `ad_id view kw_id`"), lambda r: r == {}),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(READER_FORMATS))
+def test_every_record_file_reads_by_one_contract(tmp_path, monkeypatch, fmt):
+    """Lines end at \\n, \\r\\n or \\r, blank and `#` lines count, the first
+    bad line is named past the first chunk, and a file that is not UTF-8, or
+    is empty, is reported as such."""
+    load, good, (bad, message), empty = READER_FORMATS[fmt]
+    monkeypatch.setattr(hg, "LINES_PER_CHUNK", 2)
+    path = tmp_path / f"{fmt}.tsv"
+
+    def outcome(text):
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        try:
+            return load(path)
+        except DataError as exc:
+            return str(exc)
+
+    lines = [good(i) for i in range(5)]
+    assert not isinstance(outcome("\n".join(lines) + "\n"), str)
+    assert outcome("\n".join(lines + [bad, good(5)]) + "\n") == f"{path}:6: {message}"
+    for end in ("\r\n", "\r"):
+        text = end.join(["# header", "", lines[0], "  \t", lines[1], bad]) + end
+        assert outcome(text) == f"{path}:6: {message}"
+    for brk in ("\x0b", "\x85", "\u2028"):  # str.splitlines would end a line here
+        assert outcome(f"#{brk}no record here\n{lines[0]}\n{bad}\n") == f"{path}:3: {message}"
+    assert outcome(f"{lines[0]}\n".encode() + b"\xff\n").startswith(f"{path}: not UTF-8 text (")
+    got = outcome("")
+    assert got == f"{path}: {empty}" if isinstance(empty, str) else empty(got)
+
+
+def test_only_the_reader_opens_a_file_to_read_text():
+    """No function in the package takes a `location` parameter, and no module
+    but graph.py opens a file in a text mode that reads (`open` without `b`
+    and with `r` or `+`, or `read_text`)."""
+    problems = []
+    for path in sorted(Path(hg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                problems += [f"{where}: parameter `location`" for p in params
+                             if p and p.arg == "location"]
+            if isinstance(node, ast.Call) and path.name != "graph.py":
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+                if name == "read_text" or (name == "open" and "b" not in mode
+                                           and ("r" in mode or "+" in mode)):
+                    problems.append(f"{where}: {name}() reads text")
+    assert problems == []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from hgmatch import retrieval
+from hgmatch import graph, retrieval
 from hgmatch.config import ALL_VIEWS, TrainConfig, VARIANTS
 from hgmatch.errors import DataError
 from hgmatch.graph import NodeType
@@ -591,7 +591,7 @@ def dumps(draw):
 def test_load_embeddings_equals_the_line_by_line_reader(tmp_path_factory, text, chunk_lines):
     path = tmp_path_factory.mktemp("dump") / "emb.tsv"
     path.write_text(text)
-    with mock.patch.object(retrieval, "_CHUNK_LINES", chunk_lines):
+    with mock.patch.object(graph, "LINES_PER_CHUNK", chunk_lines):
         got = load_embeddings(path)
     assert _store_bytes(got) == _store_bytes(reference_load_embeddings(path))
 
@@ -627,7 +627,7 @@ def test_load_embeddings_fails_where_the_line_by_line_reader_fails(tmp_path_fact
     except DataError as exc:
         want = str(exc)
     try:
-        with mock.patch.object(retrieval, "_CHUNK_LINES", chunk_lines):
+        with mock.patch.object(graph, "LINES_PER_CHUNK", chunk_lines):
             got = _store_bytes(load_embeddings(path))
     except DataError as exc:
         got = str(exc)
@@ -667,7 +667,7 @@ def test_load_embeddings_names_a_bad_row_past_the_first_chunk(tmp_path, lines, m
 
 
 def test_load_embeddings_reads_a_dump_of_many_chunks(tmp_path):
-    path = _big_dump(tmp_path / "emb.tsv", n_rows=3 * retrieval._CHUNK_LINES + 5)
+    path = _big_dump(tmp_path / "emb.tsv", n_rows=3 * graph.LINES_PER_CHUNK + 5)
     assert _store_bytes(load_embeddings(path)) == _store_bytes(reference_load_embeddings(path))
 
 
@@ -736,7 +736,7 @@ def _load_both(path, chunk_lines):
     out = []
     for load in (lambda: reference_load_embeddings(path), lambda: load_embeddings(path)):
         try:
-            with mock.patch.object(retrieval, "_CHUNK_LINES", chunk_lines):
+            with mock.patch.object(graph, "LINES_PER_CHUNK", chunk_lines):
                 out.append(_store_bytes(load()))
         except DataError as exc:
             out.append(str(exc))
@@ -790,14 +790,14 @@ def test_load_reads_a_dump_mixing_fixed_width_and_old_chunks(tmp_path):
     and chunks holding both read to the reference's store."""
     rng = np.random.default_rng(5)
     rows = [("ad_click", "keyword", i, rng.normal(size=3) * 10.0 ** rng.integers(-20, 20))
-            for i in range(3 * retrieval._CHUNK_LINES + 40)]
+            for i in range(3 * graph.LINES_PER_CHUNK + 40)]
     lines = _dump_text(rows).split("\n")
     for i in list(range(300, 600)) + list(range(700, 720)):
         *fields, _ = lines[i].split("\t")
         lines[i] = "\t".join(fields + [" ".join("%.9g" % v for v in rows[i - 1][3])])
     path = tmp_path / "emb.tsv"
     path.write_text("\n".join(lines))  # no newline at the end
-    want, got = _load_both(path, retrieval._CHUNK_LINES)
+    want, got = _load_both(path, graph.LINES_PER_CHUNK)
     assert got == want and not isinstance(want, str)
 
 

@@ -11,7 +11,7 @@ from hgmatch.autodiff import Tensor
 from hgmatch.config import TrainConfig, VARIANTS
 from hgmatch.errors import DataError, NumericError
 from hgmatch.features import FeatureEncoder
-from hgmatch.graph import NodeRef, NodeType, Relation, iter_file_records
+from hgmatch.graph import NodeRef, NodeType, Relation
 from hgmatch.model import AD_TOWER, KW_TOWER, ForwardPlan, MatchingModel, active_paths, build_plan
 from hgmatch.params import ModelParams, init_params
 from hgmatch.pipeline import build_model, train_variant
@@ -27,9 +27,10 @@ from hgmatch.trainer import (
     relative_error,
     step_loss,
 )
-from oracles import (ReferenceAdam, TrainingPair, gather_segment_sum_execute, ingest, neighbors,
-                     node_embedding, pair_columns, pair_records, parse_edge_line, posterior,
-                     record_batch_plan, record_loss_from_forward, record_step_loss)
+from oracles import (ReferenceAdam, TrainingPair, gather_segment_sum_execute, ingest,
+                     iter_file_records, neighbors, node_embedding, pair_columns, pair_records,
+                     parse_edge_line, posterior, record_batch_plan, record_loss_from_forward,
+                     record_step_loss)
 
 
 def test_posterior_equal_scores_is_uniform():
